@@ -59,6 +59,8 @@ COEFF_STAT_COLUMNS = ("STDLF", "MEANLF", "STDHF", "MEANHF")
 ENERGY_COLUMNS = ("E_LF", "E_HF", "R_E")
 MAD_SOURCES = ("per-band", "first-level")
 CSV_FLOAT_DIGITS = 12
+# layout version of report.json, written as tool.schema and checked on reading
+REPORT_SCHEMA = 2
 
 _FEATURE_BY_COLUMN = {
     "STDLF": "std_lf",
@@ -133,7 +135,12 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class BandReport:
-    """Serializable summary plus per-coefficient records for one band split."""
+    """Serializable summary and coefficients of one band split.
+
+    values holds the band's coefficients in band order, significant the
+    positions above the threshold. Position i comes from leaf
+    leaves[i // leaf_len] at offset i % leaf_len, with leaf_len = n / len(leaves).
+    """
 
     band: str
     lam: float
@@ -143,10 +150,14 @@ class BandReport:
     n_significant: int
     energy_background: float
     energy_significant: float
-    coefficients: tuple[tuple[int, int, float, str], ...]
+    leaves: tuple[int, ...]
+    values: tuple[float, ...]
+    significant: tuple[int, ...]
 
     @classmethod
     def from_split(cls, split: BandSplit) -> "BandReport":
+        if split.leaf_ids is None:
+            raise ValueError("band split carries no leaf ids")
         return cls(
             band=split.band,
             lam=split.lam,
@@ -156,7 +167,9 @@ class BandReport:
             n_significant=split.n_significant,
             energy_background=split.energy_background,
             energy_significant=split.energy_significant,
-            coefficients=tuple(split.coefficient_records()),
+            leaves=split.leaf_ids,
+            values=tuple(split.values.tolist()),
+            significant=tuple(np.flatnonzero(split.significant_mask).tolist()),
         )
 
     def as_dict(self) -> dict:
@@ -169,7 +182,9 @@ class BandReport:
             "n_significant": self.n_significant,
             "energy_background": self.energy_background,
             "energy_significant": self.energy_significant,
-            "coefficients": [list(rec) for rec in self.coefficients],
+            "leaves": list(self.leaves),
+            "values": list(self.values),
+            "significant": list(self.significant),
         }
 
     @classmethod
@@ -183,10 +198,9 @@ class BandReport:
             n_significant=data["n_significant"],
             energy_background=data["energy_background"],
             energy_significant=data["energy_significant"],
-            coefficients=tuple(
-                (int(node), int(offset), float(value), str(component))
-                for node, offset, value, component in data["coefficients"]
-            ),
+            leaves=tuple(data["leaves"]),
+            values=tuple(data["values"]),
+            significant=tuple(data["significant"]),
         )
 
 
@@ -281,7 +295,8 @@ class RunReport:
 
     def as_dict(self) -> dict:
         return {
-            "tool": {"name": self.tool_name, "version": self.tool_version},
+            "tool": {"name": self.tool_name, "version": self.tool_version,
+                     "schema": REPORT_SCHEMA},
             "config": self.config,
             "recordings": [r.as_dict() for r in self.recordings],
             "anova": [a.as_dict() for a in self.anova],
@@ -289,6 +304,11 @@ class RunReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunReport":
+        schema = data["tool"].get("schema")
+        if schema != REPORT_SCHEMA:
+            raise ValueError(f"report schema {schema} is not readable, only schema "
+                             f"{REPORT_SCHEMA}; a report without one has the older "
+                             "per-coefficient band layout")
         return cls(
             config=data["config"],
             recordings=tuple(RecordingReport.from_dict(r) for r in data["recordings"]),
@@ -339,10 +359,22 @@ def load_manifest(path) -> list[tuple[str, str, Group]]:
     return rows
 
 
+def _band_leaves(config: PipelineConfig) -> tuple[tuple[str, list[int]], ...]:
+    """(band, leaf ids) for LF and HF; raises ValueError if a band holds no whole leaf."""
+    return tuple(
+        (band, band_nodes(band, config.depth, config.rate_hz, edges))
+        for band, edges in (("LF", config.lf_band_hz), ("HF", config.hf_band_hz))
+    )
+
+
 def process_recording(
-    path, subject_id: str, group: Group, config: PipelineConfig
+    path, subject_id: str, group: Group, config: PipelineConfig, band_leaves=None
 ) -> RecordingReport:
-    """Run the full single-recording chain; exceptions become a failed report."""
+    """Run the full single-recording chain; exceptions become a failed report.
+
+    band_leaves pairs each band name with its leaf ids, as run_pipeline resolves
+    them once per run; they are resolved here if omitted.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
         series = parse_rr_file(text, detect_format(text), subject_id=subject_id, group=group)
@@ -365,19 +397,13 @@ def process_recording(
             # finest-detail convention: noise scale from the level-1 high-pass node
             mad_coeffs = tree.node(1, 1).coeffs
 
-        splits = []
-        for band, edges in (("LF", config.lf_band_hz), ("HF", config.hf_band_hz)):
-            leaf_ids = band_nodes(band, config.depth, config.rate_hz, edges)
-            chunks = [tree.node(config.depth, j).coeffs for j in leaf_ids]
-            source = tuple(
-                (j, off) for j, chunk in zip(leaf_ids, chunks) for off in range(len(chunk))
+        splits = [
+            threshold_band(
+                np.concatenate([tree.node(config.depth, j).coeffs for j in leaf_ids]),
+                band=band, leaf_ids=leaf_ids, mad_coeffs=mad_coeffs,
             )
-            splits.append(
-                threshold_band(
-                    np.concatenate(chunks), band=band,
-                    source_index=source, mad_coeffs=mad_coeffs,
-                )
-            )
+            for band, leaf_ids in band_leaves or _band_leaves(config)
+        ]
 
         feats = extract_features(splits[0], splits[1], subject_id=subject_id, group=group)
         return RecordingReport(
@@ -460,10 +486,18 @@ def run_pipeline(manifest, config: PipelineConfig | None = None) -> RunReport:
     ids = [subject for _, subject, _ in rows]
     if len(set(ids)) != len(ids):
         raise ValueError("manifest subject_id values must be unique")
+    dump_owner: dict[str, str] = {}
+    for subject in ids:
+        other = dump_owner.setdefault(_safe_name(subject), subject)
+        if other != subject:
+            raise ValueError(f"subject_id values {other!r} and {subject!r} would both "
+                             f"write bands_{_safe_name(subject)}.csv")
+    band_leaves = _band_leaves(config)
 
     recordings = tuple(
         sorted(
-            (process_recording(path, subject, group, config) for path, subject, group in rows),
+            (process_recording(path, subject, group, config, band_leaves)
+             for path, subject, group in rows),
             key=lambda r: r.subject_id,
         )
     )
@@ -479,6 +513,19 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.{CSV_FLOAT_DIGITS}g}"
     return "" if value is None else str(value)
+
+
+def _band_csv_lines(band: BandReport):
+    """Rows of a band dump as written by csv.writer: no field here needs quoting."""
+    component = ["background"] * band.n
+    for i in band.significant:
+        component[i] = "significant"
+    leaf_len = band.n // len(band.leaves)
+    return (
+        f"{band.band},{band.leaves[i // leaf_len]},{i % leaf_len},"
+        f"{value:.{CSV_FLOAT_DIGITS}g},{component[i]}"
+        for i, value in enumerate(band.values)
+    )
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -549,12 +596,11 @@ def emit_report(report: RunReport, fmt: str | None = None, out_dir=".") -> set[P
             if rec.status != "ok":
                 continue
             path = out / f"bands_{_safe_name(rec.subject_id)}.csv"
-            rows = [
-                (band.band, node, offset, value, component)
-                for band in rec.bands
-                for node, offset, value, component in band.coefficients
-            ]
-            _write_csv(path, ["band", "node", "offset", "coefficient", "component"], rows)
+            lines = ["band,node,offset,coefficient,component"]
+            for band in rec.bands:
+                lines.extend(_band_csv_lines(band))
+            lines.append("")  # csv.writer ends every row, the last one too
+            path.write_text("\r\n".join(lines), encoding="utf-8", newline="")
             written.add(path)
     except OSError as exc:
         raise OSError(f"cannot write report under {out}: {exc}") from exc

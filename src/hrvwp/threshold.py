@@ -33,8 +33,9 @@ class BandSplit:
     """One band's coefficients partitioned at threshold lam.
 
     background holds every coefficient with |c| <= lam, significant the rest,
-    both in original band order. source_index maps each original position to
-    its (leaf_node, offset); significant_mask marks the significant positions.
+    both in original band order; significant_mask marks the significant
+    positions. leaf_ids lists the band's equal-length leaves in band order, so
+    position i comes from leaf leaf_ids[i // leaf_len] at offset i % leaf_len.
     """
 
     band: str
@@ -44,15 +45,15 @@ class BandSplit:
     background: np.ndarray
     significant: np.ndarray
     significant_mask: np.ndarray
-    source_index: tuple[tuple[int, int], ...] | None = None
+    leaf_ids: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.lam < 0.0:
             raise ValueError("threshold must be non-negative")
         if len(self.background) + len(self.significant) != self.n:
             raise ValueError("component sizes must sum to the band length")
-        if self.source_index is not None and len(self.source_index) != self.n:
-            raise ValueError("source_index length must match the band length")
+        if self.leaf_ids is not None and (not self.leaf_ids or self.n % len(self.leaf_ids)):
+            raise ValueError("the band length must divide evenly over leaf_ids")
         if np.any(np.abs(self.background) > self.lam):
             raise ValueError("background holds a coefficient above the threshold")
         if np.any(np.abs(self.significant) <= self.lam):
@@ -74,18 +75,13 @@ class BandSplit:
     def energy_significant(self) -> float:
         return float(np.dot(self.significant, self.significant))
 
-    def coefficient_records(self) -> list[tuple[int, int, float, str]]:
-        """Rows (node, offset, coefficient, component) in original band order."""
-        if self.source_index is None:
-            raise ValueError("band split carries no source index")
+    @property
+    def values(self) -> np.ndarray:
+        """The band's coefficients in original order."""
         values = np.empty(self.n)
         values[~self.significant_mask] = self.background
         values[self.significant_mask] = self.significant
-        return [
-            (node, offset, float(values[i]),
-             "significant" if self.significant_mask[i] else "background")
-            for i, (node, offset) in enumerate(self.source_index)
-        ]
+        return values
 
 
 def mad(values: np.ndarray) -> float:
@@ -121,7 +117,7 @@ def compute_threshold(coeffs: np.ndarray) -> tuple[float, float, int]:
 def split_coefficients(
     band_coeffs: np.ndarray,
     lam: float,
-    source_index: tuple[tuple[int, int], ...] | None = None,
+    leaf_ids: tuple[int, ...] | None = None,
     band: str = "",
     h: float = 0.0,
 ) -> BandSplit:
@@ -142,14 +138,14 @@ def split_coefficients(
         background=v[~mask],
         significant=v[mask],
         significant_mask=mask,
-        source_index=tuple(source_index) if source_index is not None else None,
+        leaf_ids=tuple(leaf_ids) if leaf_ids is not None else None,
     )
 
 
 def threshold_band(
     band_coeffs: np.ndarray,
     band: str = "",
-    source_index: tuple[tuple[int, int], ...] | None = None,
+    leaf_ids: tuple[int, ...] | None = None,
     mad_coeffs: np.ndarray | None = None,
 ) -> BandSplit:
     """Threshold one band end to end: noise scale, lambda, then the split.
@@ -163,4 +159,4 @@ def threshold_band(
         raise ValueError("cannot threshold an empty band")
     h = noise_scale(v if mad_coeffs is None else mad_coeffs)
     lam = h * sqrt(2.0 * log(v.size))
-    return split_coefficients(v, lam, source_index=source_index, band=band, h=h)
+    return split_coefficients(v, lam, leaf_ids=leaf_ids, band=band, h=h)

@@ -15,6 +15,7 @@ indexing, node (level, j) covers exactly [j, j+1] * rate / 2**(level+1) Hz.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, sqrt
 
 import numpy as np
@@ -81,12 +82,19 @@ def daubechies_filters(order: int) -> QuadFilterBank:
     y = (2 - z - 1/z)/4, the roots inside the unit circle are kept (extremal
     phase), and the low-pass filter is (1+z)^order times those factors,
     normalized to sum sqrt(2).
+
+    Each order is designed once; every call returns the same bank, whose taps
+    are read-only.
     """
     if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
         raise ValueError("order must be an integer")
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
+    return _design_bank(int(order))
 
+
+@lru_cache(maxsize=MAX_ORDER)
+def _design_bank(order: int) -> QuadFilterBank:
     if order == 1:
         lo = np.array([1.0, 1.0]) / sqrt(2.0)
     else:
@@ -106,9 +114,12 @@ def daubechies_filters(order: int) -> QuadFilterBank:
         lo *= sqrt(2.0) / lo.sum()
 
     hi = _qmf(lo)
-    return QuadFilterBank(
-        dec_lo=lo, dec_hi=hi, rec_lo=lo.copy(), rec_hi=hi.copy(), order=int(order)
+    bank = QuadFilterBank(
+        dec_lo=lo, dec_hi=hi, rec_lo=lo.copy(), rec_hi=hi.copy(), order=order
     )
+    for taps in (bank.dec_lo, bank.dec_hi, bank.rec_lo, bank.rec_hi):
+        taps.flags.writeable = False
+    return bank
 
 
 def _window_indices(n_out: int, taps: int, n: int) -> np.ndarray:

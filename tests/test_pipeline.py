@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 
 import numpy as np
@@ -90,6 +91,17 @@ class TestManifest:
         manifest.write_text(text + text.splitlines()[1] + "\n")
         with pytest.raises(ValueError, match="unique"):
             run_pipeline(manifest, PipelineConfig())
+
+    def test_band_dump_name_collision_rejected(self, write_dataset, tmp_path, capsys):
+        # "a b" and "a_b" would both write bands_a_b.csv, one over the other
+        manifest = write_dataset([("a b", "Control", synthetic_rr(300, seed=1)),
+                                  ("a_b", "VT", synthetic_rr(300, seed=2))])
+        with pytest.raises(ValueError, match="'a b' and 'a_b'.*bands_a_b.csv"):
+            run_pipeline(manifest, PipelineConfig())
+        out = tmp_path / "collide_out"
+        assert main(["--manifest", str(manifest), "--out", str(out)]) == 2
+        assert "bands_a_b.csv" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_short_row_reports_line(self, tmp_path):
         bad = tmp_path / "m.csv"
@@ -225,6 +237,14 @@ class TestRunPipeline:
         _, report = balanced_report
         assert RunReport.from_json(report.to_json()) == report
 
+    def test_report_schema_version(self, balanced_report):
+        _, report = balanced_report
+        payload = json.loads(report.to_json())
+        assert payload["tool"]["schema"] == 2
+        del payload["tool"]["schema"]
+        with pytest.raises(ValueError, match="schema"):
+            RunReport.from_json(json.dumps(payload))
+
     def test_recording_counts(self, balanced_report):
         _, report = balanced_report
         rec = report.recordings[0]
@@ -235,7 +255,7 @@ class TestRunPipeline:
         assert lf.n == rec.n_analyzed // 64 * 4
         assert hf.n == rec.n_analyzed // 64 * 8
         assert lf.n_background + lf.n_significant == lf.n
-        assert len(lf.coefficients) == lf.n
+        assert len(lf.values) == lf.n
 
 
 class TestEmit:
@@ -263,6 +283,28 @@ class TestEmit:
         assert {r[0] for r in brows[1:]} == {"LF", "HF"}
         assert {r[4] for r in brows[1:]} <= {"background", "significant"}
         assert {r[1] for r in brows[1:] if r[0] == "LF"} == {"1", "2", "3", "4"}
+
+    def test_band_csv_bytes_match_csv_writer(self, write_dataset, tmp_path):
+        rr = synthetic_rr(300, seed=30)
+        rr[150:153] += 300.0  # a burst gives both bands significant coefficients
+        report = run_pipeline(write_dataset([("spike", "Control", rr)]), PipelineConfig())
+        (rec,) = report.recordings
+        assert all(b.n_significant > 0 for b in rec.bands)
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(["band", "node", "offset", "coefficient", "component"])
+        for band in rec.bands:
+            leaf_len = band.n // len(band.leaves)
+            significant = set(band.significant)
+            for i, value in enumerate(band.values):
+                writer.writerow([
+                    band.band, band.leaves[i // leaf_len], i % leaf_len,
+                    format(value, ".12g"),
+                    "significant" if i in significant else "background",
+                ])
+        emit_report(report, "csv", tmp_path / "out")
+        written = (tmp_path / "out" / "bands_spike.csv").read_bytes()
+        assert written == buf.getvalue().encode("utf-8")
 
     def test_json_outputs(self, balanced_report, tmp_path):
         _, report = balanced_report
@@ -336,6 +378,14 @@ class TestCli:
         code = main(["--manifest", str(manifest), "--out", str(tmp_path / "o2"),
                      "--depth", "-3"])
         assert code == 2
+
+    def test_band_without_whole_leaf_exit_two(self, write_dataset, tmp_path, capsys):
+        # at 8 Hz a depth-4 leaf spans 0.25 Hz, wider than the whole LF band
+        manifest = write_dataset([("r0", "Control", synthetic_rr(300, seed=17))])
+        code = main(["--manifest", str(manifest), "--out", str(tmp_path / "o3"),
+                     "--rate", "8", "--depth", "4"])
+        assert code == 2
+        assert "no level-4 node fits" in capsys.readouterr().err
 
     def test_json_format_flag(self, write_dataset, tmp_path):
         manifest = write_dataset(balanced_spec(per_group=2))

@@ -148,15 +148,18 @@ class TestSplit:
 
     def test_source_index_partition(self):
         coeffs = np.array([0.1, 5.0, -0.2, -7.0])
-        source = ((1, 0), (1, 1), (2, 0), (2, 1))
-        split = split_coefficients(coeffs, 1.0, source_index=source, band="LF")
-        records = split.coefficient_records()
-        assert records == [
-            (1, 0, 0.1, "background"),
-            (1, 1, 5.0, "significant"),
-            (2, 0, -0.2, "background"),
-            (2, 1, -7.0, "significant"),
-        ]
+        split = split_coefficients(coeffs, 1.0, leaf_ids=(1, 2), band="LF")
+        assert split.leaf_ids == (1, 2)
+        assert split.values.tolist() == [0.1, 5.0, -0.2, -7.0]
+        assert [
+            "significant" if s else "background" for s in split.significant_mask
+        ] == ["background", "significant", "background", "significant"]
+
+    def test_band_must_divide_over_leaf_ids(self):
+        with pytest.raises(ValueError, match="divide evenly"):
+            split_coefficients(np.array([0.1, 5.0, -0.2]), 1.0, leaf_ids=(1, 2))
+        with pytest.raises(ValueError, match="divide evenly"):
+            split_coefficients(np.array([0.1]), 1.0, leaf_ids=())
 
     @given(finite_lists, st.floats(min_value=0.0, max_value=1e6, allow_nan=False))
     def test_energy_accounting(self, values, lam):

@@ -104,6 +104,15 @@ class TestFilters:
         b = daubechies_filters(7)
         assert np.array_equal(a.dec_lo, b.dec_lo)
 
+    def test_bank_designed_once_per_order(self):
+        bank = daubechies_filters(4)
+        assert daubechies_filters(4) is bank
+        assert daubechies_filters(np.int64(4)) is bank
+        for taps in (bank.dec_lo, bank.dec_hi, bank.rec_lo, bank.rec_hi):
+            assert not taps.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                taps[0] = 0.0
+
     def test_bank_length_validated(self):
         from hrvwp import QuadFilterBank
 
