@@ -12,6 +12,7 @@ significant digits.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
 from dataclasses import dataclass
@@ -368,13 +369,9 @@ def _band_leaves(config: PipelineConfig) -> tuple[tuple[str, list[int]], ...]:
 
 
 def process_recording(
-    path, subject_id: str, group: Group, config: PipelineConfig, band_leaves=None
+    path, subject_id: str, group: Group, config: PipelineConfig
 ) -> RecordingReport:
-    """Run the full single-recording chain; exceptions become a failed report.
-
-    band_leaves pairs each band name with its leaf ids, as run_pipeline resolves
-    them once per run; they are resolved here if omitted.
-    """
+    """Run the full single-recording chain; exceptions become a failed report."""
     try:
         text = Path(path).read_text(encoding="utf-8")
         series = parse_rr_file(text, detect_format(text), subject_id=subject_id, group=group)
@@ -402,7 +399,7 @@ def process_recording(
                 np.concatenate([tree.node(config.depth, j).coeffs for j in leaf_ids]),
                 band=band, leaf_ids=leaf_ids, mad_coeffs=mad_coeffs,
             )
-            for band, leaf_ids in band_leaves or _band_leaves(config)
+            for band, leaf_ids in _band_leaves(config)
         ]
 
         feats = extract_features(splits[0], splits[1], subject_id=subject_id, group=group)
@@ -488,15 +485,16 @@ def run_pipeline(manifest, config: PipelineConfig | None = None) -> RunReport:
         raise ValueError("manifest subject_id values must be unique")
     dump_owner: dict[str, str] = {}
     for subject in ids:
-        other = dump_owner.setdefault(_safe_name(subject), subject)
+        # casefolded: on a case-insensitive filesystem "A" and "a" share a file
+        other = dump_owner.setdefault(_safe_name(subject).casefold(), subject)
         if other != subject:
             raise ValueError(f"subject_id values {other!r} and {subject!r} would both "
                              f"write bands_{_safe_name(subject)}.csv")
-    band_leaves = _band_leaves(config)
+    _band_leaves(config)  # a band without a whole leaf is a usage error, not N failures
 
     recordings = tuple(
         sorted(
-            (process_recording(path, subject, group, config, band_leaves)
+            (process_recording(path, subject, group, config)
              for path, subject, group in rows),
             key=lambda r: r.subject_id,
         )
@@ -516,13 +514,19 @@ def _fmt(value) -> str:
 
 
 def _band_csv_lines(band: BandReport):
-    """Rows of a band dump as written by csv.writer: no field here needs quoting."""
+    """Rows of a band dump, byte for byte as csv.writer writes them.
+
+    Only the band name can need quoting; csv.writer quotes it once per band.
+    """
+    head = io.StringIO()
+    csv.writer(head).writerow([band.band, ""])
+    prefix = head.getvalue()[:-2]  # "<band field>," without the row terminator
     component = ["background"] * band.n
     for i in band.significant:
         component[i] = "significant"
     leaf_len = band.n // len(band.leaves)
     return (
-        f"{band.band},{band.leaves[i // leaf_len]},{i % leaf_len},"
+        f"{prefix}{band.leaves[i // leaf_len]},{i % leaf_len},"
         f"{value:.{CSV_FLOAT_DIGITS}g},{component[i]}"
         for i, value in enumerate(band.values)
     )

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 
@@ -102,6 +103,11 @@ class TestManifest:
         assert main(["--manifest", str(manifest), "--out", str(out)]) == 2
         assert "bands_a_b.csv" in capsys.readouterr().err
         assert not out.exists()
+        # "A" and "a" share bands_A.csv on a case-insensitive filesystem
+        manifest = write_dataset([("A", "Control", synthetic_rr(300, seed=1)),
+                                  ("a", "VT", synthetic_rr(300, seed=2))])
+        with pytest.raises(ValueError, match="'A' and 'a'"):
+            run_pipeline(manifest, PipelineConfig())
 
     def test_short_row_reports_line(self, tmp_path):
         bad = tmp_path / "m.csv"
@@ -284,12 +290,17 @@ class TestEmit:
         assert {r[4] for r in brows[1:]} <= {"background", "significant"}
         assert {r[1] for r in brows[1:] if r[0] == "LF"} == {"1", "2", "3", "4"}
 
-    def test_band_csv_bytes_match_csv_writer(self, write_dataset, tmp_path):
+    @pytest.mark.parametrize("names", [None, ('L,F', 'H"F\r\n')], ids=["pipeline", "quoted"])
+    def test_band_csv_bytes_match_csv_writer(self, write_dataset, tmp_path, names):
         rr = synthetic_rr(300, seed=30)
         rr[150:153] += 300.0  # a burst gives both bands significant coefficients
         report = run_pipeline(write_dataset([("spike", "Control", rr)]), PipelineConfig())
         (rec,) = report.recordings
         assert all(b.n_significant > 0 for b in rec.bands)
+        if names is not None:  # band names that need quoting, as a read-back report may hold
+            rec = dataclasses.replace(rec, bands=tuple(
+                dataclasses.replace(b, band=name) for b, name in zip(rec.bands, names)))
+            report = dataclasses.replace(report, recordings=(rec,))
         buf = io.StringIO(newline="")
         writer = csv.writer(buf)
         writer.writerow(["band", "node", "offset", "coefficient", "component"])
