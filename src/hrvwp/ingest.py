@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 __all__ = [
     "Group",
@@ -98,22 +97,60 @@ class UniformSignal:
         return int(self.samples.size)
 
 
-def _data_lines(text: str):
-    """Yield (line_number, stripped_line) skipping blanks and '#' comments."""
-    for num, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield num, line
-
-
 def detect_format(text: str | bytes) -> str:
-    """Guess the RR file format from the first data line's column count."""
+    """Guess the RR file format from the first data line's column count.
+
+    Only a prefix of the text is split into lines, grown until it holds the
+    first data line. A prefix splits into the same lines as the whole text
+    except its last one, which the cut may shorten, so that line is left for
+    a longer prefix.
+    """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    for _, line in _data_lines(text):
-        return "two-column-time-ms" if len(line.split()) >= 2 else "one-column-ms"
-    return "one-column-ms"
+    size = 256
+    while True:
+        lines = text[:size].splitlines()
+        whole = size >= len(text)
+        for raw in lines if whole else lines[:-1]:
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                return "two-column-time-ms" if len(line.split()) >= 2 else "one-column-ms"
+        if whole:
+            return "one-column-ms"
+        size *= 4
+
+
+def _parse_lines(text: str, col: int) -> list[float]:
+    """Column col of every data line, raising RRParseError at the first bad line."""
+    values = []
+    for num, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue  # blank line or comment
+        if len(tokens) <= col:
+            raise RRParseError(f"expected {col + 1} columns, got {len(tokens)}", num)
+        try:
+            value = float(tokens[col])
+        except ValueError:
+            raise RRParseError(f"non-numeric token {tokens[col]!r}", num) from None
+        values.append(value)
+    return values
+
+
+def _parse_plain(text: str, col: int) -> np.ndarray | None:
+    """Column col of every data line in one conversion, or None if any line is not plain.
+
+    Plain means a single number per line (one-column), or the same count of
+    numbers on every line (two-column); anything else is left to _parse_lines.
+    """
+    kept = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
+    try:
+        if col == 0:
+            return np.array(kept, dtype=float)
+        table = np.array([line.split() for line in kept], dtype=float)
+    except ValueError:
+        return None
+    return table[:, col].copy() if table.ndim == 2 and table.shape[1] > col else None
 
 
 def parse_rr_file(
@@ -127,7 +164,9 @@ def parse_rr_file(
     Two formats are accepted: one RR interval (ms) per line, or two
     whitespace-separated columns (beat time, RR in ms) where only the second
     column is kept. Blank lines and lines starting with '#' are skipped.
-    Input order is preserved.
+    Input order is preserved. All data lines are converted in one pass; only
+    when that fails does a line-by-line pass run, which finds the offending
+    line or takes the kept column from lines with extra tokens.
     """
     if fmt not in RR_FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {RR_FORMATS}")
@@ -135,20 +174,11 @@ def parse_rr_file(
         text = text.decode("utf-8")
 
     col = 0 if fmt == "one-column-ms" else 1
-    values = []
-    for num, line in _data_lines(text):
-        tokens = line.split()
-        if len(tokens) <= col:
-            raise RRParseError(f"expected {col + 1} columns, got {len(tokens)}", num)
-        try:
-            value = float(tokens[col])
-        except ValueError:
-            raise RRParseError(f"non-numeric token {tokens[col]!r}", num) from None
-        values.append(value)
-
-    if len(values) < 2:
-        raise ValueError(f"need at least 2 RR intervals, got {len(values)}")
-    arr = np.asarray(values, dtype=float)
+    arr = _parse_plain(text, col)
+    if arr is None:
+        arr = np.asarray(_parse_lines(text, col), dtype=float)
+    if arr.size < 2:
+        raise ValueError(f"need at least 2 RR intervals, got {arr.size}")
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
         bad = int(np.flatnonzero(~np.isfinite(arr) | (arr <= 0.0))[0])
         raise ValueError(f"non-positive RR interval at position {bad + 1}: {arr[bad]}")
@@ -159,6 +189,37 @@ def rr_to_tachogram(series: RRSeries) -> tuple[np.ndarray, np.ndarray]:
     """Return (beat_times_s, rr_values_ms): beat k at cumsum(intervals)/1000."""
     times = np.cumsum(series.intervals_ms) / 1000.0
     return times, series.intervals_ms.copy()
+
+
+def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve off[i-1] x[i-1] + diag[i] x[i] + off[i] x[i+1] = rhs[i] by cyclic reduction.
+
+    The matrix is symmetric tridiagonal (off has one entry fewer than diag).
+    Each odd-indexed equation absorbs its even neighbours, which leaves a
+    symmetric tridiagonal system in the odd unknowns of half the size; once
+    that is solved, every even unknown follows from its own equation. Stable
+    without pivoting for diagonally dominant systems.
+    """
+    if diag.size == 1:
+        return rhs / diag
+    if diag.size % 2 == 0:
+        # a trailing x = 0 equation gives every odd equation a right neighbour
+        padded = _solve_tridiagonal(np.append(diag, 1.0), np.append(off, 0.0),
+                                    np.append(rhs, 0.0))
+        return padded[:-1]
+    left = off[::2] / diag[:-1:2]
+    right = off[1::2] / diag[2::2]
+    odd = _solve_tridiagonal(
+        diag[1::2] - left * off[::2] - right * off[1::2],
+        -right[:-1] * off[2::2],
+        rhs[1::2] - left * rhs[:-1:2] - right * rhs[2::2],
+    )
+    around = np.concatenate(([0.0], odd, [0.0]))
+    couple = np.concatenate(([0.0], off, [0.0]))
+    x = np.empty(diag.size)
+    x[1::2] = odd
+    x[::2] = (rhs[::2] - couple[::2] * around[:-1] - couple[1::2] * around[1:]) / diag[::2]
+    return x
 
 
 def resample_cubic_spline(
@@ -176,7 +237,8 @@ def resample_cubic_spline(
         raise ValueError("times and values must be 1-d arrays of equal length")
     if t.size < 2:
         raise ValueError("need at least 2 points to resample")
-    if np.any(np.diff(t) <= 0.0):
+    h = np.diff(t)
+    if np.any(h <= 0.0):
         raise ValueError("times must be strictly increasing")
     if not rate_hz > 0.0:
         raise ValueError("sampling rate must be positive")
@@ -188,9 +250,28 @@ def resample_cubic_spline(
         raise ValueError(
             f"rate {rate_hz} Hz yields {count} sample(s) over a {span:.3f} s span"
         )
-    spline = CubicSpline(t, v, bc_type="natural")
-    grid = t[0] + np.arange(count) / rate_hz
-    return UniformSignal(samples=spline(grid), rate_hz=rate_hz, t0_s=float(t[0]))
+    grid = np.arange(count, dtype=float)
+    grid /= rate_hz
+    grid += t[0]
+
+    # second derivatives m at the knots, m[0] = m[-1] = 0
+    slope = np.diff(v) / h
+    m = np.zeros(t.size)
+    if t.size > 2:
+        m[1:-1] = _solve_tridiagonal(2.0 * (h[:-1] + h[1:]), h[1:-1], 6.0 * np.diff(slope))
+    # grid point g lies in interval i[g] = number of interior knots <= grid[g]
+    i = np.bincount(np.searchsorted(grid, t[1:-1]), minlength=count + 1)[:count]
+    np.cumsum(i, out=i)
+    # Horner in dx = grid - t[i], in place: every pass over the grid reuses
+    # the same buffers instead of allocating one per operation (mode="clip"
+    # lets take write straight into its out buffer; i is always in range)
+    dx, gathered = grid, np.empty(count)
+    dx -= np.take(t, i, out=gathered, mode="clip")
+    samples = np.take(np.diff(m) / (6.0 * h), i)
+    for coef in (0.5 * m, slope - h * (2.0 * m[:-1] + m[1:]) / 6.0, v):
+        samples *= dx
+        samples += np.take(coef, i, out=gathered, mode="clip")
+    return UniformSignal(samples=samples, rate_hz=rate_hz, t0_s=float(t[0]))
 
 
 def truncate_to_block(signal: UniformSignal, depth: int) -> UniformSignal:

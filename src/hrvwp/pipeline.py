@@ -371,7 +371,12 @@ def _band_leaves(config: PipelineConfig) -> tuple[tuple[str, list[int]], ...]:
 def process_recording(
     path, subject_id: str, group: Group, config: PipelineConfig
 ) -> RecordingReport:
-    """Run the full single-recording chain; exceptions become a failed report."""
+    """Run the full single-recording chain; data errors become a failed report.
+
+    Unreadable or malformed input (OSError, ValueError and its subclasses
+    RRParseError, UnicodeDecodeError and FeatureError) marks the recording
+    failed; any other exception is a bug and propagates.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
         series = parse_rr_file(text, detect_format(text), subject_id=subject_id, group=group)
@@ -413,7 +418,7 @@ def process_recording(
             features=feats,
             bands=tuple(BandReport.from_split(s) for s in splits),
         )
-    except Exception as exc:
+    except (ValueError, OSError) as exc:
         return RecordingReport(
             subject_id=subject_id, group=group.value, status="failed",
             error=f"{type(exc).__name__}: {exc}",

@@ -6,7 +6,9 @@ orthogonal, and Parseval / perfect reconstruction hold to rounding error.
 
 Node indexing: splitting the high-pass branch and downsampling mirrors the
 spectrum, so the raw filter-bank ("natural") order of the leaves is not
-monotone in frequency. Nodes are stored in natural order internally; the
+monotone in frequency. Each level is stored as one array whose rows are the
+nodes in natural order, and is computed from the level above in a single
+filter-bank step (Mallat's algorithm applied to every node at once); the
 public index of a node at level m is its frequency slot, with slot f mapping
 to natural position f ^ (f >> 1) (binary-reflected Gray code). Under this
 indexing, node (level, j) covers exactly [j, j+1] * rate / 2**(level+1) Hz.
@@ -122,41 +124,66 @@ def _design_bank(order: int) -> QuadFilterBank:
     return bank
 
 
-def _window_indices(n_out: int, taps: int, n: int) -> np.ndarray:
-    return (2 * np.arange(n_out)[:, None] + np.arange(taps)[None, :]) % n
+def _phase_taps(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Taps as [filter, j, phase]: tap 2j+phase of the low-pass (0) and high-pass (1) filter."""
+    return np.stack([lo, hi]).reshape(2, lo.size // 2, 2)
 
 
-def analysis_step(
-    signal: np.ndarray, bank: QuadFilterBank
-) -> tuple[np.ndarray, np.ndarray]:
+def analysis_step(signal: np.ndarray, bank: QuadFilterBank) -> np.ndarray:
     """One periodized analysis step: approx[n] = sum_k lo[k] * x[(2n+k) mod N].
 
-    The circular extension keeps the step orthogonal for any even N, even
-    shorter than the filter, so energy is conserved exactly.
+    Works along the last axis and returns shape (..., 2, N/2): [..., 0, :] is
+    the approximation, [..., 1, :] the detail, so `approx, detail =
+    analysis_step(x, bank)` unpacks a 1-d result, and a tree level of shape
+    (nodes, N) maps to (nodes, 2, N/2), whose reshape to (2*nodes, N/2) is
+    the next level in natural order.
+
+    Polyphase form: with e[m] = x[2m] and o[m] = x[2m+1] read as strided
+    views of the circular extension, tap pair (2j, 2j+1) of both filters
+    multiplies (e, o) shifted by j, so each output takes taps/2 multiply-adds
+    of a 2x2 tap block. The circular extension keeps the step orthogonal for
+    any even N, even shorter than the filter (it then wraps more than once),
+    so energy is conserved exactly.
     """
     x = np.asarray(signal, dtype=float)
-    n = x.size
-    if x.ndim != 1 or n < 2:
-        raise ValueError("signal must be a 1-d array with at least 2 samples")
+    if x.ndim < 1 or x.shape[-1] < 2:
+        raise ValueError("signal must have at least 2 samples along its last axis")
+    n = x.shape[-1]
     if n % 2 != 0:
         raise ValueError(f"signal length must be even, got {n}")
-    win = x[_window_indices(n // 2, len(bank.dec_lo), n)]
-    return win @ bank.dec_lo, win @ bank.dec_hi
+    half = n // 2
+    taps = _phase_taps(bank.dec_lo, bank.dec_hi)
+    ext = np.take(x, np.arange(n + 2 * taps.shape[1] - 2), axis=-1, mode="wrap")
+    # phases[..., p, m] = ext[..., 2m + p]
+    phases = ext.reshape(*ext.shape[:-1], -1, 2).swapaxes(-1, -2)
+    out = taps[:, 0] @ phases[..., :half]
+    for j in range(1, taps.shape[1]):
+        out += taps[:, j] @ phases[..., j:j + half]
+    return out
+
+
+def _synthesize(pairs: np.ndarray, bank: QuadFilterBank) -> np.ndarray:
+    """Transpose of analysis_step: (..., 2, half) (approx, detail) pairs to (..., 2*half)."""
+    half = pairs.shape[-1]
+    taps = _phase_taps(bank.rec_lo, bank.rec_hi).transpose(1, 2, 0)
+    lag = taps.shape[0] - 1
+    # ext[..., k] = pairs[..., (k - lag) mod half]
+    ext = np.take(pairs, np.arange(-lag, half), axis=-1, mode="wrap")
+    phases = taps[0] @ ext[..., lag:]
+    for j in range(1, taps.shape[0]):
+        phases += taps[j] @ ext[..., lag - j:lag - j + half]
+    return phases.swapaxes(-1, -2).reshape(*pairs.shape[:-2], 2 * half)
 
 
 def synthesis_step(
     approx: np.ndarray, detail: np.ndarray, bank: QuadFilterBank
 ) -> np.ndarray:
-    """Exact inverse of analysis_step (transpose of the orthogonal step)."""
+    """Exact inverse of analysis_step (transpose of the orthogonal step), along the last axis."""
     a = np.asarray(approx, dtype=float)
     d = np.asarray(detail, dtype=float)
-    if a.shape != d.shape or a.ndim != 1 or a.size < 1:
-        raise ValueError("approx and detail must be 1-d arrays of equal length")
-    n = 2 * a.size
-    idx = _window_indices(a.size, len(bank.rec_lo), n)
-    out = np.zeros(n)
-    np.add.at(out, idx, a[:, None] * bank.rec_lo[None, :] + d[:, None] * bank.rec_hi[None, :])
-    return out
+    if a.shape != d.shape or a.ndim < 1 or a.shape[-1] < 1:
+        raise ValueError("approx and detail must be arrays of equal length and shape")
+    return _synthesize(np.stack((a, d), axis=-2), bank)
 
 
 def _gray(freq_index: int) -> int:
@@ -178,17 +205,18 @@ class WpTree:
 
     Level 0 holds the original signal; every node at level m splits into two
     children at level m+1, so each full level is an orthogonal transform of
-    the signal. Node lookup is by frequency-ordered index.
+    the signal. Level m is stored as one (2**m, N/2**m) array whose rows are
+    the nodes in natural order; node lookup is by frequency-ordered index.
     """
 
     def __init__(
         self,
-        levels_natural: list[list[np.ndarray]],
+        levels_natural: list[np.ndarray],
         rate_hz: float,
         bank: QuadFilterBank,
     ):
         self._levels = levels_natural
-        self.signal_len = int(levels_natural[0][0].size)
+        self.signal_len = int(levels_natural[0].size)
         self.depth = len(levels_natural) - 1
         self.rate_hz = float(rate_hz)
         self.bank = bank
@@ -216,11 +244,16 @@ class WpTree:
         return out
 
     def level_energy(self, level: int) -> float:
-        return float(sum(np.dot(a, a) for a in self._levels[level]))
+        flat = self._levels[level].ravel()
+        return float(np.dot(flat, flat))
 
 
 def wpt_decompose(signal: UniformSignal, depth: int, bank: QuadFilterBank) -> WpTree:
-    """Decompose a uniform signal into a full packet tree of the given depth."""
+    """Decompose a uniform signal into a full packet tree of the given depth.
+
+    One analysis_step call per level: node i of a level becomes rows 2i
+    (approx) and 2i+1 (detail) of the next.
+    """
     x = np.asarray(signal.samples, dtype=float)
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -229,14 +262,10 @@ def wpt_decompose(signal: UniformSignal, depth: int, bank: QuadFilterBank) -> Wp
         raise ValueError(
             f"signal length {x.size} is not a positive multiple of 2**{depth}"
         )
-    levels = [[x.copy()]]
+    levels = [x.reshape(1, -1).copy()]
     for _ in range(depth):
-        nxt = []
-        for arr in levels[-1]:
-            a, d = analysis_step(arr, bank)
-            nxt.append(a)
-            nxt.append(d)
-        levels.append(nxt)
+        pairs = analysis_step(levels[-1], bank)
+        levels.append(pairs.reshape(2 * pairs.shape[0], -1))
     return WpTree(levels, rate_hz=signal.rate_hz, bank=bank)
 
 
@@ -252,16 +281,13 @@ def wpt_reconstruct_nodes(tree: WpTree, node_set) -> np.ndarray:
     for j in selected:
         if not 0 <= j < n_leaves:
             raise ValueError(f"leaf index {j} out of range [0, {n_leaves - 1}]")
-    leaf_len = tree.signal_len // n_leaves
-    natural = [np.zeros(leaf_len) for _ in range(n_leaves)]
-    for j in selected:
-        natural[_gray(j)] = tree._levels[tree.depth][_gray(j)].copy()
-    for _ in range(tree.depth):
-        natural = [
-            synthesis_step(natural[2 * j], natural[2 * j + 1], tree.bank)
-            for j in range(len(natural) // 2)
-        ]
-    return natural[0]
+    leaves = tree._levels[tree.depth]
+    level = np.zeros_like(leaves)
+    natural = [_gray(j) for j in selected]
+    level[natural] = leaves[natural]
+    while level.shape[0] > 1:
+        level = _synthesize(level.reshape(level.shape[0] // 2, 2, -1), tree.bank)
+    return level[0]
 
 
 def node_frequency_range(level: int, index: int, rate_hz: float) -> tuple[float, float]:

@@ -18,6 +18,47 @@ from hrvwp import (
 )
 
 
+def line_loop(text, col):
+    """Independent per-line parse: column col of every non-blank, non-comment line."""
+    return [float(line.split()[col]) for line in map(str.strip, text.splitlines())
+            if line and not line.startswith("#")]
+
+
+def is_data(line):
+    line = line.strip()
+    return bool(line) and not line.startswith("#")
+
+
+@st.composite
+def rr_files(draw):
+    """(lines, newline, fmt) of a valid RR file with comments, blanks and odd spacing.
+
+    Half the files are plain (a number per column, nothing else); in the
+    others data lines may carry extra tokens, which only the per-line pass
+    accepts.
+    """
+    fmt = draw(st.sampled_from(["one-column-ms", "two-column-time-ms"]))
+    extras = st.sampled_from([[], ["17"], ["# note"]] if draw(st.booleans()) else [[]])
+    pad = st.sampled_from(["", " ", "  ", "\t", " \t "])
+
+    def number():
+        v = draw(st.floats(min_value=200.0, max_value=2000.0))
+        return draw(st.sampled_from([repr(v), f"{v:.3f}", f"{v:.6e}", f"{v:.0f}"]))
+
+    def data_line():
+        tokens = [number() for _ in range(1 if fmt == "one-column-ms" else 2)]
+        sep = draw(st.sampled_from([" ", "\t", "  "]))
+        return draw(pad) + sep.join(tokens + draw(extras)) + draw(pad)
+
+    noise = st.sampled_from(["", "   ", "\t", "# comment", "  # indented 1 2", "#"])
+    lines = []
+    for _ in range(draw(st.integers(min_value=2, max_value=40))):
+        lines.extend(draw(st.lists(noise, max_size=2)))
+        lines.append(data_line())
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return lines, newline, fmt
+
+
 def natural_spline_eval(t, y, xs):
     """Independent natural-spline oracle: tridiagonal solve for second derivatives."""
     t, y = list(map(float, t)), list(map(float, y))
@@ -99,6 +140,36 @@ class TestParse:
         assert detect_format("# x\n800\n810\n") == "one-column-ms"
         assert detect_format("0.8 800\n1.61 810\n") == "two-column-time-ms"
 
+    @settings(max_examples=100, deadline=None)
+    @given(rr_files(), st.data())
+    def test_matches_line_loop(self, generated, data):
+        lines, newline, fmt = generated
+        text = newline.join(lines) + newline
+        col = 0 if fmt == "one-column-ms" else 1
+        assert np.array_equal(parse_rr_file(text, fmt).intervals_ms, line_loop(text, col))
+        first = next(line.split() for line in lines if is_data(line))
+        assert detect_format(text) == (
+            "two-column-time-ms" if len(first) >= 2 else "one-column-ms")
+
+        rows = [num for num, line in enumerate(lines, start=1) if is_data(line)]
+        bad = data.draw(st.sampled_from(rows))
+        tokens = lines[bad - 1].split()
+        tokens[col] = data.draw(st.sampled_from(["abc", "8OO", "1,5", "--5"]))
+        lines[bad - 1] = "\t".join(tokens)
+        with pytest.raises(RRParseError) as err:
+            parse_rr_file(newline.join(lines), fmt)
+        assert err.value.line == bad
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_detect_format_past_the_first_chunk(self, newline):
+        # the first data line starts at every offset up to 1200, so for each
+        # prefix length detect_format may split at, some run cuts that line
+        # (or its CRLF pair) at the prefix end
+        for header in range(1200):
+            text = f"#{'x' * header}{newline}800 810{newline}900 910{newline}"
+            assert detect_format(text) == "two-column-time-ms", header
+            assert detect_format(text.replace("800 810", "800")) == "one-column-ms", header
+
     def test_group_parsing(self):
         assert Group.from_string("control") is Group.CONTROL
         assert Group.from_string(" VT ") is Group.VT
@@ -139,12 +210,18 @@ class TestResample:
         sig = resample_cubic_spline(t, np.full(4, 7.0), 4.0)
         assert np.allclose(sig.samples, 7.0, rtol=1e-9)
 
-    def test_knot_interpolation_against_tridiagonal_oracle(self):
-        t = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-        y = np.array([0.0, 1.0, 0.0, 1.0, 0.0])
-        sig = resample_cubic_spline(t, y, 1.0)
+    # 2 knots need no solve; 3, 4, 5, 64, 65 and 1000 knots leave 1, 2, 3,
+    # 62, 63 and 998 unknowns, so the cyclic reduction meets odd and even
+    # sizes at its first level and both again further down
+    @pytest.mark.parametrize("knots", [2, 3, 4, 5, 64, 65, 1000])
+    def test_knot_interpolation_against_tridiagonal_oracle(self, knots):
+        rng = np.random.default_rng(knots)
+        y = rng.uniform(-1.0, 1.0, knots)
+        # on unit-spaced knots the 1 Hz grid is the knots themselves
+        sig = resample_cubic_spline(np.arange(knots, dtype=float), y, 1.0)
         assert np.allclose(sig.samples, y, rtol=1e-9, atol=1e-12)
-        # full 4 Hz grid against the independent solve
+        # non-uniform knots: full 4 Hz grid against the independent solve
+        t = np.concatenate([[0.3], 0.3 + np.cumsum(rng.uniform(0.2, 1.5, knots - 1))])
         sig4 = resample_cubic_spline(t, y, 4.0)
         grid = sig4.t0_s + np.arange(len(sig4)) / 4.0
         assert np.allclose(sig4.samples, natural_spline_eval(t, y, grid),

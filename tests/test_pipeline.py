@@ -194,6 +194,26 @@ class TestRunPipeline:
         assert by_id["bad"].status == "failed"
         assert "line 2" in by_id["bad"].error
 
+    def test_undecodable_file_isolated(self, write_dataset, tmp_path):
+        manifest = write_dataset([("ok0", "Control", synthetic_rr(300, seed=6))])
+        (tmp_path / "data" / "latin1.txt").write_bytes(b"800\n8\xe910\n")
+        manifest.write_text(manifest.read_text() + "data/latin1.txt,latin1,VT\n")
+        report = run_pipeline(manifest, PipelineConfig())
+        by_id = {r.subject_id: r for r in report.recordings}
+        assert by_id["latin1"].status == "failed"
+        assert "UnicodeDecodeError" in by_id["latin1"].error
+        assert by_id["ok0"].status == "ok"
+
+    def test_internal_error_propagates(self, write_dataset, monkeypatch):
+        manifest = write_dataset([("ok0", "Control", synthetic_rr(300, seed=6))])
+
+        def broken(*args, **kwargs):
+            raise TypeError("internal bug")
+
+        monkeypatch.setattr("hrvwp.pipeline.extract_features", broken)
+        with pytest.raises(TypeError, match="internal bug"):
+            run_pipeline(manifest, PipelineConfig())
+
     def test_unbalanced_design_skipped(self, write_dataset):
         spec = balanced_spec(per_group=2)[:5]  # 2+2+1 across the three groups
         manifest = write_dataset(spec)

@@ -32,6 +32,20 @@ def circular_correlate_downsample(x, taps):
     return out
 
 
+def step_matrix(bank, n):
+    """Explicit n x n matrix of one periodized analysis step: approx rows, then detail rows.
+
+    Taps that wrap past the end of a node shorter than the filter add up on
+    the same column.
+    """
+    a = np.zeros((n, n))
+    for i in range(n // 2):
+        for k in range(len(bank.dec_lo)):
+            a[i, (2 * i + k) % n] += bank.dec_lo[k]
+            a[n // 2 + i, (2 * i + k) % n] += bank.dec_hi[k]
+    return a
+
+
 def mirrored_leaf_intervals(depth, rate_hz):
     """Oracle: true frequency interval per natural leaf position.
 
@@ -206,6 +220,24 @@ class TestPacketTree:
         reference = float(np.dot(sig.samples, sig.samples))
         for level in range(7):
             assert tree.level_energy(level) == pytest.approx(reference, rel=1e-9)
+
+    @pytest.mark.parametrize("order", range(1, 11))
+    def test_matches_orthogonal_matrix_reference(self, order):
+        # N = 64 at depth 6: the deepest levels are shorter than every filter
+        # above order 1, so the circular extension wraps more than once
+        bank = daubechies_filters(order)
+        x = np.random.default_rng(order).standard_normal(64)
+        tree = wpt_decompose(UniformSignal(samples=x, rate_hz=4.0), 6, bank)
+        natural = [x]
+        for level in range(1, 7):
+            n = natural[0].size
+            step = step_matrix(bank, n)
+            assert np.allclose(step @ step.T, np.eye(n), atol=1e-12)
+            natural = [half for node in natural
+                       for half in np.split(step @ node, 2)]
+            for j in range(2 ** level):
+                assert np.allclose(tree.node(level, j).coeffs, natural[_gray(j)],
+                                   rtol=0, atol=1e-12)
 
     def test_level_lengths_partition_signal(self):
         sig = UniformSignal(samples=np.random.default_rng(0).standard_normal(128),
