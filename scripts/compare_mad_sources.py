@@ -16,8 +16,9 @@ from hrvwp import PipelineConfig, run_pipeline
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--manifest", required=True)
-    parser.add_argument("--rate", type=float, default=4.0)
-    parser.add_argument("--depth", type=int, default=6)
+    reference = PipelineConfig()
+    parser.add_argument("--rate", type=float, default=reference.rate_hz)
+    parser.add_argument("--depth", type=int, default=reference.depth)
     args = parser.parse_args()
 
     reports = {

@@ -8,78 +8,16 @@ band features -> balanced two-way ANOVA across subject groups.
 
 __version__ = "0.1.0"
 
-from .features import FeatureError, FeatureVector, band_energy, extract_features
-from .ingest import (
-    Group,
-    RRParseError,
-    RRSeries,
-    UniformSignal,
-    detect_format,
-    parse_rr_file,
-    resample_cubic_spline,
-    rr_to_tachogram,
-    truncate_to_block,
-)
-from .pipeline import (
-    AnovaReport,
-    BandReport,
-    PipelineConfig,
-    RecordingReport,
-    RunReport,
-    emit_report,
-    load_manifest,
-    process_recording,
-    run_pipeline,
-)
-from .stats import (
-    AnovaRow,
-    AnovaTable,
-    DegenerateDataError,
-    FactorialData,
-    anova_two_way,
-    f_tail_probability,
-    regularized_incomplete_beta,
-    sum_of_squares,
-)
-from .threshold import (
-    BandSplit,
-    compute_threshold,
-    mad,
-    noise_scale,
-    split_coefficients,
-    threshold_band,
-)
-from .wavelet import (
-    HF_BAND_HZ,
-    LF_BAND_HZ,
-    QuadFilterBank,
-    WpNode,
-    WpTree,
-    analysis_step,
-    band_nodes,
-    daubechies_filters,
-    node_frequency_range,
-    synthesis_step,
-    wpt_decompose,
-    wpt_reconstruct_nodes,
-)
+from .features import extract_features
+from .ingest import UniformSignal
+from .pipeline import PipelineConfig, RunReport, emit_report, run_pipeline
+from .threshold import threshold_band
+from .wavelet import band_nodes, daubechies_filters, wpt_decompose
 
+# the public API as the README's "Library use" section lists it; everything
+# else is imported from its submodule (hrvwp.ingest, hrvwp.wavelet, ...)
 __all__ = [
-    "__version__",
-    "Group", "RRSeries", "UniformSignal", "RRParseError",
-    "parse_rr_file", "detect_format", "rr_to_tachogram",
-    "resample_cubic_spline", "truncate_to_block",
-    "QuadFilterBank", "WpNode", "WpTree",
-    "daubechies_filters", "analysis_step", "synthesis_step",
-    "wpt_decompose", "wpt_reconstruct_nodes",
-    "node_frequency_range", "band_nodes", "LF_BAND_HZ", "HF_BAND_HZ",
-    "BandSplit", "mad", "noise_scale", "compute_threshold",
-    "split_coefficients", "threshold_band",
-    "FeatureVector", "FeatureError", "band_energy", "extract_features",
-    "FactorialData", "AnovaRow", "AnovaTable", "DegenerateDataError",
-    "anova_two_way", "sum_of_squares", "f_tail_probability",
-    "regularized_incomplete_beta",
-    "PipelineConfig", "BandReport", "RecordingReport", "AnovaReport",
-    "RunReport", "load_manifest", "process_recording", "run_pipeline",
-    "emit_report",
+    "PipelineConfig", "run_pipeline", "emit_report", "RunReport",
+    "UniformSignal", "daubechies_filters", "wpt_decompose", "band_nodes",
+    "threshold_band", "extract_features",
 ]

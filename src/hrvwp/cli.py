@@ -5,10 +5,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .pipeline import PipelineConfig, emit_report, run_pipeline
+from .pipeline import MAD_SOURCES, PipelineConfig, emit_report, run_pipeline
 
 
 def build_parser() -> argparse.ArgumentParser:
+    reference = PipelineConfig()
     parser = argparse.ArgumentParser(
         prog="hrvwp",
         description=(
@@ -22,14 +23,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", required=True, help="output directory for reports")
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="format for the feature/ANOVA tables (default csv)")
-    parser.add_argument("--rate", type=float, default=4.0, metavar="HZ",
-                        help="uniform resampling rate (default 4)")
-    parser.add_argument("--wavelet-order", type=int, default=4, metavar="N",
-                        help="Daubechies order / vanishing moments (default 4)")
-    parser.add_argument("--depth", type=int, default=6, metavar="L",
-                        help="packet decomposition depth (default 6)")
-    parser.add_argument("--mad-source", choices=("band", "first-level"), default="band",
-                        help="where the noise scale is estimated (default: each band)")
+    parser.add_argument("--rate", type=float, default=reference.rate_hz, metavar="HZ",
+                        help="uniform resampling rate (default %(default)s)")
+    parser.add_argument("--wavelet-order", type=int, default=reference.wavelet_order,
+                        metavar="N",
+                        help="Daubechies order / vanishing moments (default %(default)s)")
+    parser.add_argument("--depth", type=int, default=reference.depth, metavar="L",
+                        help="packet decomposition depth (default %(default)s)")
+    parser.add_argument("--mad-source", choices=MAD_SOURCES, default=reference.mad_source,
+                        help="where the noise scale is estimated (default %(default)s)")
     parser.add_argument("--detrend", action="store_true",
                         help="subtract the mean of the resampled signal before analysis")
     parser.add_argument("--standardize-anova", action="store_true",
@@ -44,11 +46,9 @@ def main(argv=None) -> int:
             rate_hz=args.rate,
             wavelet_order=args.wavelet_order,
             depth=args.depth,
-            mad_source="per-band" if args.mad_source == "band" else args.mad_source,
+            mad_source=args.mad_source,
             detrend=args.detrend,
             standardize_anova=args.standardize_anova,
-            output_format=args.format,
-            output_dir=args.out,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -35,19 +35,6 @@ class FeatureVector:
     subject_id: str = ""
     group: Group = Group.UNLABELED
 
-    def as_dict(self) -> dict:
-        return {
-            "subject_id": self.subject_id,
-            "group": self.group.value,
-            "std_lf": self.std_lf,
-            "mean_lf": self.mean_lf,
-            "std_hf": self.std_hf,
-            "mean_hf": self.mean_hf,
-            "e_lf": self.e_lf,
-            "e_hf": self.e_hf,
-            "r_e": self.r_e,
-        }
-
 
 def band_energy(coeffs: np.ndarray) -> float:
     """Sum of squared coefficients; an empty vector has zero energy."""

@@ -5,18 +5,22 @@ parse -> tachogram -> spline resample -> packet decomposition -> per-band
 threshold split -> features. Failures are recorded per recording without
 aborting the batch. Completed recordings feed two group-level ANOVA tables
 (coefficient statistics and band energies), run only when the design is
-balanced. Reports serialize losslessly to JSON; CSV mirrors use 12
-significant digits.
+balanced. Reports serialize losslessly to JSON through one codec over the
+dataclass fields; CSV mirrors use 12 significant digits.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum
 from pathlib import Path
+from types import NoneType, UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -46,6 +50,7 @@ __all__ = [
     "BandReport",
     "RecordingReport",
     "AnovaReport",
+    "ToolInfo",
     "RunReport",
     "load_manifest",
     "process_recording",
@@ -58,10 +63,12 @@ __all__ = [
 MANIFEST_FIELDS = ("path", "subject_id", "group")
 COEFF_STAT_COLUMNS = ("STDLF", "MEANLF", "STDHF", "MEANHF")
 ENERGY_COLUMNS = ("E_LF", "E_HF", "R_E")
+FEATURE_COLUMNS = ("subject_id", "group", "std_lf", "mean_lf", "std_hf", "mean_hf",
+                   "e_lf", "e_hf", "r_e")
 MAD_SOURCES = ("per-band", "first-level")
 CSV_FLOAT_DIGITS = 12
 # layout version of report.json, written as tool.schema and checked on reading
-REPORT_SCHEMA = 2
+REPORT_SCHEMA = 3
 
 _FEATURE_BY_COLUMN = {
     "STDLF": "std_lf",
@@ -83,16 +90,17 @@ class PipelineConfig:
     depth: int = 6
     lf_band_hz: tuple[float, float] = LF_BAND_HZ
     hf_band_hz: tuple[float, float] = HF_BAND_HZ
-    tie_policy: str = "background"
     mad_source: str = "per-band"
     detrend: bool = False
     standardize_anova: bool = False
-    output_format: str = "csv"
-    output_dir: str | None = None
 
     def __post_init__(self):
         if not self.rate_hz > 0.0:
             raise ValueError("rate_hz must be positive")
+        for name in ("wavelet_order", "depth"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.wavelet_order <= 10:
             raise ValueError("wavelet_order must be in [1, 10]")
         if self.depth < 0:
@@ -102,36 +110,10 @@ class PipelineConfig:
             if not 0.0 <= lo < hi:
                 raise ValueError(f"{name} must satisfy 0 <= lo < hi")
             object.__setattr__(self, name, (float(lo), float(hi)))
-        if self.tie_policy != "background":
-            raise ValueError("tie_policy is fixed: equal-magnitude ties go to background")
         if self.mad_source not in MAD_SOURCES:
             raise ValueError(f"mad_source must be one of {MAD_SOURCES}")
         if self.mad_source == "first-level" and self.depth < 1:
             raise ValueError("first-level noise estimation needs depth >= 1")
-        if self.output_format not in ("csv", "json"):
-            raise ValueError("output_format must be 'csv' or 'json'")
-
-    def as_dict(self) -> dict:
-        return {
-            "rate_hz": self.rate_hz,
-            "wavelet_order": self.wavelet_order,
-            "depth": self.depth,
-            "lf_band_hz": list(self.lf_band_hz),
-            "hf_band_hz": list(self.hf_band_hz),
-            "tie_policy": self.tie_policy,
-            "mad_source": self.mad_source,
-            "detrend": self.detrend,
-            "standardize_anova": self.standardize_anova,
-            "output_format": self.output_format,
-            "output_dir": self.output_dir,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PipelineConfig":
-        kwargs = dict(data)
-        kwargs["lf_band_hz"] = tuple(kwargs["lf_band_hz"])
-        kwargs["hf_band_hz"] = tuple(kwargs["hf_band_hz"])
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -157,8 +139,6 @@ class BandReport:
 
     @classmethod
     def from_split(cls, split: BandSplit) -> "BandReport":
-        if split.leaf_ids is None:
-            raise ValueError("band split carries no leaf ids")
         return cls(
             band=split.band,
             lam=split.lam,
@@ -171,37 +151,6 @@ class BandReport:
             leaves=split.leaf_ids,
             values=tuple(split.values.tolist()),
             significant=tuple(np.flatnonzero(split.significant_mask).tolist()),
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "band": self.band,
-            "lambda": self.lam,
-            "h": self.h,
-            "n": self.n,
-            "n_background": self.n_background,
-            "n_significant": self.n_significant,
-            "energy_background": self.energy_background,
-            "energy_significant": self.energy_significant,
-            "leaves": list(self.leaves),
-            "values": list(self.values),
-            "significant": list(self.significant),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BandReport":
-        return cls(
-            band=data["band"],
-            lam=data["lambda"],
-            h=data["h"],
-            n=data["n"],
-            n_background=data["n_background"],
-            n_significant=data["n_significant"],
-            energy_background=data["energy_background"],
-            energy_significant=data["energy_significant"],
-            leaves=tuple(data["leaves"]),
-            values=tuple(data["values"]),
-            significant=tuple(data["significant"]),
         )
 
 
@@ -217,38 +166,6 @@ class RecordingReport:
     features: FeatureVector | None = None
     bands: tuple[BandReport, ...] = ()
 
-    def as_dict(self) -> dict:
-        return {
-            "subject_id": self.subject_id,
-            "group": self.group,
-            "status": self.status,
-            "error": self.error,
-            "n_intervals": self.n_intervals,
-            "n_resampled": self.n_resampled,
-            "n_analyzed": self.n_analyzed,
-            "features": self.features.as_dict() if self.features else None,
-            "bands": [b.as_dict() for b in self.bands],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RecordingReport":
-        features = None
-        if data["features"] is not None:
-            f = dict(data["features"])
-            f["group"] = Group(f["group"])
-            features = FeatureVector(**f)
-        return cls(
-            subject_id=data["subject_id"],
-            group=data["group"],
-            status=data["status"],
-            error=data["error"],
-            n_intervals=data["n_intervals"],
-            n_resampled=data["n_resampled"],
-            n_analyzed=data["n_analyzed"],
-            features=features,
-            bands=tuple(BandReport.from_dict(b) for b in data["bands"]),
-        )
-
 
 @dataclass(frozen=True)
 class AnovaReport:
@@ -260,76 +177,81 @@ class AnovaReport:
     replicates: int | None = None
     table: AnovaTable | None = None
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "reason": self.reason,
-            "row_labels": list(self.row_labels),
-            "column_labels": list(self.column_labels),
-            "replicates": self.replicates,
-            "table": self.table.as_dict() if self.table else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AnovaReport":
-        return cls(
-            name=data["name"],
-            status=data["status"],
-            reason=data["reason"],
-            row_labels=tuple(data["row_labels"]),
-            column_labels=tuple(data["column_labels"]),
-            replicates=data["replicates"],
-            table=AnovaTable.from_dict(data["table"]) if data["table"] else None,
-        )
-
 
 @dataclass(frozen=True)
-class RunReport:
-    """Full batch result; serializes losslessly through as_dict/to_json."""
+class ToolInfo:
+    """The program that wrote a report, and the report layout (schema) it wrote."""
 
-    config: dict
+    name: str = "hrvwp"
+    version: str = __version__
+    schema: int = REPORT_SCHEMA
+
+
+@dataclass(frozen=True, kw_only=True)
+class RunReport:
+    """Full batch result; serializes losslessly through to_json/from_json."""
+
+    tool: ToolInfo = ToolInfo()
+    config: PipelineConfig
     recordings: tuple[RecordingReport, ...]
     anova: tuple[AnovaReport, ...]
-    tool_name: str = "hrvwp"
-    tool_version: str = __version__
 
-    def as_dict(self) -> dict:
-        return {
-            "tool": {"name": self.tool_name, "version": self.tool_version,
-                     "schema": REPORT_SCHEMA},
-            "config": self.config,
-            "recordings": [r.as_dict() for r in self.recordings],
-            "anova": [a.as_dict() for a in self.anova],
-        }
+    def to_json(self) -> str:
+        return json.dumps(_encode(self), indent=2)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "RunReport":
+    def from_json(cls, text: str) -> "RunReport":
+        data = json.loads(text)
         schema = data["tool"].get("schema")
         if schema != REPORT_SCHEMA:
             raise ValueError(f"report schema {schema} is not readable, only schema "
                              f"{REPORT_SCHEMA}; a report without one has the older "
                              "per-coefficient band layout")
-        return cls(
-            config=data["config"],
-            recordings=tuple(RecordingReport.from_dict(r) for r in data["recordings"]),
-            anova=tuple(AnovaReport.from_dict(a) for a in data["anova"]),
-            tool_name=data["tool"]["name"],
-            tool_version=data["tool"]["version"],
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        return cls.from_dict(json.loads(text))
+        return _decode(cls, data)
 
     @property
     def all_ok(self) -> bool:
         return all(r.status == "ok" for r in self.recordings) and all(
             a.status == "ok" for a in self.anova
         )
+
+
+def _encode(obj):
+    """The JSON form of a report value: a dataclass becomes a dict of its fields.
+
+    An Enum becomes its value and a tuple of dataclasses a list of dicts. A
+    scalar, or a tuple of scalars, goes to json whole, so the elements of a
+    band's values are never visited.
+    """
+    if isinstance(obj, (str, int, float, NoneType)):
+        return obj
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, tuple):
+        return [_encode(item) for item in obj] if obj and is_dataclass(obj[0]) else obj
+    return {f.name: _encode(getattr(obj, f.name)) for f in fields(obj)}
+
+
+# evaluating a class's string annotations takes about 0.2 ms, and a report
+# holds thousands of dataclass instances
+_type_hints = functools.cache(get_type_hints)
+
+
+def _decode(tp, data):
+    """Rebuild a value of annotated type tp from its _encode form."""
+    if data is None or tp in (str, int, float, bool):
+        return data
+    if isinstance(tp, UnionType):  # X | None
+        (tp,) = (arg for arg in get_args(tp) if arg is not NoneType)
+    if is_dataclass(tp):
+        hints = _type_hints(tp)
+        return tp(**{f.name: _decode(hints[f.name], data[f.name]) for f in fields(tp)})
+    if get_origin(tp) is tuple:
+        item = get_args(tp)[0]
+        return tuple(_decode(item, x) for x in data) if is_dataclass(item) else tuple(data)
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return tp(data)
+    return data
 
 
 def load_manifest(path) -> list[tuple[str, str, Group]]:
@@ -509,7 +431,7 @@ def run_pipeline(manifest, config: PipelineConfig | None = None) -> RunReport:
         _anova_report("coefficient_stats", COEFF_STAT_COLUMNS, completed, config.standardize_anova),
         _anova_report("energy", ENERGY_COLUMNS, completed, config.standardize_anova),
     )
-    return RunReport(config=config.as_dict(), recordings=recordings, anova=anova)
+    return RunReport(config=config, recordings=recordings, anova=anova)
 
 
 def _fmt(value) -> str:
@@ -555,13 +477,12 @@ def _anova_table_rows(table: AnovaTable):
     return [(label[r.source], r.ss, r.df, r.ms, r.f, r.p) for r in table.rows]
 
 
-def emit_report(report: RunReport, fmt: str | None = None, out_dir=".") -> set[Path]:
+def emit_report(report: RunReport, fmt: str = "csv", out_dir=".") -> set[Path]:
     """Write report.json, features and ANOVA tables, and per-recording band dumps.
 
     Returns the set of files written. JSON numbers round-trip exactly; CSV
     numbers carry 12 significant digits.
     """
-    fmt = fmt or report.config.get("output_format", "csv")
     if fmt not in ("csv", "json"):
         raise ValueError("format must be 'csv' or 'json'")
     out = Path(out_dir)
@@ -573,20 +494,15 @@ def emit_report(report: RunReport, fmt: str | None = None, out_dir=".") -> set[P
         path.write_text(report.to_json() + "\n", encoding="utf-8")
         written.add(path)
 
-        feature_dicts = [
-            r.features.as_dict() for r in report.recordings if r.features is not None
-        ]
-        feature_header = [
-            "subject_id", "group", "std_lf", "mean_lf", "std_hf", "mean_hf",
-            "e_lf", "e_hf", "r_e",
-        ]
+        features = [_encode(r.features) for r in report.recordings if r.features is not None]
         if fmt == "csv":
             path = out / "features.csv"
-            _write_csv(path, feature_header,
-                       [[d[k] for k in feature_header] for d in feature_dicts])
+            _write_csv(path, FEATURE_COLUMNS, [[f[k] for k in FEATURE_COLUMNS] for f in features])
         else:
             path = out / "features.json"
-            path.write_text(json.dumps(feature_dicts, indent=2) + "\n", encoding="utf-8")
+            # keys in the CSV's column order, not the dataclass field order
+            rows = [{k: f[k] for k in FEATURE_COLUMNS} for f in features]
+            path.write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8")
         written.add(path)
 
         for a in report.anova:
@@ -598,7 +514,7 @@ def emit_report(report: RunReport, fmt: str | None = None, out_dir=".") -> set[P
                            _anova_table_rows(a.table))
             else:
                 path = out / f"anova_{a.name}.json"
-                path.write_text(json.dumps(a.as_dict(), indent=2) + "\n", encoding="utf-8")
+                path.write_text(json.dumps(_encode(a), indent=2) + "\n", encoding="utf-8")
             written.add(path)
 
         for rec in report.recordings:

@@ -100,21 +100,6 @@ class AnovaTable:
                 return row
         raise KeyError(source)
 
-    def as_dict(self) -> dict:
-        return {
-            row.source: {"ss": row.ss, "df": row.df, "ms": row.ms, "f": row.f, "p": row.p}
-            for row in self.rows
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AnovaTable":
-        return cls(
-            rows=tuple(
-                AnovaRow(source=s, ss=d["ss"], df=d["df"], ms=d["ms"], f=d["f"], p=d["p"])
-                for s, d in ((s, data[s]) for s in ANOVA_SOURCES)
-            )
-        )
-
 
 def sum_of_squares(data: FactorialData) -> dict[str, tuple[float, int]]:
     """SS and df per source from cell, margin and grand means."""

@@ -45,14 +45,14 @@ class BandSplit:
     background: np.ndarray
     significant: np.ndarray
     significant_mask: np.ndarray
-    leaf_ids: tuple[int, ...] | None = None
+    leaf_ids: tuple[int, ...]
 
     def __post_init__(self):
         if self.lam < 0.0:
             raise ValueError("threshold must be non-negative")
         if len(self.background) + len(self.significant) != self.n:
             raise ValueError("component sizes must sum to the band length")
-        if self.leaf_ids is not None and (not self.leaf_ids or self.n % len(self.leaf_ids)):
+        if not self.leaf_ids or self.n % len(self.leaf_ids):
             raise ValueError("the band length must divide evenly over leaf_ids")
         if np.any(np.abs(self.background) > self.lam):
             raise ValueError("background holds a coefficient above the threshold")
@@ -100,16 +100,19 @@ def noise_scale(coeffs: np.ndarray) -> float:
     return mad(coeffs) / MAD_NORMAL_CONSISTENCY
 
 
-def compute_threshold(coeffs: np.ndarray) -> tuple[float, float, int]:
+def compute_threshold(
+    coeffs: np.ndarray, mad_coeffs: np.ndarray | None = None
+) -> tuple[float, float, int]:
     """Return (lambda, h, n) for a band's coefficient vector.
 
     lambda = h * sqrt(2 ln n) with n the length of this band's vector; a
-    single-coefficient band gives lambda = 0.
+    single-coefficient band gives lambda = 0. h is estimated on mad_coeffs
+    when given, else on the band itself (local adaptive threshold).
     """
     v = np.asarray(coeffs, dtype=float)
     if v.size == 0:
         raise ValueError("cannot compute a threshold for an empty vector")
-    h = noise_scale(v)
+    h = noise_scale(v if mad_coeffs is None else mad_coeffs)
     n = int(v.size)
     return h * sqrt(2.0 * log(n)), h, n
 
@@ -117,7 +120,7 @@ def compute_threshold(coeffs: np.ndarray) -> tuple[float, float, int]:
 def split_coefficients(
     band_coeffs: np.ndarray,
     lam: float,
-    leaf_ids: tuple[int, ...] | None = None,
+    leaf_ids: tuple[int, ...],
     band: str = "",
     h: float = 0.0,
 ) -> BandSplit:
@@ -138,25 +141,16 @@ def split_coefficients(
         background=v[~mask],
         significant=v[mask],
         significant_mask=mask,
-        leaf_ids=tuple(leaf_ids) if leaf_ids is not None else None,
+        leaf_ids=tuple(leaf_ids),
     )
 
 
 def threshold_band(
     band_coeffs: np.ndarray,
+    leaf_ids: tuple[int, ...],
     band: str = "",
-    leaf_ids: tuple[int, ...] | None = None,
     mad_coeffs: np.ndarray | None = None,
 ) -> BandSplit:
-    """Threshold one band end to end: noise scale, lambda, then the split.
-
-    mad_coeffs selects where the noise scale is estimated; it defaults to the
-    band itself (local adaptive threshold). N in lambda is always the band
-    length.
-    """
-    v = np.asarray(band_coeffs, dtype=float)
-    if v.size == 0:
-        raise ValueError("cannot threshold an empty band")
-    h = noise_scale(v if mad_coeffs is None else mad_coeffs)
-    lam = h * sqrt(2.0 * log(v.size))
-    return split_coefficients(v, lam, leaf_ids=leaf_ids, band=band, h=h)
+    """Threshold one band end to end: lambda from compute_threshold, then the split."""
+    lam, h, _ = compute_threshold(band_coeffs, mad_coeffs)
+    return split_coefficients(band_coeffs, lam, leaf_ids, band=band, h=h)

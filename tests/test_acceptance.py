@@ -20,24 +20,21 @@ import numpy as np
 import pytest
 
 from hrvwp import (
-    FactorialData,
     PipelineConfig,
     RunReport,
     UniformSignal,
-    anova_two_way,
     band_nodes,
-    compute_threshold,
     daubechies_filters,
     emit_report,
     extract_features,
-    f_tail_probability,
-    node_frequency_range,
     run_pipeline,
     threshold_band,
-    truncate_to_block,
     wpt_decompose,
-    wpt_reconstruct_nodes,
 )
+from hrvwp.ingest import truncate_to_block
+from hrvwp.stats import FactorialData, anova_two_way, f_tail_probability
+from hrvwp.threshold import compute_threshold
+from hrvwp.wavelet import node_frequency_range, wpt_reconstruct_nodes
 from conftest import balanced_spec, rr_text, synthetic_rr
 
 # 14 printed rows of the depth-6 / 4 Hz node-frequency reference table
@@ -153,9 +150,9 @@ def analyze_samples(samples, config=PipelineConfig()):
     tree = wpt_decompose(signal, config.depth, daubechies_filters(config.wavelet_order))
     splits = {}
     for band, edges in (("LF", config.lf_band_hz), ("HF", config.hf_band_hz)):
-        chunks = [tree.node(config.depth, j).coeffs
-                  for j in band_nodes(band, config.depth, config.rate_hz, edges)]
-        splits[band] = threshold_band(np.concatenate(chunks), band=band)
+        leaves = band_nodes(band, config.depth, config.rate_hz, edges)
+        chunks = [tree.node(config.depth, j).coeffs for j in leaves]
+        splits[band] = threshold_band(np.concatenate(chunks), leaf_ids=leaves, band=band)
     return extract_features(splits["LF"], splits["HF"]), splits
 
 
@@ -308,7 +305,7 @@ def test_c09_determinism_and_scale_law(tmp_path):
 
     # scale law on the uniform tachogram amplitudes (doubling raw RR intervals
     # would also stretch the beat times and move spectral content downward)
-    from hrvwp import resample_cubic_spline, rr_to_tachogram, RRSeries
+    from hrvwp.ingest import RRSeries, resample_cubic_spline, rr_to_tachogram
 
     times, values = rr_to_tachogram(RRSeries(rr))
     signal = resample_cubic_spline(times, values, 4.0)

@@ -6,22 +6,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hrvwp import (
-    FeatureError,
-    Group,
     UniformSignal,
-    band_energy,
     daubechies_filters,
     extract_features,
-    split_coefficients,
     threshold_band,
     wpt_decompose,
 )
+from hrvwp.features import FeatureError, band_energy
+from hrvwp.ingest import Group
+from hrvwp.threshold import split_coefficients
 from hrvwp.wavelet import band_nodes
 
 
 def split_all_background(values, band=""):
     v = np.asarray(values, dtype=float)
-    return split_coefficients(v, float(np.max(np.abs(v))), band=band)
+    return split_coefficients(v, float(np.max(np.abs(v))), leaf_ids=(0,), band=band)
 
 
 class TestBandEnergy:
@@ -56,12 +55,12 @@ class TestExtractFeatures:
 
     def test_zero_hf_energy_rejected(self):
         lf = split_all_background([1.0, 2.0], band="LF")
-        hf = split_coefficients(np.array([0.0, 0.0]), 1.0, band="HF")
+        hf = split_coefficients(np.array([0.0, 0.0]), 1.0, leaf_ids=(0,), band="HF")
         with pytest.raises(FeatureError, match="energy"):
             extract_features(lf, hf)
 
     def test_empty_background_rejected(self):
-        lf = split_coefficients(np.array([3.0, -4.0]), 0.0, band="LF")  # all significant
+        lf = split_coefficients(np.array([3.0, -4.0]), 0.0, leaf_ids=(0,), band="LF")  # all significant
         hf = split_all_background([1.0], band="HF")
         with pytest.raises(FeatureError, match="background"):
             extract_features(lf, hf)
@@ -167,8 +166,9 @@ class TestEndToEndOracle:
         tree = wpt_decompose(signal, 6, daubechies_filters(4))
         splits = {}
         for band in ("LF", "HF"):
-            chunks = [tree.node(6, j).coeffs for j in band_nodes(band, 6, 4.0)]
-            splits[band] = threshold_band(np.concatenate(chunks), band=band)
+            leaves = band_nodes(band, 6, 4.0)
+            chunks = [tree.node(6, j).coeffs for j in leaves]
+            splits[band] = threshold_band(np.concatenate(chunks), leaf_ids=leaves, band=band)
         feats = extract_features(splits["LF"], splits["HF"])
 
         expected = naive_chain_energies(samples)
@@ -185,8 +185,10 @@ class TestEndToEndOracle:
             tree = wpt_decompose(sig, 6, daubechies_filters(4))
             splits = {}
             for band in ("LF", "HF"):
-                chunks = [tree.node(6, j).coeffs for j in band_nodes(band, 6, 4.0)]
-                splits[band] = threshold_band(np.concatenate(chunks), band=band)
+                leaves = band_nodes(band, 6, 4.0)
+                chunks = [tree.node(6, j).coeffs for j in leaves]
+                splits[band] = threshold_band(np.concatenate(chunks), leaf_ids=leaves,
+                                              band=band)
             return extract_features(splits["LF"], splits["HF"]), splits
 
         base, base_splits = run(signal)

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,3 +15,11 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], cwd=SRC, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_public_names_are_the_readme_list():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"`hrvwp` exports these names: (.*?)\.\n", readme, re.DOTALL)
+    assert listed, "README names no public API"
+    assert hrvwp.__all__ == re.findall(r"`(\w+)`", listed.group(1))
+    assert all(hasattr(hrvwp, name) for name in hrvwp.__all__)

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrvwp import (
+from hrvwp import UniformSignal
+from hrvwp.ingest import (
     Group,
     RRParseError,
     RRSeries,
-    UniformSignal,
     detect_format,
     parse_rr_file,
     resample_cubic_spline,

@@ -2,17 +2,17 @@ import csv
 import dataclasses
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hrvwp import (
-    PipelineConfig,
-    RunReport,
-    emit_report,
-    load_manifest,
-    run_pipeline,
-)
+import hrvwp
+from hrvwp import PipelineConfig, RunReport, emit_report, run_pipeline
+from hrvwp.pipeline import load_manifest
 from hrvwp.cli import main
 from conftest import balanced_spec, synthetic_rr
 
@@ -35,18 +35,17 @@ def balanced_report(tmp_path_factory):
 
 class TestConfig:
     def test_defaults_are_reference_configuration(self):
-        echo = PipelineConfig().as_dict()
-        assert echo["rate_hz"] == 4.0
-        assert echo["wavelet_order"] == 4
-        assert echo["depth"] == 6
-        assert echo["lf_band_hz"] == [0.03125, 0.15625]
-        assert echo["hf_band_hz"] == [0.15625, 0.40625]
-        assert echo["tie_policy"] == "background"
-        assert echo["mad_source"] == "per-band"
+        echo = json.loads(RunReport(config=PipelineConfig(), recordings=(), anova=()).to_json())
+        assert echo["config"] == {
+            "rate_hz": 4.0, "wavelet_order": 4, "depth": 6,
+            "lf_band_hz": [0.03125, 0.15625], "hf_band_hz": [0.15625, 0.40625],
+            "mad_source": "per-band", "detrend": False, "standardize_anova": False,
+        }
 
     def test_round_trip(self):
         config = PipelineConfig(rate_hz=8.0, depth=4, mad_source="first-level")
-        assert PipelineConfig.from_dict(config.as_dict()) == config
+        report = RunReport(config=config, recordings=(), anova=())
+        assert RunReport.from_json(report.to_json()).config == config
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -56,10 +55,11 @@ class TestConfig:
             {"wavelet_order": 11},
             {"depth": -1},
             {"lf_band_hz": (0.2, 0.1)},
-            {"tie_policy": "significant"},
             {"mad_source": "global"},
             {"mad_source": "first-level", "depth": 0},
-            {"output_format": "xml"},
+            {"wavelet_order": 4.5},
+            {"depth": 5.0},
+            {"depth": True},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -266,7 +266,10 @@ class TestRunPipeline:
     def test_report_schema_version(self, balanced_report):
         _, report = balanced_report
         payload = json.loads(report.to_json())
-        assert payload["tool"]["schema"] == 2
+        assert payload["tool"] == {"name": "hrvwp", "version": hrvwp.__version__, "schema": 3}
+        payload["tool"]["schema"] = 2
+        with pytest.raises(ValueError, match="schema 2"):
+            RunReport.from_json(json.dumps(payload))
         del payload["tool"]["schema"]
         with pytest.raises(ValueError, match="schema"):
             RunReport.from_json(json.dumps(payload))
@@ -384,6 +387,36 @@ class TestEmit:
             emit_report(report, "csv", blocker)
 
 
+@pytest.fixture(scope="module")
+def cli_reference(tmp_path_factory):
+    """A balanced dataset plus one unreadable unlabeled row, and the CLI's output for it."""
+    tmp = tmp_path_factory.mktemp("permuted")
+    (tmp / "data").mkdir()
+    rows = []
+    for subject_id, group, rr in balanced_spec(per_group=2):
+        (tmp / "data" / f"{subject_id}.txt").write_text("\n".join(f"{v:.6f}" for v in rr) + "\n")
+        rows.append(f"data/{subject_id}.txt,{subject_id},{group}")
+    rows.append("data/absent.txt,ghost,Unlabeled")
+    (tmp / "manifest.csv").write_text("\n".join(["path,subject_id,group", *rows]) + "\n")
+    reference = {}
+    for fmt in ("csv", "json"):
+        assert main(["--manifest", str(tmp / "manifest.csv"), "--out", str(tmp / fmt),
+                     "--format", fmt]) == 1
+        reference[fmt] = {p.name: p.read_bytes() for p in (tmp / fmt).iterdir()}
+    return tmp, rows, reference
+
+
+@settings(max_examples=10, deadline=None)
+@given(order=st.permutations(range(7)), fmt=st.sampled_from(("csv", "json")))
+def test_manifest_row_order_leaves_output_bytes_alone(cli_reference, order, fmt):
+    tmp, rows, reference = cli_reference
+    manifest = tmp / "permuted.csv"
+    manifest.write_text("\n".join(["path,subject_id,group", *(rows[i] for i in order)]) + "\n")
+    with tempfile.TemporaryDirectory(dir=tmp) as out:
+        main(["--manifest", str(manifest), "--out", out, "--format", fmt])
+        assert {p.name: p.read_bytes() for p in Path(out).iterdir()} == reference[fmt]
+
+
 class TestCli:
     def test_full_run_exit_zero(self, write_dataset, tmp_path, capsys):
         manifest = write_dataset(balanced_spec(per_group=2))
@@ -391,7 +424,9 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 0
         assert "6 ok" in captured.out
-        assert (tmp_path / "cli_out" / "report.json").exists()
+        # the CLI's defaults are the reference configuration
+        report = RunReport.from_json((tmp_path / "cli_out" / "report.json").read_text())
+        assert report.config == PipelineConfig()
 
     def test_insufficient_design_exit_one(self, write_dataset, tmp_path, capsys):
         manifest = write_dataset([("one", "Control", synthetic_rr(300, seed=14))])
@@ -425,9 +460,6 @@ class TestCli:
                      "--format", "json"])
         assert code == 0
         assert (out / "features.json").exists()
-        config = json.loads((out / "report.json").read_text())["config"]
-        assert config["output_format"] == "json"
-        assert config["mad_source"] == "per-band"  # CLI default "band" maps here
 
     def test_flag_overrides_reach_config(self, write_dataset, tmp_path):
         manifest = write_dataset([("f0", "Control", synthetic_rr(400, seed=16))])

@@ -1,3 +1,4 @@
+import json
 from math import exp, lgamma, log
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import f as f_dist
 
-from hrvwp import (
+from hrvwp.pipeline import _decode, _encode
+from hrvwp.stats import (
     AnovaTable,
     DegenerateDataError,
     FactorialData,
@@ -134,7 +136,7 @@ class TestAnova:
         table = anova_two_way(FactorialData(grid))
         assert table["error"].ms == pytest.approx(table["error"].ss / 24)
         assert table["total"].ms is None and table["total"].f is None
-        rebuilt = AnovaTable.from_dict(table.as_dict())
+        rebuilt = _decode(AnovaTable, json.loads(json.dumps(_encode(table))))
         assert rebuilt == table
         for row in table.rows[:3]:
             assert 0.0 < row.p <= 1.0

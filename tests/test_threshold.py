@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from hrvwp import compute_threshold, mad, noise_scale, split_coefficients, threshold_band
+from hrvwp import threshold_band
+from hrvwp.threshold import compute_threshold, mad, noise_scale, split_coefficients
 
 
 def sorted_median(values):
@@ -121,36 +122,36 @@ class TestComputeThreshold:
 
 class TestSplit:
     def test_zero_threshold_keeps_exact_zeros(self):
-        split = split_coefficients(np.array([0.0, 1.0, -2.0]), 0.0)
+        split = split_coefficients(np.array([0.0, 1.0, -2.0]), 0.0, leaf_ids=(0,))
         assert split.background.tolist() == [0.0]
         assert split.significant.tolist() == [1.0, -2.0]
 
     def test_plain_partition(self):
-        split = split_coefficients(np.array([0.5, -0.5, 3.0]), 1.0)
+        split = split_coefficients(np.array([0.5, -0.5, 3.0]), 1.0, leaf_ids=(0,))
         assert split.background.tolist() == [0.5, -0.5]
         assert split.significant.tolist() == [3.0]
 
     def test_tie_goes_to_background(self):
         coeffs = np.array([0.25, -1.5, 1.5, 0.75])
-        split = split_coefficients(coeffs, float(np.max(np.abs(coeffs))))
+        split = split_coefficients(coeffs, float(np.max(np.abs(coeffs))), leaf_ids=(0,))
         assert split.n_significant == 0
         assert split.n_background == 4
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            split_coefficients(np.array([1.0]), -0.1)
+            split_coefficients(np.array([1.0]), -0.1, leaf_ids=(0,))
 
     def test_direct_construction_enforces_membership(self):
-        from hrvwp import BandSplit
+        from hrvwp.threshold import BandSplit
 
         with pytest.raises(ValueError, match="above the threshold"):
             BandSplit(band="LF", lam=1.0, h=1.0, n=1,
                       background=np.array([2.0]), significant=np.array([]),
-                      significant_mask=np.array([False]))
+                      significant_mask=np.array([False]), leaf_ids=(0,))
         with pytest.raises(ValueError, match="at or below"):
             BandSplit(band="LF", lam=1.0, h=1.0, n=1,
                       background=np.array([]), significant=np.array([0.5]),
-                      significant_mask=np.array([True]))
+                      significant_mask=np.array([True]), leaf_ids=(0,))
 
     def test_source_index_partition(self):
         coeffs = np.array([0.1, 5.0, -0.2, -7.0])
@@ -170,7 +171,7 @@ class TestSplit:
     @given(finite_lists, st.floats(min_value=0.0, max_value=1e6, allow_nan=False))
     def test_energy_accounting(self, values, lam):
         v = np.asarray(values)
-        split = split_coefficients(v, lam)
+        split = split_coefficients(v, lam, leaf_ids=(0,))
         total = float(np.dot(v, v))
         assert split.energy_background + split.energy_significant == pytest.approx(
             total, rel=1e-12, abs=1e-12
@@ -183,17 +184,17 @@ class TestSplit:
     def test_scale_equivariance(self, values, scale):
         v = np.asarray(values)
         lam, _, _ = compute_threshold(v)
-        base = split_coefficients(v, lam)
+        base = split_coefficients(v, lam, leaf_ids=(0,))
         lam_scaled, _, _ = compute_threshold(scale * v)
-        scaled = split_coefficients(scale * v, lam_scaled)
+        scaled = split_coefficients(scale * v, lam_scaled, leaf_ids=(0,))
         assert lam_scaled == pytest.approx(scale * lam, rel=1e-9, abs=1e-12)
         assert np.array_equal(base.significant_mask, scaled.significant_mask)
 
     @given(finite_lists)
     def test_idempotent_on_background(self, values):
         lam, _, _ = compute_threshold(np.asarray(values))
-        first = split_coefficients(np.asarray(values), lam)
-        again = split_coefficients(first.background, lam)
+        first = split_coefficients(np.asarray(values), lam, leaf_ids=(0,))
+        again = split_coefficients(first.background, lam, leaf_ids=(0,))
         assert again.n_significant == 0
         assert np.array_equal(again.background, first.background)
 
@@ -202,7 +203,7 @@ class TestThresholdBand:
     def test_composes_threshold_and_split(self):
         rng = np.random.default_rng(8)
         coeffs = rng.standard_normal(128)
-        split = threshold_band(coeffs, band="HF")
+        split = threshold_band(coeffs, leaf_ids=(0,), band="HF")
         lam, h, n = compute_threshold(coeffs)
         assert split.band == "HF"
         assert (split.lam, split.h, split.n) == (lam, h, n)
@@ -210,11 +211,12 @@ class TestThresholdBand:
     def test_external_noise_source(self):
         coeffs = np.array([1.0, -2.0, 3.0, -4.0])
         reference = np.array([0.6745, -0.6745] * 8)
-        split = threshold_band(coeffs, band="LF", mad_coeffs=reference)
+        split = threshold_band(coeffs, leaf_ids=(0,), band="LF", mad_coeffs=reference)
         assert split.h == pytest.approx(1.0, rel=1e-12)
         # N stays the band length, not the reference length
         assert split.lam == pytest.approx(sqrt(2.0 * log(4)), rel=1e-12)
+        assert compute_threshold(coeffs, reference) == (split.lam, split.h, 4)
 
     def test_empty_band_rejected(self):
         with pytest.raises(ValueError):
-            threshold_band(np.array([]))
+            threshold_band(np.array([]), leaf_ids=(0,))

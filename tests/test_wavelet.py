@@ -3,16 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrvwp import (
+from hrvwp import UniformSignal, band_nodes, daubechies_filters, wpt_decompose
+from hrvwp.ingest import RRSeries, resample_cubic_spline, rr_to_tachogram, truncate_to_block
+from hrvwp.wavelet import (
     HF_BAND_HZ,
     LF_BAND_HZ,
-    UniformSignal,
     analysis_step,
-    band_nodes,
-    daubechies_filters,
     node_frequency_range,
     synthesis_step,
-    wpt_decompose,
     wpt_reconstruct_nodes,
 )
 from hrvwp.wavelet import _gray
@@ -128,7 +126,7 @@ class TestFilters:
                 taps[0] = 0.0
 
     def test_bank_length_validated(self):
-        from hrvwp import QuadFilterBank
+        from hrvwp.wavelet import QuadFilterBank
 
         taps = daubechies_filters(2).dec_lo
         with pytest.raises(ValueError, match="2 \\* order"):
@@ -238,6 +236,21 @@ class TestPacketTree:
             for j in range(2 ** level):
                 assert np.allclose(tree.node(level, j).coeffs, natural[_gray(j)],
                                    rtol=0, atol=1e-12)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        rr=st.lists(st.floats(min_value=300.0, max_value=2000.0), min_size=60, max_size=400),
+        order=st.integers(min_value=1, max_value=10),
+        depth=st.integers(min_value=1, max_value=6),
+    )
+    def test_resample_then_transform_conserves_energy(self, rr, order, depth):
+        # 60 beats of at least 300 ms span 18 s, so 4 Hz gives >= 64 samples
+        times, values = rr_to_tachogram(RRSeries(np.array(rr)))
+        signal = truncate_to_block(resample_cubic_spline(times, values, 4.0), depth)
+        tree = wpt_decompose(signal, depth, daubechies_filters(order))
+        leaf_energy = sum(float(np.dot(n.coeffs, n.coeffs)) for n in tree.leaves())
+        assert leaf_energy == pytest.approx(float(np.dot(signal.samples, signal.samples)),
+                                            rel=1e-9)
 
     def test_level_lengths_partition_signal(self):
         sig = UniformSignal(samples=np.random.default_rng(0).standard_normal(128),
