@@ -36,10 +36,11 @@ from .ingest import (
     truncate_to_block,
 )
 from .stats import AnovaTable, DegenerateDataError, FactorialData, anova_two_way
-from .threshold import BandSplit, threshold_band
+from .threshold import BandReport, threshold_band
 from .wavelet import (
     HF_BAND_HZ,
     LF_BAND_HZ,
+    MAX_DEPTH,
     band_nodes,
     daubechies_filters,
     wpt_decompose,
@@ -103,8 +104,8 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.wavelet_order <= 10:
             raise ValueError("wavelet_order must be in [1, 10]")
-        if self.depth < 0:
-            raise ValueError("depth must be >= 0")
+        if not 0 <= self.depth <= MAX_DEPTH:
+            raise ValueError(f"depth must be in [0, {MAX_DEPTH}]")
         for name, band in (("lf_band_hz", self.lf_band_hz), ("hf_band_hz", self.hf_band_hz)):
             lo, hi = band
             if not 0.0 <= lo < hi:
@@ -114,44 +115,6 @@ class PipelineConfig:
             raise ValueError(f"mad_source must be one of {MAD_SOURCES}")
         if self.mad_source == "first-level" and self.depth < 1:
             raise ValueError("first-level noise estimation needs depth >= 1")
-
-
-@dataclass(frozen=True)
-class BandReport:
-    """Serializable summary and coefficients of one band split.
-
-    values holds the band's coefficients in band order, significant the
-    positions above the threshold. Position i comes from leaf
-    leaves[i // leaf_len] at offset i % leaf_len, with leaf_len = n / len(leaves).
-    """
-
-    band: str
-    lam: float
-    h: float
-    n: int
-    n_background: int
-    n_significant: int
-    energy_background: float
-    energy_significant: float
-    leaves: tuple[int, ...]
-    values: tuple[float, ...]
-    significant: tuple[int, ...]
-
-    @classmethod
-    def from_split(cls, split: BandSplit) -> "BandReport":
-        return cls(
-            band=split.band,
-            lam=split.lam,
-            h=split.h,
-            n=split.n,
-            n_background=split.n_background,
-            n_significant=split.n_significant,
-            energy_background=split.energy_background,
-            energy_significant=split.energy_significant,
-            leaves=split.leaf_ids,
-            values=tuple(split.values.tolist()),
-            significant=tuple(np.flatnonzero(split.significant_mask).tolist()),
-        )
 
 
 @dataclass(frozen=True)
@@ -201,8 +164,8 @@ class RunReport:
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
-        data = json.loads(text)
-        schema = data["tool"].get("schema")
+        data = _checked_object(cls, json.loads(text))
+        schema = data["tool"].get("schema") if isinstance(data["tool"], dict) else None
         if schema != REPORT_SCHEMA:
             raise ValueError(f"report schema {schema} is not readable, only schema "
                              f"{REPORT_SCHEMA}; a report without one has the older "
@@ -219,14 +182,16 @@ class RunReport:
 def _encode(obj):
     """The JSON form of a report value: a dataclass becomes a dict of its fields.
 
-    An Enum becomes its value and a tuple of dataclasses a list of dicts. A
-    scalar, or a tuple of scalars, goes to json whole, so the elements of a
-    band's values are never visited.
+    An Enum becomes its value, an ndarray a list and a tuple of dataclasses a
+    list of dicts. A scalar, or a tuple of scalars, goes to json whole, so the
+    elements of a band's values are never visited here.
     """
     if isinstance(obj, (str, int, float, NoneType)):
         return obj
     if isinstance(obj, Enum):
         return obj.value
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
     if isinstance(obj, tuple):
         return [_encode(item) for item in obj] if obj and is_dataclass(obj[0]) else obj
     return {f.name: _encode(getattr(obj, f.name)) for f in fields(obj)}
@@ -237,16 +202,40 @@ def _encode(obj):
 _type_hints = functools.cache(get_type_hints)
 
 
+def _checked_object(tp, data) -> dict:
+    """data as the JSON object of dataclass tp: every init field present, no unknown key.
+
+    Derived (init=False) fields are known keys; _decode skips them and the
+    class recomputes them.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{tp.__name__}: expected a JSON object, got {type(data).__name__}")
+    names = [f.name for f in fields(tp)]
+    for key in data:
+        if key not in names:
+            raise ValueError(f"{tp.__name__}: unknown key {key!r}")
+    for f in fields(tp):
+        if f.init and f.name not in data:
+            raise ValueError(f"{tp.__name__}: missing key {f.name!r}")
+    return data
+
+
 def _decode(tp, data):
     """Rebuild a value of annotated type tp from its _encode form."""
-    if data is None or tp in (str, int, float, bool):
-        return data
     if isinstance(tp, UnionType):  # X | None
+        if data is None:
+            return None
         (tp,) = (arg for arg in get_args(tp) if arg is not NoneType)
+    if tp in (str, int, float, bool):
+        return data
     if is_dataclass(tp):
         hints = _type_hints(tp)
-        return tp(**{f.name: _decode(hints[f.name], data[f.name]) for f in fields(tp)})
+        data = _checked_object(tp, data)
+        return tp(**{f.name: _decode(hints[f.name], data[f.name])
+                     for f in fields(tp) if f.init})
     if get_origin(tp) is tuple:
+        if not isinstance(data, list):
+            raise ValueError(f"expected a JSON array, got {type(data).__name__}")
         item = get_args(tp)[0]
         return tuple(_decode(item, x) for x in data) if is_dataclass(item) else tuple(data)
     if isinstance(tp, type) and issubclass(tp, Enum):
@@ -321,15 +310,15 @@ def process_recording(
             # finest-detail convention: noise scale from the level-1 high-pass node
             mad_coeffs = tree.node(1, 1).coeffs
 
-        splits = [
+        bands = tuple(
             threshold_band(
                 np.concatenate([tree.node(config.depth, j).coeffs for j in leaf_ids]),
                 band=band, leaf_ids=leaf_ids, mad_coeffs=mad_coeffs,
             )
             for band, leaf_ids in _band_leaves(config)
-        ]
+        )
 
-        feats = extract_features(splits[0], splits[1], subject_id=subject_id, group=group)
+        feats = extract_features(*bands, subject_id=subject_id, group=group)
         return RecordingReport(
             subject_id=subject_id,
             group=group.value,
@@ -338,7 +327,7 @@ def process_recording(
             n_resampled=n_resampled,
             n_analyzed=len(signal),
             features=feats,
-            bands=tuple(BandReport.from_split(s) for s in splits),
+            bands=bands,
         )
     except (ValueError, OSError) as exc:
         return RecordingReport(
@@ -449,13 +438,13 @@ def _band_csv_lines(band: BandReport):
     csv.writer(head).writerow([band.band, ""])
     prefix = head.getvalue()[:-2]  # "<band field>," without the row terminator
     component = ["background"] * band.n
-    for i in band.significant:
+    for i in band.significant.tolist():
         component[i] = "significant"
     leaf_len = band.n // len(band.leaves)
     return (
         f"{prefix}{band.leaves[i // leaf_len]},{i % leaf_len},"
         f"{value:.{CSV_FLOAT_DIGITS}g},{component[i]}"
-        for i, value in enumerate(band.values)
+        for i, value in enumerate(band.values.tolist())
     )
 
 

@@ -9,17 +9,16 @@ on both sides (this separates, it does not shrink or denoise).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import log, sqrt
 
 import numpy as np
 
 __all__ = [
-    "BandSplit",
+    "BandReport",
     "mad",
     "noise_scale",
     "compute_threshold",
-    "split_coefficients",
     "threshold_band",
     "MAD_NORMAL_CONSISTENCY",
 ]
@@ -29,59 +28,59 @@ MAD_NORMAL_CONSISTENCY = 0.6745
 
 
 @dataclass(frozen=True, eq=False)
-class BandSplit:
-    """One band's coefficients partitioned at threshold lam.
+class BandReport:
+    """One band's coefficients split at threshold lam, as the report stores it.
 
-    background holds every coefficient with |c| <= lam, significant the rest,
-    both in original band order; significant_mask marks the significant
-    positions. leaf_ids lists the band's equal-length leaves in band order, so
-    position i comes from leaf leaf_ids[i // leaf_len] at offset i % leaf_len.
+    values holds the coefficients in band order; significant lists the
+    positions with |c| > lam, and every other position is background (ties
+    go to background). leaves lists the band's equal-length leaves in band
+    order, so position i comes from leaf leaves[i // leaf_len] at offset
+    i % leaf_len, with leaf_len = n / len(leaves). n, the counts, the
+    energies and significant are derived from values and lam (init=False), so
+    the split is consistent by construction; values is a private read-only copy.
     """
 
     band: str
     lam: float
     h: float
-    n: int
-    background: np.ndarray
-    significant: np.ndarray
-    significant_mask: np.ndarray
-    leaf_ids: tuple[int, ...]
+    n: int = field(init=False)
+    n_background: int = field(init=False)
+    n_significant: int = field(init=False)
+    energy_background: float = field(init=False)
+    energy_significant: float = field(init=False)
+    leaves: tuple[int, ...]
+    values: np.ndarray
+    significant: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.lam < 0.0:
             raise ValueError("threshold must be non-negative")
-        if len(self.background) + len(self.significant) != self.n:
-            raise ValueError("component sizes must sum to the band length")
-        if not self.leaf_ids or self.n % len(self.leaf_ids):
-            raise ValueError("the band length must divide evenly over leaf_ids")
-        if np.any(np.abs(self.background) > self.lam):
-            raise ValueError("background holds a coefficient above the threshold")
-        if np.any(np.abs(self.significant) <= self.lam):
-            raise ValueError("significant holds a coefficient at or below the threshold")
+        values, leaves = np.array(self.values, dtype=float), tuple(self.leaves)
+        if values.ndim != 1 or not leaves or values.size % len(leaves):
+            raise ValueError("the band values must divide evenly over the leaves")
+        mask = np.abs(values) > self.lam
+        background, significant, index = values[~mask], values[mask], np.flatnonzero(mask)
+        values.flags.writeable = index.flags.writeable = False
+        derived = dict(
+            n=values.size, n_background=background.size, n_significant=significant.size,
+            energy_background=float(np.dot(background, background)),
+            energy_significant=float(np.dot(significant, significant)),
+            leaves=leaves, values=values, significant=index,
+        )
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if not isinstance(other, BandReport):
+            return NotImplemented
+        return (self.band, self.lam, self.h, self.leaves) == (
+            other.band, other.lam, other.h, other.leaves
+        ) and np.array_equal(self.values, other.values)
 
     @property
-    def n_background(self) -> int:
-        return int(len(self.background))
-
-    @property
-    def n_significant(self) -> int:
-        return int(len(self.significant))
-
-    @property
-    def energy_background(self) -> float:
-        return float(np.dot(self.background, self.background))
-
-    @property
-    def energy_significant(self) -> float:
-        return float(np.dot(self.significant, self.significant))
-
-    @property
-    def values(self) -> np.ndarray:
-        """The band's coefficients in original order."""
-        values = np.empty(self.n)
-        values[~self.significant_mask] = self.background
-        values[self.significant_mask] = self.significant
-        return values
+    def background(self) -> np.ndarray:
+        """The background coefficients (|c| <= lam) in band order."""
+        return np.delete(self.values, self.significant)
 
 
 def mad(values: np.ndarray) -> float:
@@ -117,40 +116,12 @@ def compute_threshold(
     return h * sqrt(2.0 * log(n)), h, n
 
 
-def split_coefficients(
-    band_coeffs: np.ndarray,
-    lam: float,
-    leaf_ids: tuple[int, ...],
-    band: str = "",
-    h: float = 0.0,
-) -> BandSplit:
-    """Partition band coefficients at lam: |c| <= lam -> background, else significant.
-
-    Ties go to background (only strictly larger magnitudes count as
-    significant). Original values are preserved on both sides.
-    """
-    v = np.asarray(band_coeffs, dtype=float)
-    if lam < 0.0:
-        raise ValueError("threshold must be non-negative")
-    mask = np.abs(v) > lam
-    return BandSplit(
-        band=band,
-        lam=float(lam),
-        h=float(h),
-        n=int(v.size),
-        background=v[~mask],
-        significant=v[mask],
-        significant_mask=mask,
-        leaf_ids=tuple(leaf_ids),
-    )
-
-
 def threshold_band(
     band_coeffs: np.ndarray,
     leaf_ids: tuple[int, ...],
     band: str = "",
     mad_coeffs: np.ndarray | None = None,
-) -> BandSplit:
-    """Threshold one band end to end: lambda from compute_threshold, then the split."""
+) -> BandReport:
+    """Threshold one band end to end: lambda from compute_threshold, then the record."""
     lam, h, _ = compute_threshold(band_coeffs, mad_coeffs)
-    return split_coefficients(band_coeffs, lam, leaf_ids, band=band, h=h)
+    return BandReport(band=band, lam=lam, h=h, leaves=leaf_ids, values=band_coeffs)

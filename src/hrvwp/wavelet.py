@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, sqrt
+from math import ceil, comb, floor, sqrt
 
 import numpy as np
 
@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 MAX_ORDER = 10
+# 2**24 samples are 48 days at 4 Hz; the full tree would already need > 3 GB
+MAX_DEPTH = 24
 
 # Default band edges in Hz. On the depth-6 / 4 Hz leaf grid these select
 # leaves 1..4 (LF) and 5..12 (HF): 12 sub-bands in total.
@@ -49,22 +51,20 @@ HF_BAND_HZ = (0.15625, 0.40625)
 
 @dataclass(frozen=True, eq=False)
 class QuadFilterBank:
-    """Orthonormal two-channel filter bank (analysis + synthesis taps).
+    """Orthonormal two-channel filter bank.
 
     dec_lo are the scaling (low-pass) taps, dec_hi the wavelet (high-pass)
     taps related by dec_hi[k] = (-1)**k * dec_lo[L-1-k]. The analysis step
-    is a correlation, so for an orthogonal bank the synthesis taps equal the
-    analysis taps (inverse = transpose).
+    is a correlation, so for an orthogonal bank synthesis uses the same taps
+    (inverse = transpose).
     """
 
     dec_lo: np.ndarray
     dec_hi: np.ndarray
-    rec_lo: np.ndarray
-    rec_hi: np.ndarray
     order: int
 
     def __post_init__(self):
-        for name in ("dec_lo", "dec_hi", "rec_lo", "rec_hi"):
+        for name in ("dec_lo", "dec_hi"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), float))
         if len(self.dec_lo) != 2 * self.order:
             raise ValueError("filter length must be 2 * order")
@@ -115,11 +115,8 @@ def _design_bank(order: int) -> QuadFilterBank:
         lo = h.real
         lo *= sqrt(2.0) / lo.sum()
 
-    hi = _qmf(lo)
-    bank = QuadFilterBank(
-        dec_lo=lo, dec_hi=hi, rec_lo=lo.copy(), rec_hi=hi.copy(), order=order
-    )
-    for taps in (bank.dec_lo, bank.dec_hi, bank.rec_lo, bank.rec_hi):
+    bank = QuadFilterBank(dec_lo=lo, dec_hi=_qmf(lo), order=order)
+    for taps in (bank.dec_lo, bank.dec_hi):
         taps.flags.writeable = False
     return bank
 
@@ -165,7 +162,7 @@ def analysis_step(signal: np.ndarray, bank: QuadFilterBank) -> np.ndarray:
 def _synthesize(pairs: np.ndarray, bank: QuadFilterBank) -> np.ndarray:
     """Transpose of analysis_step: (..., 2, half) (approx, detail) pairs to (..., 2*half)."""
     half = pairs.shape[-1]
-    taps = _phase_taps(bank.rec_lo, bank.rec_hi).transpose(1, 2, 0)
+    taps = _phase_taps(bank.dec_lo, bank.dec_hi).transpose(1, 2, 0)
     lag = taps.shape[0] - 1
     # ext[..., k] = pairs[..., (k - lag) mod half]
     ext = np.take(pairs, np.arange(-lag, half), axis=-1, mode="wrap")
@@ -315,25 +312,31 @@ def band_nodes(
     Band edges default to the LF/HF constants above; a custom (lo, hi) pair
     in Hz can be supplied. Raises if no whole leaf fits inside the band.
     """
-    key = str(band).upper()
     if band_hz is None:
-        if key == "LF":
-            band_hz = LF_BAND_HZ
-        elif key == "HF":
-            band_hz = HF_BAND_HZ
-        else:
+        band_hz = {"LF": LF_BAND_HZ, "HF": HF_BAND_HZ}.get(str(band).upper())
+        if band_hz is None:
             raise ValueError(f"unknown band {band!r}; expected 'LF' or 'HF'")
     lo, hi = float(band_hz[0]), float(band_hz[1])
     if not 0.0 <= lo < hi:
         raise ValueError(f"invalid band edges ({lo}, {hi})")
+    if not 0 <= level <= MAX_DEPTH:
+        raise ValueError(f"level must be in [0, {MAX_DEPTH}], got {level}")
+    if not rate_hz > 0.0:
+        raise ValueError("rate_hz must be positive")
+    # leaf j fits when j*width >= lo - eps and (j+1)*width <= hi + eps; both are
+    # monotone in j, so estimate the run's ends, then step to the exact tests
     eps = 1e-12 * max(rate_hz, 1.0)
-    picked = []
-    for j in range(2 ** level):
-        f_lo, f_hi = node_frequency_range(level, j, rate_hz)
-        if f_lo >= lo - eps and f_hi <= hi + eps:
-            picked.append(j)
-    if not picked:
-        raise ValueError(
-            f"no level-{level} node fits inside [{lo}, {hi}] Hz at {rate_hz} Hz"
-        )
-    return picked
+    n, width = 2 ** level, rate_hz / 2 ** (level + 1)
+    first = ceil(min(max((lo - eps) / width, 0.0), n))
+    while first > 0 and (first - 1) * width >= lo - eps:
+        first -= 1
+    while first < n and first * width < lo - eps:
+        first += 1
+    last = floor(min((hi + eps) / width, n)) - 1
+    while last + 1 < n and (last + 2) * width <= hi + eps:
+        last += 1
+    while last >= 0 and (last + 1) * width > hi + eps:
+        last -= 1
+    if first > last:
+        raise ValueError(f"no level-{level} node fits inside [{lo}, {hi}] Hz at {rate_hz} Hz")
+    return list(range(first, last + 1))

@@ -12,28 +12,36 @@ from hrvwp import (
     threshold_band,
     wpt_decompose,
 )
-from hrvwp.features import FeatureError, band_energy
+from hrvwp.features import FeatureError
 from hrvwp.ingest import Group
-from hrvwp.threshold import split_coefficients
+from hrvwp.threshold import BandReport
 from hrvwp.wavelet import band_nodes
+
+
+def split(values, lam, band=""):
+    return BandReport(band=band, lam=lam, h=0.0, leaves=(0,), values=values)
 
 
 def split_all_background(values, band=""):
     v = np.asarray(values, dtype=float)
-    return split_coefficients(v, float(np.max(np.abs(v))), leaf_ids=(0,), band=band)
+    return split(v, float(np.max(np.abs(v))), band=band)
 
 
 class TestBandEnergy:
     def test_three_four_five(self):
-        assert band_energy([3.0, 4.0]) == 25.0
+        assert split([3.0, 4.0], 5.0).energy_background == 25.0
+        assert split([3.0, 4.0], 0.0).energy_significant == 25.0
 
     def test_empty_is_zero(self):
-        assert band_energy([]) == 0.0
+        empty = split([], 0.0)
+        assert empty.energy_background == 0.0
+        assert empty.energy_significant == 0.0
 
     @given(st.lists(st.floats(min_value=-1e3, max_value=1e3), max_size=40))
     def test_sign_invariance(self, values):
         x = np.asarray(values)
-        assert band_energy(x) == band_energy(-x)
+        assert split(x, 1e3).energy_background == split(-x, 1e3).energy_background
+        assert split(x, 0.0).energy_significant == split(-x, 0.0).energy_significant
 
 
 class TestExtractFeatures:
@@ -53,14 +61,21 @@ class TestExtractFeatures:
         assert feats.r_e == 0.5
         assert feats.subject_id == "s1" and feats.group is Group.VT
 
+    def test_significant_coefficients_left_out(self):
+        feats = extract_features(split([1.0, -1.0, 10.0, -1.0], 2.0, band="LF"),
+                                 split([2.0, -30.0], 3.0, band="HF"))
+        assert (feats.e_lf, feats.mean_lf) == (3.0, -1.0 / 3.0)
+        assert feats.std_lf == pytest.approx(sqrt(8.0) / 3.0, rel=1e-15)
+        assert (feats.e_hf, feats.mean_hf, feats.std_hf) == (4.0, 2.0, 0.0)
+
     def test_zero_hf_energy_rejected(self):
         lf = split_all_background([1.0, 2.0], band="LF")
-        hf = split_coefficients(np.array([0.0, 0.0]), 1.0, leaf_ids=(0,), band="HF")
+        hf = split(np.array([0.0, 0.0]), 1.0, band="HF")
         with pytest.raises(FeatureError, match="energy"):
             extract_features(lf, hf)
 
     def test_empty_background_rejected(self):
-        lf = split_coefficients(np.array([3.0, -4.0]), 0.0, leaf_ids=(0,), band="LF")  # all significant
+        lf = split(np.array([3.0, -4.0]), 0.0, band="LF")  # all significant
         hf = split_all_background([1.0], band="HF")
         with pytest.raises(FeatureError, match="background"):
             extract_features(lf, hf)

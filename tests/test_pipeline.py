@@ -2,7 +2,9 @@ import csv
 import dataclasses
 import io
 import json
+import re
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +62,7 @@ class TestConfig:
             {"wavelet_order": 4.5},
             {"depth": 5.0},
             {"depth": True},
+            {"depth": 25},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -274,6 +277,43 @@ class TestRunPipeline:
         with pytest.raises(ValueError, match="schema"):
             RunReport.from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda d: d["recordings"][0]["bands"][0].pop("lam"), "BandReport: missing key 'lam'"),
+        (lambda d: d["recordings"][0]["bands"][0].update(extra=1),
+         "BandReport: unknown key 'extra'"),
+        (lambda d: d.pop("tool"), "RunReport: missing key 'tool'"),
+        (lambda d: d.update(extra=1), "RunReport: unknown key 'extra'"),
+        (lambda d: d["config"].pop("depth"), "PipelineConfig: missing key 'depth'"),
+        (lambda d: d["recordings"][0].update(features=[]),
+         "FeatureVector: expected a JSON object, got list"),
+        (lambda d: d["recordings"][0].update(bands={}), "expected a JSON array, got dict"),
+        (lambda d: d.update(config=None), "PipelineConfig: expected a JSON object, got NoneType"),
+        (lambda d: d["anova"][0]["table"].update(rows="x"), "expected a JSON array, got str"),
+    ], ids=["missing-band-key", "unknown-band-key", "missing-tool", "unknown-top-key",
+            "missing-config-key", "features-not-object", "bands-not-array",
+            "config-null", "rows-not-array"])
+    def test_report_keys_checked(self, balanced_report, edit, message):
+        _, report = balanced_report
+        payload = json.loads(report.to_json())
+        edit(payload)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunReport.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("text", ["[]", "3", '"report"', "null"])
+    def test_report_not_an_object(self, text):
+        with pytest.raises(ValueError, match="RunReport: expected a JSON object"):
+            RunReport.from_json(text)
+
+    def test_stored_band_summaries_are_recomputed(self, balanced_report):
+        _, report = balanced_report
+        payload = json.loads(report.to_json())
+        band = payload["recordings"][0]["bands"][0]
+        band.update(n=-1, n_background=-1, n_significant=-1, energy_background=-1.0,
+                    energy_significant=-1.0, significant=[0])
+        rebuilt = RunReport.from_json(json.dumps(payload))
+        assert rebuilt == report
+        assert rebuilt.to_json() == report.to_json()
+
     def test_recording_counts(self, balanced_report):
         _, report = balanced_report
         rec = report.recordings[0]
@@ -444,6 +484,16 @@ class TestCli:
         code = main(["--manifest", str(manifest), "--out", str(tmp_path / "o2"),
                      "--depth", "-3"])
         assert code == 2
+
+    def test_huge_depth_exit_two_promptly(self, write_dataset, tmp_path, capsys):
+        # a typo for --depth 6 is a prompt usage error, not a scan over 2**60 leaves
+        manifest = write_dataset([("c0", "Control", synthetic_rr(300, seed=15))])
+        start = time.perf_counter()
+        code = main(["--manifest", str(manifest), "--out", str(tmp_path / "o4"),
+                     "--depth", "60"])
+        assert code == 2
+        assert time.perf_counter() - start < 5.0
+        assert "depth must be in [0, 24]" in capsys.readouterr().err
 
     def test_band_without_whole_leaf_exit_two(self, write_dataset, tmp_path, capsys):
         # at 8 Hz a depth-4 leaf spans 0.25 Hz, wider than the whole LF band

@@ -1,3 +1,4 @@
+import dataclasses
 from math import log, sqrt
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hrvwp import threshold_band
-from hrvwp.threshold import compute_threshold, mad, noise_scale, split_coefficients
+from hrvwp.threshold import BandReport, compute_threshold, mad, noise_scale
 
 
 def sorted_median(values):
@@ -120,81 +121,102 @@ class TestComputeThreshold:
         assert all(a < b for a, b in zip(lams, lams[1:]))
 
 
+def split(values, lam, leaves=(0,), band=""):
+    return BandReport(band=band, lam=lam, h=0.0, leaves=leaves, values=values)
+
+
 class TestSplit:
     def test_zero_threshold_keeps_exact_zeros(self):
-        split = split_coefficients(np.array([0.0, 1.0, -2.0]), 0.0, leaf_ids=(0,))
-        assert split.background.tolist() == [0.0]
-        assert split.significant.tolist() == [1.0, -2.0]
+        band = split(np.array([0.0, 1.0, -2.0]), 0.0)
+        assert band.background.tolist() == [0.0]
+        assert band.values[band.significant].tolist() == [1.0, -2.0]
 
     def test_plain_partition(self):
-        split = split_coefficients(np.array([0.5, -0.5, 3.0]), 1.0, leaf_ids=(0,))
-        assert split.background.tolist() == [0.5, -0.5]
-        assert split.significant.tolist() == [3.0]
+        band = split(np.array([0.5, -0.5, 3.0]), 1.0)
+        assert band.background.tolist() == [0.5, -0.5]
+        assert band.values[band.significant].tolist() == [3.0]
 
     def test_tie_goes_to_background(self):
         coeffs = np.array([0.25, -1.5, 1.5, 0.75])
-        split = split_coefficients(coeffs, float(np.max(np.abs(coeffs))), leaf_ids=(0,))
-        assert split.n_significant == 0
-        assert split.n_background == 4
+        band = split(coeffs, float(np.max(np.abs(coeffs))))
+        assert band.n_significant == 0
+        assert band.n_background == 4
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            split_coefficients(np.array([1.0]), -0.1, leaf_ids=(0,))
+            split(np.array([1.0]), -0.1)
 
     def test_direct_construction_enforces_membership(self):
-        from hrvwp.threshold import BandSplit
+        # membership is derived from values and lam; it cannot be passed in
+        with pytest.raises(TypeError, match="significant"):
+            BandReport(band="LF", lam=1.0, h=1.0, leaves=(0,), values=np.array([2.0]),
+                       significant=np.array([], dtype=int))
+        with pytest.raises(TypeError, match="n_background"):
+            BandReport(band="LF", lam=1.0, h=1.0, leaves=(0,), values=np.array([0.5]),
+                       n_background=0)
+        band = BandReport(band="LF", lam=1.0, h=1.0, leaves=(0,), values=np.array([2.0, 0.5]))
+        assert band.significant.tolist() == [0]
+        assert band.background.tolist() == [0.5]
 
-        with pytest.raises(ValueError, match="above the threshold"):
-            BandSplit(band="LF", lam=1.0, h=1.0, n=1,
-                      background=np.array([2.0]), significant=np.array([]),
-                      significant_mask=np.array([False]), leaf_ids=(0,))
-        with pytest.raises(ValueError, match="at or below"):
-            BandSplit(band="LF", lam=1.0, h=1.0, n=1,
-                      background=np.array([]), significant=np.array([0.5]),
-                      significant_mask=np.array([True]), leaf_ids=(0,))
+    def test_values_are_a_private_read_only_copy(self):
+        coeffs = np.array([0.1, 5.0])
+        band = split(coeffs, 1.0)
+        coeffs[0] = 9.0
+        assert band.values.tolist() == [0.1, 5.0]
+        for array in (band.values, band.significant):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_equality_compares_inputs(self):
+        band = BandReport(band="LF", lam=1.0, h=0.5, leaves=(1, 2), values=[0.5, 2.0])
+        assert band == BandReport(band="LF", lam=1.0, h=0.5, leaves=(1, 2),
+                                  values=np.array([0.5, 2.0]))
+        for change in ({"band": "HF"}, {"lam": 0.25}, {"h": 1.0}, {"leaves": (2, 3)},
+                       {"values": [0.5, 3.0]}):
+            assert band != dataclasses.replace(band, **change)
 
     def test_source_index_partition(self):
         coeffs = np.array([0.1, 5.0, -0.2, -7.0])
-        split = split_coefficients(coeffs, 1.0, leaf_ids=(1, 2), band="LF")
-        assert split.leaf_ids == (1, 2)
-        assert split.values.tolist() == [0.1, 5.0, -0.2, -7.0]
+        band = split(coeffs, 1.0, leaves=(1, 2), band="LF")
+        assert band.leaves == (1, 2)
+        assert band.values.tolist() == [0.1, 5.0, -0.2, -7.0]
         assert [
-            "significant" if s else "background" for s in split.significant_mask
+            "significant" if i in band.significant else "background" for i in range(band.n)
         ] == ["background", "significant", "background", "significant"]
 
     def test_band_must_divide_over_leaf_ids(self):
         with pytest.raises(ValueError, match="divide evenly"):
-            split_coefficients(np.array([0.1, 5.0, -0.2]), 1.0, leaf_ids=(1, 2))
+            split(np.array([0.1, 5.0, -0.2]), 1.0, leaves=(1, 2))
         with pytest.raises(ValueError, match="divide evenly"):
-            split_coefficients(np.array([0.1]), 1.0, leaf_ids=())
+            split(np.array([0.1]), 1.0, leaves=())
 
     @given(finite_lists, st.floats(min_value=0.0, max_value=1e6, allow_nan=False))
     def test_energy_accounting(self, values, lam):
         v = np.asarray(values)
-        split = split_coefficients(v, lam, leaf_ids=(0,))
+        band = split(v, lam)
         total = float(np.dot(v, v))
-        assert split.energy_background + split.energy_significant == pytest.approx(
+        assert band.energy_background + band.energy_significant == pytest.approx(
             total, rel=1e-12, abs=1e-12
         )
-        assert split.n_background + split.n_significant == len(v)
-        assert np.all(np.abs(split.background) <= lam)
-        assert np.all(np.abs(split.significant) > lam)
+        assert band.n_background + band.n_significant == len(v)
+        assert np.all(np.abs(band.background) <= lam)
+        assert np.all(np.abs(band.values[band.significant]) > lam)
 
     @given(scalable_lists, st.floats(min_value=1e-3, max_value=1e3, allow_nan=False))
     def test_scale_equivariance(self, values, scale):
         v = np.asarray(values)
         lam, _, _ = compute_threshold(v)
-        base = split_coefficients(v, lam, leaf_ids=(0,))
+        base = split(v, lam)
         lam_scaled, _, _ = compute_threshold(scale * v)
-        scaled = split_coefficients(scale * v, lam_scaled, leaf_ids=(0,))
+        scaled = split(scale * v, lam_scaled)
         assert lam_scaled == pytest.approx(scale * lam, rel=1e-9, abs=1e-12)
-        assert np.array_equal(base.significant_mask, scaled.significant_mask)
+        assert np.array_equal(base.significant, scaled.significant)
 
     @given(finite_lists)
     def test_idempotent_on_background(self, values):
         lam, _, _ = compute_threshold(np.asarray(values))
-        first = split_coefficients(np.asarray(values), lam, leaf_ids=(0,))
-        again = split_coefficients(first.background, lam, leaf_ids=(0,))
+        first = split(np.asarray(values), lam)
+        again = split(first.background, lam)
         assert again.n_significant == 0
         assert np.array_equal(again.background, first.background)
 

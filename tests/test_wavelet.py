@@ -8,6 +8,7 @@ from hrvwp.ingest import RRSeries, resample_cubic_spline, rr_to_tachogram, trunc
 from hrvwp.wavelet import (
     HF_BAND_HZ,
     LF_BAND_HZ,
+    MAX_DEPTH,
     analysis_step,
     node_frequency_range,
     synthesis_step,
@@ -97,11 +98,6 @@ class TestFilters:
         assert np.allclose(bank.dec_lo, [1 / SQRT2, 1 / SQRT2])
         assert np.allclose(bank.dec_hi, [1 / SQRT2, -1 / SQRT2])
 
-    def test_synthesis_taps_equal_analysis(self):
-        bank = daubechies_filters(4)
-        assert np.array_equal(bank.rec_lo, bank.dec_lo)
-        assert np.array_equal(bank.rec_hi, bank.dec_hi)
-
     @pytest.mark.parametrize("order", [0, 11, -1])
     def test_order_out_of_range(self, order):
         with pytest.raises(ValueError):
@@ -120,7 +116,7 @@ class TestFilters:
         bank = daubechies_filters(4)
         assert daubechies_filters(4) is bank
         assert daubechies_filters(np.int64(4)) is bank
-        for taps in (bank.dec_lo, bank.dec_hi, bank.rec_lo, bank.rec_hi):
+        for taps in (bank.dec_lo, bank.dec_hi):
             assert not taps.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 taps[0] = 0.0
@@ -130,7 +126,7 @@ class TestFilters:
 
         taps = daubechies_filters(2).dec_lo
         with pytest.raises(ValueError, match="2 \\* order"):
-            QuadFilterBank(dec_lo=taps, dec_hi=taps, rec_lo=taps, rec_hi=taps, order=3)
+            QuadFilterBank(dec_lo=taps, dec_hi=taps, order=3)
 
 
 class TestAnalysisSynthesis:
@@ -377,3 +373,56 @@ class TestBandNodes:
     def test_unknown_band_rejected(self):
         with pytest.raises(ValueError, match="unknown band"):
             band_nodes("VLF", 6, 4.0)
+
+    @staticmethod
+    def scan(level, rate_hz, lo, hi):
+        """Every leaf whose range lies inside [lo, hi], by testing each one."""
+        eps = 1e-12 * max(rate_hz, 1.0)
+        ranges = (node_frequency_range(level, j, rate_hz) for j in range(2 ** level))
+        return [j for j, (f_lo, f_hi) in enumerate(ranges)
+                if f_lo >= lo - eps and f_hi <= hi + eps]
+
+    def check_against_scan(self, level, rate_hz, edges):
+        expected = self.scan(level, rate_hz, *edges)
+        if expected:
+            assert band_nodes("LF", level, rate_hz, edges) == expected
+        else:
+            with pytest.raises(ValueError, match=f"no level-{level} node fits"):
+                band_nodes("LF", level, rate_hz, edges)
+
+    @pytest.mark.parametrize("level", range(13))
+    def test_default_bands_match_scan(self, level):
+        for rate_hz in (1.0, 2.0, 4.0, 7.3, 8.0):
+            for edges in (LF_BAND_HZ, HF_BAND_HZ):
+                self.check_against_scan(level, rate_hz, edges)
+
+    @pytest.mark.parametrize("level", range(13))
+    def test_random_edges_match_scan(self, level):
+        rng = np.random.default_rng(level)
+        for _ in range(20):
+            lo, hi = np.sort(rng.uniform(0.0, 2.4, 2))
+            self.check_against_scan(level, 4.0, (float(lo), float(hi)))
+        # edges on the leaf grid, and a few ulps around grid +- eps, where the
+        # quotient estimate of the run's ends can be off by one either way
+        for rate_hz in (0.7, 4.0, 7.3):
+            eps, width = 1e-12 * max(rate_hz, 1.0), rate_hz / 2 ** (level + 1)
+            for _ in range(6):
+                j, k = sorted(int(x) for x in rng.integers(0, 2 ** level + 1, 2))
+                for offset in (-eps, 0.0, eps):
+                    for ulps in range(-2, 3):
+                        lo, hi = j * width + offset, k * width - offset
+                        for _ in range(abs(ulps)):
+                            lo = float(np.nextafter(lo, np.sign(ulps) * np.inf))
+                            hi = float(np.nextafter(hi, np.sign(ulps) * np.inf))
+                        if 0.0 <= lo < hi:
+                            self.check_against_scan(level, rate_hz, (lo, hi))
+
+    def test_unbounded_band_above_the_grid(self):
+        assert band_nodes("HF", 3, 4.0, (1.0, float("inf"))) == [4, 5, 6, 7]
+        with pytest.raises(ValueError, match="no level-3 node fits"):
+            band_nodes("HF", 3, 4.0, (1e300, float("inf")))
+
+    def test_level_above_max_depth_rejected(self):
+        assert band_nodes("LF", MAX_DEPTH, 4.0)[0] == 2 ** (MAX_DEPTH - 6)
+        with pytest.raises(ValueError, match="level must be in"):
+            band_nodes("LF", MAX_DEPTH + 1, 4.0)
