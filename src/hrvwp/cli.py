@@ -21,8 +21,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--manifest", required=True,
                         help="CSV manifest with header path,subject_id,group")
     parser.add_argument("--out", required=True, help="output directory for reports")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="format for the feature/ANOVA tables (default csv)")
     parser.add_argument("--rate", type=float, default=reference.rate_hz, metavar="HZ",
                         help="uniform resampling rate (default %(default)s)")
     parser.add_argument("--wavelet-order", type=int, default=reference.wavelet_order,
@@ -32,8 +30,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="packet decomposition depth (default %(default)s)")
     parser.add_argument("--mad-source", choices=MAD_SOURCES, default=reference.mad_source,
                         help="where the noise scale is estimated (default %(default)s)")
-    parser.add_argument("--detrend", action="store_true",
-                        help="subtract the mean of the resampled signal before analysis")
     parser.add_argument("--standardize-anova", action="store_true",
                         help="z-score feature columns before the ANOVA (exploratory)")
     return parser
@@ -47,7 +43,6 @@ def main(argv=None) -> int:
             wavelet_order=args.wavelet_order,
             depth=args.depth,
             mad_source=args.mad_source,
-            detrend=args.detrend,
             standardize_anova=args.standardize_anova,
         )
     except ValueError as exc:
@@ -61,7 +56,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        written = emit_report(report, args.format, args.out)
+        written = emit_report(report, args.out)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

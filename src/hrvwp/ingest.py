@@ -20,14 +20,10 @@ __all__ = [
     "UniformSignal",
     "RRParseError",
     "parse_rr_file",
-    "detect_format",
     "rr_to_tachogram",
     "resample_cubic_spline",
     "truncate_to_block",
 ]
-
-RR_FORMATS = ("one-column-ms", "two-column-time-ms")
-
 
 class Group(Enum):
     """Subject group label."""
@@ -97,29 +93,6 @@ class UniformSignal:
         return int(self.samples.size)
 
 
-def detect_format(text: str | bytes) -> str:
-    """Guess the RR file format from the first data line's column count.
-
-    Only a prefix of the text is split into lines, grown until it holds the
-    first data line. A prefix splits into the same lines as the whole text
-    except its last one, which the cut may shorten, so that line is left for
-    a longer prefix.
-    """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    size = 256
-    while True:
-        lines = text[:size].splitlines()
-        whole = size >= len(text)
-        for raw in lines if whole else lines[:-1]:
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                return "two-column-time-ms" if len(line.split()) >= 2 else "one-column-ms"
-        if whole:
-            return "one-column-ms"
-        size *= 4
-
-
 def _parse_lines(text: str, col: int) -> list[float]:
     """Column col of every data line, raising RRParseError at the first bad line."""
     values = []
@@ -137,13 +110,12 @@ def _parse_lines(text: str, col: int) -> list[float]:
     return values
 
 
-def _parse_plain(text: str, col: int) -> np.ndarray | None:
-    """Column col of every data line in one conversion, or None if any line is not plain.
+def _parse_plain(kept: list[str], col: int) -> np.ndarray | None:
+    """Column col of every kept line in one conversion, or None if any line is not plain.
 
     Plain means a single number per line (one-column), or the same count of
     numbers on every line (two-column); anything else is left to _parse_lines.
     """
-    kept = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
     try:
         if col == 0:
             return np.array(kept, dtype=float)
@@ -155,7 +127,6 @@ def _parse_plain(text: str, col: int) -> np.ndarray | None:
 
 def parse_rr_file(
     text: str | bytes,
-    fmt: str = "one-column-ms",
     subject_id: str = "",
     group: Group = Group.UNLABELED,
 ) -> RRSeries:
@@ -163,18 +134,18 @@ def parse_rr_file(
 
     Two formats are accepted: one RR interval (ms) per line, or two
     whitespace-separated columns (beat time, RR in ms) where only the second
-    column is kept. Blank lines and lines starting with '#' are skipped.
-    Input order is preserved. All data lines are converted in one pass; only
-    when that fails does a line-by-line pass run, which finds the offending
-    line or takes the kept column from lines with extra tokens.
+    column is kept. The first data line picks the format: one token means
+    one column, two or more mean two. Blank lines and lines starting with '#'
+    are skipped. Input order is preserved. All data lines are converted in
+    one pass; only when that fails does a line-by-line pass run, which finds
+    the offending line or takes the kept column from lines with extra tokens.
     """
-    if fmt not in RR_FORMATS:
-        raise ValueError(f"unknown format {fmt!r}; expected one of {RR_FORMATS}")
     if isinstance(text, bytes):
         text = text.decode("utf-8")
 
-    col = 0 if fmt == "one-column-ms" else 1
-    arr = _parse_plain(text, col)
+    kept = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
+    col = 1 if kept and len(kept[0].split()) >= 2 else 0
+    arr = _parse_plain(kept, col)
     if arr is None:
         arr = np.asarray(_parse_lines(text, col), dtype=float)
     if arr.size < 2:

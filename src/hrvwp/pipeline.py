@@ -28,8 +28,6 @@ from . import __version__
 from .features import FeatureVector, extract_features
 from .ingest import (
     Group,
-    UniformSignal,
-    detect_format,
     parse_rr_file,
     resample_cubic_spline,
     rr_to_tachogram,
@@ -69,7 +67,7 @@ FEATURE_COLUMNS = ("subject_id", "group", "std_lf", "mean_lf", "std_hf", "mean_h
 MAD_SOURCES = ("per-band", "first-level")
 CSV_FLOAT_DIGITS = 12
 # layout version of report.json, written as tool.schema and checked on reading
-REPORT_SCHEMA = 3
+REPORT_SCHEMA = 4
 
 _FEATURE_BY_COLUMN = {
     "STDLF": "std_lf",
@@ -92,7 +90,6 @@ class PipelineConfig:
     lf_band_hz: tuple[float, float] = LF_BAND_HZ
     hf_band_hz: tuple[float, float] = HF_BAND_HZ
     mad_source: str = "per-band"
-    detrend: bool = False
     standardize_anova: bool = False
 
     def __post_init__(self):
@@ -220,24 +217,34 @@ def _checked_object(tp, data) -> dict:
     return data
 
 
-def _decode(tp, data):
-    """Rebuild a value of annotated type tp from its _encode form."""
+# the JSON values each scalar annotation accepts: an int may stand for a
+# float, but a bool (an int subclass in Python) only for a bool
+_SCALAR_KINDS = {str: (str,), int: (int,), float: (int, float), bool: (bool,)}
+
+
+def _decode(tp, data, where: str = "report"):
+    """Rebuild a value of annotated type tp from its _encode form.
+
+    where names the class and key the value belongs to, for error messages.
+    """
     if isinstance(tp, UnionType):  # X | None
         if data is None:
             return None
         (tp,) = (arg for arg in get_args(tp) if arg is not NoneType)
-    if tp in (str, int, float, bool):
+    if tp in _SCALAR_KINDS:
+        if not isinstance(data, _SCALAR_KINDS[tp]) or (tp is not bool and isinstance(data, bool)):
+            raise ValueError(f"{where}: expected {tp.__name__}, got {type(data).__name__}")
         return data
     if is_dataclass(tp):
         hints = _type_hints(tp)
         data = _checked_object(tp, data)
-        return tp(**{f.name: _decode(hints[f.name], data[f.name])
+        return tp(**{f.name: _decode(hints[f.name], data[f.name],
+                                     f"{tp.__name__}: key {f.name!r}")
                      for f in fields(tp) if f.init})
     if get_origin(tp) is tuple:
         if not isinstance(data, list):
-            raise ValueError(f"expected a JSON array, got {type(data).__name__}")
-        item = get_args(tp)[0]
-        return tuple(_decode(item, x) for x in data) if is_dataclass(item) else tuple(data)
+            raise ValueError(f"{where}: expected a JSON array, got {type(data).__name__}")
+        return tuple(_decode(get_args(tp)[0], x, where) for x in data)
     if isinstance(tp, type) and issubclass(tp, Enum):
         return tp(data)
     return data
@@ -290,17 +297,11 @@ def process_recording(
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
-        series = parse_rr_file(text, detect_format(text), subject_id=subject_id, group=group)
+        series = parse_rr_file(text, subject_id=subject_id, group=group)
         times, values = rr_to_tachogram(series)
         signal = resample_cubic_spline(times, values, config.rate_hz)
         n_resampled = len(signal)
         signal = truncate_to_block(signal, config.depth)
-        if config.detrend:
-            signal = UniformSignal(
-                samples=signal.samples - signal.samples.mean(),
-                rate_hz=signal.rate_hz,
-                t0_s=signal.t0_s,
-            )
 
         bank = daubechies_filters(config.wavelet_order)
         tree = wpt_decompose(signal, config.depth, bank)
@@ -466,14 +467,12 @@ def _anova_table_rows(table: AnovaTable):
     return [(label[r.source], r.ss, r.df, r.ms, r.f, r.p) for r in table.rows]
 
 
-def emit_report(report: RunReport, fmt: str = "csv", out_dir=".") -> set[Path]:
-    """Write report.json, features and ANOVA tables, and per-recording band dumps.
+def emit_report(report: RunReport, out_dir=".") -> set[Path]:
+    """Write report.json, the feature and ANOVA CSV tables, and per-recording band dumps.
 
     Returns the set of files written. JSON numbers round-trip exactly; CSV
     numbers carry 12 significant digits.
     """
-    if fmt not in ("csv", "json"):
-        raise ValueError("format must be 'csv' or 'json'")
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -484,26 +483,15 @@ def emit_report(report: RunReport, fmt: str = "csv", out_dir=".") -> set[Path]:
         written.add(path)
 
         features = [_encode(r.features) for r in report.recordings if r.features is not None]
-        if fmt == "csv":
-            path = out / "features.csv"
-            _write_csv(path, FEATURE_COLUMNS, [[f[k] for k in FEATURE_COLUMNS] for f in features])
-        else:
-            path = out / "features.json"
-            # keys in the CSV's column order, not the dataclass field order
-            rows = [{k: f[k] for k in FEATURE_COLUMNS} for f in features]
-            path.write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8")
+        path = out / "features.csv"
+        _write_csv(path, FEATURE_COLUMNS, [[f[k] for k in FEATURE_COLUMNS] for f in features])
         written.add(path)
 
         for a in report.anova:
             if a.status != "ok":
                 continue
-            if fmt == "csv":
-                path = out / f"anova_{a.name}.csv"
-                _write_csv(path, ["Source", "SS", "df", "MS", "F", "p"],
-                           _anova_table_rows(a.table))
-            else:
-                path = out / f"anova_{a.name}.json"
-                path.write_text(json.dumps(_encode(a), indent=2) + "\n", encoding="utf-8")
+            path = out / f"anova_{a.name}.csv"
+            _write_csv(path, ["Source", "SS", "df", "MS", "F", "p"], _anova_table_rows(a.table))
             written.add(path)
 
         for rec in report.recordings:

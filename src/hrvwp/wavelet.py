@@ -206,16 +206,9 @@ class WpTree:
     the nodes in natural order; node lookup is by frequency-ordered index.
     """
 
-    def __init__(
-        self,
-        levels_natural: list[np.ndarray],
-        rate_hz: float,
-        bank: QuadFilterBank,
-    ):
+    def __init__(self, levels_natural: list[np.ndarray], bank: QuadFilterBank):
         self._levels = levels_natural
-        self.signal_len = int(levels_natural[0].size)
         self.depth = len(levels_natural) - 1
-        self.rate_hz = float(rate_hz)
         self.bank = bank
 
     def node(self, level: int, index: int) -> WpNode:
@@ -232,13 +225,6 @@ class WpTree:
 
     def leaves(self) -> list[WpNode]:
         return self.level_nodes(self.depth)
-
-    @property
-    def nodes(self) -> list[WpNode]:
-        out = []
-        for m in range(self.depth + 1):
-            out.extend(self.level_nodes(m))
-        return out
 
     def level_energy(self, level: int) -> float:
         flat = self._levels[level].ravel()
@@ -263,7 +249,7 @@ def wpt_decompose(signal: UniformSignal, depth: int, bank: QuadFilterBank) -> Wp
     for _ in range(depth):
         pairs = analysis_step(levels[-1], bank)
         levels.append(pairs.reshape(2 * pairs.shape[0], -1))
-    return WpTree(levels, rate_hz=signal.rate_hz, bank=bank)
+    return WpTree(levels, bank)
 
 
 def wpt_reconstruct_nodes(tree: WpTree, node_set) -> np.ndarray:

@@ -329,7 +329,7 @@ def test_c10_smoke_batch_emits_well_formed_report(write_dataset, tmp_path):
     assert report.all_ok
 
     out = tmp_path / "smoke_out"
-    written = emit_report(report, "csv", out)
+    written = emit_report(report, out)
     payload = json.loads((out / "report.json").read_text())
     assert set(payload) == {"tool", "config", "recordings", "anova"}
     assert len(payload["recordings"]) == 9

@@ -4,7 +4,9 @@ import sys
 from pathlib import Path
 
 import hrvwp
+from hrvwp.cli import build_parser
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = str(Path(hrvwp.__file__).resolve().parents[1])
 
 
@@ -18,8 +20,18 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_public_names_are_the_readme_list():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     listed = re.search(r"`hrvwp` exports these names: (.*?)\.\n", readme, re.DOTALL)
     assert listed, "README names no public API"
     assert hrvwp.__all__ == re.findall(r"`(\w+)`", listed.group(1))
     assert all(hasattr(hrvwp, name) for name in hrvwp.__all__)
+
+
+def test_cli_flags_are_the_readme_table():
+    # the flag table of the "Command line" section, up to the next section
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    documented = re.findall(r"^\| `(--[\w-]+)", section, re.MULTILINE)
+    options = [opt for action in build_parser()._actions if action.dest != "help"
+               for opt in action.option_strings]
+    assert documented == options

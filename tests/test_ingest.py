@@ -10,7 +10,6 @@ from hrvwp.ingest import (
     Group,
     RRParseError,
     RRSeries,
-    detect_format,
     parse_rr_file,
     resample_cubic_spline,
     rr_to_tachogram,
@@ -31,13 +30,14 @@ def is_data(line):
 
 @st.composite
 def rr_files(draw):
-    """(lines, newline, fmt) of a valid RR file with comments, blanks and odd spacing.
+    """(lines, newline) of a valid RR file with comments, blanks and odd spacing.
 
     Half the files are plain (a number per column, nothing else); in the
     others data lines may carry extra tokens, which only the per-line pass
-    accepts.
+    accepts. A one-column file's first data line has no extra token, as it
+    picks the format.
     """
-    fmt = draw(st.sampled_from(["one-column-ms", "two-column-time-ms"]))
+    columns = draw(st.sampled_from([1, 2]))
     extras = st.sampled_from([[], ["17"], ["# note"]] if draw(st.booleans()) else [[]])
     pad = st.sampled_from(["", " ", "  ", "\t", " \t "])
 
@@ -45,18 +45,20 @@ def rr_files(draw):
         v = draw(st.floats(min_value=200.0, max_value=2000.0))
         return draw(st.sampled_from([repr(v), f"{v:.3f}", f"{v:.6e}", f"{v:.0f}"]))
 
-    def data_line():
-        tokens = [number() for _ in range(1 if fmt == "one-column-ms" else 2)]
+    def data_line(first):
+        tokens = [number() for _ in range(columns)]
+        if columns == 2 or not first:
+            tokens += draw(extras)
         sep = draw(st.sampled_from([" ", "\t", "  "]))
-        return draw(pad) + sep.join(tokens + draw(extras)) + draw(pad)
+        return draw(pad) + sep.join(tokens) + draw(pad)
 
     noise = st.sampled_from(["", "   ", "\t", "# comment", "  # indented 1 2", "#"])
     lines = []
-    for _ in range(draw(st.integers(min_value=2, max_value=40))):
+    for k in range(draw(st.integers(min_value=2, max_value=40))):
         lines.extend(draw(st.lists(noise, max_size=2)))
-        lines.append(data_line())
+        lines.append(data_line(first=k == 0))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
-    return lines, newline, fmt
+    return lines, newline
 
 
 def natural_spline_eval(t, y, xs):
@@ -97,11 +99,11 @@ def natural_spline_eval(t, y, xs):
 
 class TestParse:
     def test_one_column(self):
-        series = parse_rr_file("800\n810\n790\n805\n", "one-column-ms")
+        series = parse_rr_file("800\n810\n790\n805\n")
         assert np.array_equal(series.intervals_ms, [800, 810, 790, 805])
 
     def test_two_column_takes_second(self):
-        series = parse_rr_file("0.800 800\n1.610 810\n", "two-column-time-ms")
+        series = parse_rr_file("0.800 800\n1.610 810\n")
         assert np.array_equal(series.intervals_ms, [800, 810])
 
     def test_comments_and_blank_lines_skipped(self):
@@ -128,28 +130,26 @@ class TestParse:
         with pytest.raises(ValueError, match="at least 2"):
             parse_rr_file("800\n")
 
-    def test_unknown_format(self):
-        with pytest.raises(ValueError, match="unknown format"):
-            parse_rr_file("800\n810\n", "csv")
-
     def test_bytes_accepted(self):
         series = parse_rr_file(b"800\n810\n")
         assert len(series) == 2
 
     def test_detect_format(self):
-        assert detect_format("# x\n800\n810\n") == "one-column-ms"
-        assert detect_format("0.8 800\n1.61 810\n") == "two-column-time-ms"
+        # the first data line alone picks the column; later lines may carry
+        # extra tokens
+        assert np.array_equal(parse_rr_file("# x\n800\n810 5\n").intervals_ms, [800, 810])
+        assert np.array_equal(parse_rr_file("0.8 800 x\n1.61 810\n").intervals_ms, [800, 810])
+        with pytest.raises(RRParseError, match="line 2: expected 2 columns"):
+            parse_rr_file("0.8 800\n810\n")
 
     @settings(max_examples=100, deadline=None)
     @given(rr_files(), st.data())
     def test_matches_line_loop(self, generated, data):
-        lines, newline, fmt = generated
+        lines, newline = generated
         text = newline.join(lines) + newline
-        col = 0 if fmt == "one-column-ms" else 1
-        assert np.array_equal(parse_rr_file(text, fmt).intervals_ms, line_loop(text, col))
         first = next(line.split() for line in lines if is_data(line))
-        assert detect_format(text) == (
-            "two-column-time-ms" if len(first) >= 2 else "one-column-ms")
+        col = 1 if len(first) >= 2 else 0  # the first data line picks the column
+        assert np.array_equal(parse_rr_file(text).intervals_ms, line_loop(text, col))
 
         rows = [num for num, line in enumerate(lines, start=1) if is_data(line)]
         bad = data.draw(st.sampled_from(rows))
@@ -157,18 +157,18 @@ class TestParse:
         tokens[col] = data.draw(st.sampled_from(["abc", "8OO", "1,5", "--5"]))
         lines[bad - 1] = "\t".join(tokens)
         with pytest.raises(RRParseError) as err:
-            parse_rr_file(newline.join(lines), fmt)
+            parse_rr_file(newline.join(lines))
         assert err.value.line == bad
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     def test_detect_format_past_the_first_chunk(self, newline):
-        # the first data line starts at every offset up to 1200, so for each
-        # prefix length detect_format may split at, some run cuts that line
-        # (or its CRLF pair) at the prefix end
+        # a comment header of any length up to 1200 characters ahead of the
+        # first data line, which alone picks the column
         for header in range(1200):
             text = f"#{'x' * header}{newline}800 810{newline}900 910{newline}"
-            assert detect_format(text) == "two-column-time-ms", header
-            assert detect_format(text.replace("800 810", "800")) == "one-column-ms", header
+            assert np.array_equal(parse_rr_file(text).intervals_ms, [810, 910]), header
+            one_column = text.replace("800 810", "800")
+            assert np.array_equal(parse_rr_file(one_column).intervals_ms, [800, 900]), header
 
     def test_group_parsing(self):
         assert Group.from_string("control") is Group.CONTROL

@@ -41,7 +41,7 @@ class TestConfig:
         assert echo["config"] == {
             "rate_hz": 4.0, "wavelet_order": 4, "depth": 6,
             "lf_band_hz": [0.03125, 0.15625], "hf_band_hz": [0.15625, 0.40625],
-            "mad_source": "per-band", "detrend": False, "standardize_anova": False,
+            "mad_source": "per-band", "standardize_anova": False,
         }
 
     def test_round_trip(self):
@@ -252,16 +252,6 @@ class TestRunPipeline:
         # same coefficients either way, only the threshold moved
         assert per_band.bands[0].n == first.bands[0].n
 
-    def test_detrend_leaves_band_features_alone(self, write_dataset):
-        # the DC content lives in leaf 0, outside both bands, so mean removal
-        # must not disturb the band features
-        manifest = write_dataset([("d0", "Control", synthetic_rr(300, seed=11))])
-        plain = run_pipeline(manifest, PipelineConfig()).recordings[0]
-        detrended = run_pipeline(manifest, PipelineConfig(detrend=True)).recordings[0]
-        assert detrended.bands[0].n == plain.bands[0].n
-        assert detrended.features.e_lf == pytest.approx(plain.features.e_lf, rel=1e-6)
-        assert detrended.features.e_hf == pytest.approx(plain.features.e_hf, rel=1e-6)
-
     def test_report_round_trip(self, balanced_report):
         _, report = balanced_report
         assert RunReport.from_json(report.to_json()) == report
@@ -269,9 +259,9 @@ class TestRunPipeline:
     def test_report_schema_version(self, balanced_report):
         _, report = balanced_report
         payload = json.loads(report.to_json())
-        assert payload["tool"] == {"name": "hrvwp", "version": hrvwp.__version__, "schema": 3}
-        payload["tool"]["schema"] = 2
-        with pytest.raises(ValueError, match="schema 2"):
+        assert payload["tool"] == {"name": "hrvwp", "version": hrvwp.__version__, "schema": 4}
+        payload["tool"]["schema"] = 3
+        with pytest.raises(ValueError, match="schema 3"):
             RunReport.from_json(json.dumps(payload))
         del payload["tool"]["schema"]
         with pytest.raises(ValueError, match="schema"):
@@ -289,15 +279,44 @@ class TestRunPipeline:
         (lambda d: d["recordings"][0].update(bands={}), "expected a JSON array, got dict"),
         (lambda d: d.update(config=None), "PipelineConfig: expected a JSON object, got NoneType"),
         (lambda d: d["anova"][0]["table"].update(rows="x"), "expected a JSON array, got str"),
+        (lambda d: d["recordings"][0].update(n_intervals="12"),
+         "RecordingReport: key 'n_intervals': expected int, got str"),
+        (lambda d: d["tool"].update(schema=4.0), "ToolInfo: key 'schema': expected int, got float"),
+        (lambda d: d["config"].update(rate_hz="x"),
+         "PipelineConfig: key 'rate_hz': expected float, got str"),
+        (lambda d: d["config"].update(rate_hz=None),
+         "PipelineConfig: key 'rate_hz': expected float, got NoneType"),
+        (lambda d: d["config"].update(depth=True),
+         "PipelineConfig: key 'depth': expected int, got bool"),
+        (lambda d: d["recordings"][0]["bands"][0].update(lam=False),
+         "BandReport: key 'lam': expected float, got bool"),
+        (lambda d: d["config"].update(standardize_anova=0),
+         "PipelineConfig: key 'standardize_anova': expected bool, got int"),
+        (lambda d: d["recordings"][0].update(subject_id=7),
+         "RecordingReport: key 'subject_id': expected str, got int"),
+        (lambda d: d["config"]["lf_band_hz"].__setitem__(0, "0.03"),
+         "PipelineConfig: key 'lf_band_hz': expected float, got str"),
+        (lambda d: d["recordings"][0]["bands"][0]["leaves"].__setitem__(0, 1.0),
+         "BandReport: key 'leaves': expected int, got float"),
     ], ids=["missing-band-key", "unknown-band-key", "missing-tool", "unknown-top-key",
             "missing-config-key", "features-not-object", "bands-not-array",
-            "config-null", "rows-not-array"])
+            "config-null", "rows-not-array", "int-as-string", "schema-as-float",
+            "float-as-string", "float-null", "int-as-bool", "float-as-bool", "bool-as-int",
+            "str-as-int", "tuple-item-kind", "leaf-as-float"])
     def test_report_keys_checked(self, balanced_report, edit, message):
         _, report = balanced_report
         payload = json.loads(report.to_json())
         edit(payload)
         with pytest.raises(ValueError, match=re.escape(message)):
             RunReport.from_json(json.dumps(payload))
+
+    def test_int_accepted_for_float(self, balanced_report):
+        _, report = balanced_report
+        payload = json.loads(report.to_json())
+        payload["config"].update(rate_hz=4, lf_band_hz=[0, 0.15625])
+        config = RunReport.from_json(json.dumps(payload)).config
+        assert config.rate_hz == 4.0
+        assert config.lf_band_hz == (0.0, 0.15625)
 
     @pytest.mark.parametrize("text", ["[]", "3", '"report"', "null"])
     def test_report_not_an_object(self, text):
@@ -331,7 +350,7 @@ class TestEmit:
     def test_csv_outputs(self, balanced_report, tmp_path):
         _, report = balanced_report
         out = tmp_path / "out"
-        written = emit_report(report, "csv", out)
+        written = emit_report(report, out)
         names = {p.name for p in written}
         assert "report.json" in names
         assert "features.csv" in names
@@ -376,23 +395,17 @@ class TestEmit:
                     format(value, ".12g"),
                     "significant" if i in significant else "background",
                 ])
-        emit_report(report, "csv", tmp_path / "out")
+        emit_report(report, tmp_path / "out")
         written = (tmp_path / "out" / "bands_spike.csv").read_bytes()
         assert written == buf.getvalue().encode("utf-8")
 
     def test_json_outputs(self, balanced_report, tmp_path):
+        # report.json is the one JSON output, and it holds the features and
+        # the ANOVA tables the CSV files mirror
         _, report = balanced_report
         out = tmp_path / "json_out"
-        written = emit_report(report, "json", out)
-        names = {p.name for p in written}
-        assert {"report.json", "features.json", "anova_coefficient_stats.json",
-                "anova_energy.json"} <= names
-        features = json.loads((out / "features.json").read_text())
-        assert len(features) == 9
-        assert set(features[0]) == {
-            "subject_id", "group", "std_lf", "mean_lf", "std_hf", "mean_hf",
-            "e_lf", "e_hf", "r_e",
-        }
+        written = emit_report(report, out)
+        assert [p.name for p in written if p.suffix == ".json"] == ["report.json"]
         rebuilt = RunReport.from_json((out / "report.json").read_text())
         assert rebuilt == report
 
@@ -403,7 +416,7 @@ class TestEmit:
         )
         report = run_pipeline(manifest, PipelineConfig())
         out = tmp_path / "empty_out"
-        emit_report(report, "csv", out)
+        emit_report(report, out)
         with open(out / "features.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 1
@@ -411,20 +424,15 @@ class TestEmit:
     def test_skipped_anova_writes_no_table(self, write_dataset, tmp_path):
         manifest = write_dataset([("a0", "Control", synthetic_rr(300, seed=13))])
         report = run_pipeline(manifest, PipelineConfig())
-        written = emit_report(report, "csv", tmp_path / "skip_out")
+        written = emit_report(report, tmp_path / "skip_out")
         assert not any("anova" in p.name for p in written)
-
-    def test_bad_format_rejected(self, balanced_report, tmp_path):
-        _, report = balanced_report
-        with pytest.raises(ValueError):
-            emit_report(report, "xml", tmp_path)
 
     def test_unwritable_output_dir(self, balanced_report, tmp_path):
         _, report = balanced_report
         blocker = tmp_path / "blocked"
         blocker.write_text("a file where the directory should go")
         with pytest.raises(OSError, match="cannot write report"):
-            emit_report(report, "csv", blocker)
+            emit_report(report, blocker)
 
 
 @pytest.fixture(scope="module")
@@ -438,23 +446,20 @@ def cli_reference(tmp_path_factory):
         rows.append(f"data/{subject_id}.txt,{subject_id},{group}")
     rows.append("data/absent.txt,ghost,Unlabeled")
     (tmp / "manifest.csv").write_text("\n".join(["path,subject_id,group", *rows]) + "\n")
-    reference = {}
-    for fmt in ("csv", "json"):
-        assert main(["--manifest", str(tmp / "manifest.csv"), "--out", str(tmp / fmt),
-                     "--format", fmt]) == 1
-        reference[fmt] = {p.name: p.read_bytes() for p in (tmp / fmt).iterdir()}
+    assert main(["--manifest", str(tmp / "manifest.csv"), "--out", str(tmp / "out")]) == 1
+    reference = {p.name: p.read_bytes() for p in (tmp / "out").iterdir()}
     return tmp, rows, reference
 
 
 @settings(max_examples=10, deadline=None)
-@given(order=st.permutations(range(7)), fmt=st.sampled_from(("csv", "json")))
-def test_manifest_row_order_leaves_output_bytes_alone(cli_reference, order, fmt):
+@given(order=st.permutations(range(7)))
+def test_manifest_row_order_leaves_output_bytes_alone(cli_reference, order):
     tmp, rows, reference = cli_reference
     manifest = tmp / "permuted.csv"
     manifest.write_text("\n".join(["path,subject_id,group", *(rows[i] for i in order)]) + "\n")
     with tempfile.TemporaryDirectory(dir=tmp) as out:
-        main(["--manifest", str(manifest), "--out", out, "--format", fmt])
-        assert {p.name: p.read_bytes() for p in Path(out).iterdir()} == reference[fmt]
+        main(["--manifest", str(manifest), "--out", out])
+        assert {p.name: p.read_bytes() for p in Path(out).iterdir()} == reference
 
 
 class TestCli:
@@ -503,26 +508,16 @@ class TestCli:
         assert code == 2
         assert "no level-4 node fits" in capsys.readouterr().err
 
-    def test_json_format_flag(self, write_dataset, tmp_path):
-        manifest = write_dataset(balanced_spec(per_group=2))
-        out = tmp_path / "cli_json"
-        code = main(["--manifest", str(manifest), "--out", str(out),
-                     "--format", "json"])
-        assert code == 0
-        assert (out / "features.json").exists()
-
     def test_flag_overrides_reach_config(self, write_dataset, tmp_path):
         manifest = write_dataset([("f0", "Control", synthetic_rr(400, seed=16))])
         out = tmp_path / "cli_flags"
         code = main(["--manifest", str(manifest), "--out", str(out),
                      "--rate", "2", "--wavelet-order", "2", "--depth", "5",
-                     "--mad-source", "first-level", "--detrend",
-                     "--standardize-anova"])
+                     "--mad-source", "first-level", "--standardize-anova"])
         assert code == 1  # single recording: anova skipped
         config = json.loads((out / "report.json").read_text())["config"]
         assert config["rate_hz"] == 2.0
         assert config["wavelet_order"] == 2
         assert config["depth"] == 5
         assert config["mad_source"] == "first-level"
-        assert config["detrend"] is True
         assert config["standardize_anova"] is True

@@ -194,12 +194,25 @@ class TestPacketTree:
         assert np.array_equal(wpt_reconstruct_nodes(tree, [0]), sig.samples)
 
     def test_constant_signal_maps_to_lowest_leaf(self):
+        # with leaf 0 outside both default bands, a signal's mean never
+        # reaches a band feature, so no mean removal is needed
         sig = UniformSignal(samples=np.full(256, 3.0), rate_hz=4.0)
-        tree = wpt_decompose(sig, 6, daubechies_filters(4))
-        for j in range(1, 64):
-            assert np.max(np.abs(tree.node(6, j).coeffs)) <= 1e-9
-        energy0 = float(np.dot(tree.node(6, 0).coeffs, tree.node(6, 0).coeffs))
-        assert energy0 == pytest.approx(np.dot(sig.samples, sig.samples), rel=1e-12)
+        for order in range(1, 11):
+            tree = wpt_decompose(sig, 6, daubechies_filters(order))
+            for j in range(1, 64):
+                assert np.max(np.abs(tree.node(6, j).coeffs)) <= 1e-9, (order, j)
+            energy0 = float(np.dot(tree.node(6, 0).coeffs, tree.node(6, 0).coeffs))
+            assert energy0 == pytest.approx(np.dot(sig.samples, sig.samples), rel=1e-12), order
+        fitting = 0
+        for level in range(MAX_DEPTH + 1):
+            for band in ("LF", "HF"):
+                try:
+                    leaves = band_nodes(band, level, 4.0)
+                except ValueError:  # no whole leaf of this level fits the band
+                    continue
+                fitting += 1
+                assert 0 not in leaves, (band, level)
+        assert fitting == (MAX_DEPTH - 4) + (MAX_DEPTH - 3)  # LF from level 5, HF from 4
 
     def test_sinusoid_017hz_lands_in_leaf_5(self):
         sig = UniformSignal(samples=tone(0.17), rate_hz=4.0)
