@@ -9,7 +9,6 @@ band features -> balanced two-way ANOVA across subject groups.
 __version__ = "0.1.0"
 
 from .features import extract_features
-from .ingest import UniformSignal
 from .pipeline import PipelineConfig, RunReport, emit_report, run_pipeline
 from .threshold import threshold_band
 from .wavelet import band_nodes, daubechies_filters, wpt_decompose
@@ -18,6 +17,6 @@ from .wavelet import band_nodes, daubechies_filters, wpt_decompose
 # else is imported from its submodule (hrvwp.ingest, hrvwp.wavelet, ...)
 __all__ = [
     "PipelineConfig", "run_pipeline", "emit_report", "RunReport",
-    "UniformSignal", "daubechies_filters", "wpt_decompose", "band_nodes",
+    "daubechies_filters", "wpt_decompose", "band_nodes",
     "threshold_band", "extract_features",
 ]

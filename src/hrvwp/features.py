@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import Group
 from .threshold import BandReport
 
 __all__ = ["FeatureVector", "FeatureError", "extract_features"]
@@ -32,16 +31,9 @@ class FeatureVector:
     e_lf: float
     e_hf: float
     r_e: float
-    subject_id: str = ""
-    group: Group = Group.UNLABELED
 
 
-def extract_features(
-    lf: BandReport,
-    hf: BandReport,
-    subject_id: str = "",
-    group: Group = Group.UNLABELED,
-) -> FeatureVector:
+def extract_features(lf: BandReport, hf: BandReport) -> FeatureVector:
     """Build the feature vector from the two thresholded bands.
 
     All statistics use the background coefficients; std is the population
@@ -63,6 +55,4 @@ def extract_features(
         e_lf=lf.energy_background,
         e_hf=hf.energy_background,
         r_e=lf.energy_background / hf.energy_background,
-        subject_id=subject_id,
-        group=group,
     )

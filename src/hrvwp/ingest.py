@@ -9,15 +9,12 @@ a natural cubic spline and sampled at a fixed rate (4 Hz by default).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 __all__ = [
     "Group",
-    "RRSeries",
-    "UniformSignal",
     "RRParseError",
     "parse_rr_file",
     "rr_to_tachogram",
@@ -53,46 +50,6 @@ class RRParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True, eq=False)
-class RRSeries:
-    """Ordered RR intervals (ms) for one recording."""
-
-    intervals_ms: np.ndarray
-    subject_id: str = ""
-    group: Group = Group.UNLABELED
-
-    def __post_init__(self):
-        arr = np.asarray(self.intervals_ms, dtype=float)
-        object.__setattr__(self, "intervals_ms", arr)
-        if arr.ndim != 1 or arr.size < 2:
-            raise ValueError("RR series needs at least 2 intervals")
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-            raise ValueError("RR intervals must be finite and positive")
-
-    def __len__(self) -> int:
-        return int(self.intervals_ms.size)
-
-
-@dataclass(frozen=True, eq=False)
-class UniformSignal:
-    """Evenly sampled tachogram: RR value in ms on a fixed-rate grid."""
-
-    samples: np.ndarray
-    rate_hz: float
-    t0_s: float = 0.0
-
-    def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=float)
-        object.__setattr__(self, "samples", arr)
-        if arr.ndim != 1 or arr.size < 2:
-            raise ValueError("uniform signal needs at least 2 samples")
-        if not self.rate_hz > 0.0:
-            raise ValueError("sampling rate must be positive")
-
-    def __len__(self) -> int:
-        return int(self.samples.size)
-
-
 def _parse_lines(text: str, col: int) -> list[float]:
     """Column col of every data line, raising RRParseError at the first bad line."""
     values = []
@@ -125,12 +82,8 @@ def _parse_plain(kept: list[str], col: int) -> np.ndarray | None:
     return table[:, col].copy() if table.ndim == 2 and table.shape[1] > col else None
 
 
-def parse_rr_file(
-    text: str | bytes,
-    subject_id: str = "",
-    group: Group = Group.UNLABELED,
-) -> RRSeries:
-    """Parse an RR-interval text file into an RRSeries.
+def parse_rr_file(text: str | bytes) -> np.ndarray:
+    """Parse an RR-interval text file into its intervals (ms), in file order.
 
     Two formats are accepted: one RR interval (ms) per line, or two
     whitespace-separated columns (beat time, RR in ms) where only the second
@@ -153,13 +106,13 @@ def parse_rr_file(
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
         bad = int(np.flatnonzero(~np.isfinite(arr) | (arr <= 0.0))[0])
         raise ValueError(f"non-positive RR interval at position {bad + 1}: {arr[bad]}")
-    return RRSeries(intervals_ms=arr, subject_id=subject_id, group=group)
+    return arr
 
 
-def rr_to_tachogram(series: RRSeries) -> tuple[np.ndarray, np.ndarray]:
+def rr_to_tachogram(rr_ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Return (beat_times_s, rr_values_ms): beat k at cumsum(intervals)/1000."""
-    times = np.cumsum(series.intervals_ms) / 1000.0
-    return times, series.intervals_ms.copy()
+    rr = np.asarray(rr_ms, dtype=float)
+    return np.cumsum(rr) / 1000.0, rr
 
 
 def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -195,12 +148,13 @@ def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np
 
 def resample_cubic_spline(
     times_s: np.ndarray, values: np.ndarray, rate_hz: float
-) -> UniformSignal:
+) -> np.ndarray:
     """Resample irregular (time, value) points to a uniform grid.
 
     Fits a natural cubic spline (zero second derivative at both ends) through
-    all points and evaluates it at t0, t0 + 1/rate, ... up to the last knot.
-    No extrapolation: the output ends at the last input time.
+    all points and returns its values at t0, t0 + 1/rate, ... up to the last
+    knot, where t0 is the first input time. No extrapolation: the output ends
+    at the last input time.
     """
     t = np.asarray(times_s, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -242,11 +196,11 @@ def resample_cubic_spline(
     for coef in (0.5 * m, slope - h * (2.0 * m[:-1] + m[1:]) / 6.0, v):
         samples *= dx
         samples += np.take(coef, i, out=gathered, mode="clip")
-    return UniformSignal(samples=samples, rate_hz=rate_hz, t0_s=float(t[0]))
+    return samples
 
 
-def truncate_to_block(signal: UniformSignal, depth: int) -> UniformSignal:
-    """Truncate to the largest multiple of 2**depth samples (tail dropped).
+def truncate_to_block(samples: np.ndarray, depth: int) -> np.ndarray:
+    """The leading largest multiple of 2**depth samples, as a view (tail dropped).
 
     Truncation rather than zero padding: an artificial step edge would show
     up as spurious significant coefficients after thresholding.
@@ -254,14 +208,10 @@ def truncate_to_block(signal: UniformSignal, depth: int) -> UniformSignal:
     if depth < 0:
         raise ValueError("depth must be >= 0")
     block = 2 ** depth
-    keep = (len(signal) // block) * block
+    keep = (len(samples) // block) * block
     if keep < block or keep < 2:
         raise ValueError(
-            f"signal of {len(signal)} samples too short for depth {depth} "
+            f"signal of {len(samples)} samples too short for depth {depth} "
             f"(needs at least {max(block, 2)})"
         )
-    if keep == len(signal):
-        return signal
-    return UniformSignal(
-        samples=signal.samples[:keep], rate_hz=signal.rate_hz, t0_s=signal.t0_s
-    )
+    return samples[:keep]

@@ -16,7 +16,7 @@ import functools
 import io
 import json
 import re
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 from types import NoneType, UnionType
@@ -67,7 +67,7 @@ FEATURE_COLUMNS = ("subject_id", "group", "std_lf", "mean_lf", "std_hf", "mean_h
 MAD_SOURCES = ("per-band", "first-level")
 CSV_FLOAT_DIGITS = 12
 # layout version of report.json, written as tool.schema and checked on reading
-REPORT_SCHEMA = 4
+REPORT_SCHEMA = 5
 
 _FEATURE_BY_COLUMN = {
     "STDLF": "std_lf",
@@ -116,9 +116,11 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class RecordingReport:
+    """One recording's identity and result; status is "failed" exactly when error is set."""
+
     subject_id: str
-    group: str
-    status: str  # "ok" | "failed"
+    group: Group
+    status: str = field(init=False)
     error: str | None = None
     n_intervals: int | None = None
     n_resampled: int | None = None
@@ -126,16 +128,24 @@ class RecordingReport:
     features: FeatureVector | None = None
     bands: tuple[BandReport, ...] = ()
 
+    def __post_init__(self):
+        object.__setattr__(self, "status", "ok" if self.error is None else "failed")
+
 
 @dataclass(frozen=True)
 class AnovaReport:
+    """One ANOVA table; status is "ok" exactly when table is set, else "skipped"."""
+
     name: str
-    status: str  # "ok" | "skipped"
+    status: str = field(init=False)
     reason: str | None = None
     row_labels: tuple[str, ...] = ()
     column_labels: tuple[str, ...] = ()
     replicates: int | None = None
     table: AnovaTable | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "status", "skipped" if self.table is None else "ok")
 
 
 @dataclass(frozen=True)
@@ -246,7 +256,11 @@ def _decode(tp, data, where: str = "report"):
             raise ValueError(f"{where}: expected a JSON array, got {type(data).__name__}")
         return tuple(_decode(get_args(tp)[0], x, where) for x in data)
     if isinstance(tp, type) and issubclass(tp, Enum):
-        return tp(data)
+        try:
+            return tp(data)
+        except ValueError:
+            raise ValueError(f"{where}: expected one of {[m.value for m in tp]}, "
+                             f"got {data!r}") from None
     return data
 
 
@@ -297,8 +311,8 @@ def process_recording(
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
-        series = parse_rr_file(text, subject_id=subject_id, group=group)
-        times, values = rr_to_tachogram(series)
+        rr_ms = parse_rr_file(text)
+        times, values = rr_to_tachogram(rr_ms)
         signal = resample_cubic_spline(times, values, config.rate_hz)
         n_resampled = len(signal)
         signal = truncate_to_block(signal, config.depth)
@@ -309,32 +323,28 @@ def process_recording(
         mad_coeffs = None
         if config.mad_source == "first-level":
             # finest-detail convention: noise scale from the level-1 high-pass node
-            mad_coeffs = tree.node(1, 1).coeffs
+            mad_coeffs = tree.node(1, 1)
 
         bands = tuple(
             threshold_band(
-                np.concatenate([tree.node(config.depth, j).coeffs for j in leaf_ids]),
+                np.concatenate([tree.node(config.depth, j) for j in leaf_ids]),
                 band=band, leaf_ids=leaf_ids, mad_coeffs=mad_coeffs,
             )
             for band, leaf_ids in _band_leaves(config)
         )
 
-        feats = extract_features(*bands, subject_id=subject_id, group=group)
         return RecordingReport(
             subject_id=subject_id,
-            group=group.value,
-            status="ok",
-            n_intervals=len(series),
+            group=group,
+            n_intervals=len(rr_ms),
             n_resampled=n_resampled,
             n_analyzed=len(signal),
-            features=feats,
+            features=extract_features(*bands),
             bands=bands,
         )
     except (ValueError, OSError) as exc:
-        return RecordingReport(
-            subject_id=subject_id, group=group.value, status="failed",
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return RecordingReport(subject_id=subject_id, group=group,
+                               error=f"{type(exc).__name__}: {exc}")
 
 
 def _anova_report(
@@ -344,30 +354,28 @@ def _anova_report(
     standardize: bool,
 ) -> AnovaReport:
     """Assemble a balanced groups x columns grid and run the ANOVA."""
-    by_group: dict[Group, list[FeatureVector]] = {}
+    by_group: dict[Group, list[RecordingReport]] = {}
     for rec in completed:
-        feats = rec.features
-        if feats.group is Group.UNLABELED:
-            continue
-        by_group.setdefault(feats.group, []).append(feats)
+        by_group.setdefault(rec.group, []).append(rec)
 
+    # unlabeled recordings are analyzed but form no row
     groups = [g for g in (Group.CONTROL, Group.VT, Group.VF) if g in by_group]
     if len(groups) < 2:
-        return AnovaReport(name, "skipped", reason="insufficient design: needs >= 2 labeled groups")
+        return AnovaReport(name, reason="insufficient design: needs >= 2 labeled groups")
     counts = {g: len(by_group[g]) for g in groups}
     if len(set(counts.values())) != 1:
         detail = ", ".join(f"{g.value}={n}" for g, n in counts.items())
-        return AnovaReport(name, "skipped", reason=f"unbalanced design: {detail}")
+        return AnovaReport(name, reason=f"unbalanced design: {detail}")
     k = counts[groups[0]]
     if k < 2:
-        return AnovaReport(name, "skipped", reason="insufficient design: needs >= 2 subjects per group")
+        return AnovaReport(name, reason="insufficient design: needs >= 2 subjects per group")
 
     # replicate order fixed by subject_id so the result is manifest-order independent
     grid = np.array(
         [
             [
-                [getattr(f, _FEATURE_BY_COLUMN[col]) for f in
-                 sorted(by_group[g], key=lambda f: f.subject_id)]
+                [getattr(r.features, _FEATURE_BY_COLUMN[col]) for r in
+                 sorted(by_group[g], key=lambda r: r.subject_id)]
                 for col in columns
             ]
             for g in groups
@@ -377,15 +385,15 @@ def _anova_report(
         flat = grid.transpose(1, 0, 2).reshape(len(columns), -1)
         std = flat.std(axis=1)
         if np.any(std == 0.0):
-            return AnovaReport(name, "skipped", reason="standardization undefined: constant feature column")
+            return AnovaReport(name, reason="standardization undefined: constant feature column")
         grid = (grid - flat.mean(axis=1)[None, :, None]) / std[None, :, None]
 
     try:
         table = anova_two_way(FactorialData(grid))
     except DegenerateDataError as exc:
-        return AnovaReport(name, "skipped", reason=str(exc))
+        return AnovaReport(name, reason=str(exc))
     return AnovaReport(
-        name, "ok",
+        name,
         row_labels=tuple(g.value for g in groups),
         column_labels=columns,
         replicates=k,
@@ -482,9 +490,11 @@ def emit_report(report: RunReport, out_dir=".") -> set[Path]:
         path.write_text(report.to_json() + "\n", encoding="utf-8")
         written.add(path)
 
-        features = [_encode(r.features) for r in report.recordings if r.features is not None]
         path = out / "features.csv"
-        _write_csv(path, FEATURE_COLUMNS, [[f[k] for k in FEATURE_COLUMNS] for f in features])
+        _write_csv(path, FEATURE_COLUMNS, [
+            [r.subject_id, r.group.value, *(getattr(r.features, k) for k in FEATURE_COLUMNS[2:])]
+            for r in report.recordings if r.features is not None
+        ])
         written.add(path)
 
         for a in report.anova:

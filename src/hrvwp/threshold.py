@@ -10,7 +10,7 @@ on both sides (this separates, it does not shrink or denoise).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import log, sqrt
+from math import inf, log, sqrt
 
 import numpy as np
 
@@ -53,8 +53,8 @@ class BandReport:
     significant: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.lam < 0.0:
-            raise ValueError("threshold must be non-negative")
+        if not 0.0 <= self.lam < inf:  # also false for NaN
+            raise ValueError(f"threshold must be finite and non-negative, got {self.lam}")
         values, leaves = np.array(self.values, dtype=float), tuple(self.leaves)
         if values.ndim != 1 or not leaves or values.size % len(leaves):
             raise ValueError("the band values must divide evenly over the leaves")

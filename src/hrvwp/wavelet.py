@@ -22,11 +22,8 @@ from math import ceil, comb, floor, sqrt
 
 import numpy as np
 
-from .ingest import UniformSignal
-
 __all__ = [
     "QuadFilterBank",
-    "WpNode",
     "WpTree",
     "daubechies_filters",
     "analysis_step",
@@ -188,22 +185,14 @@ def _gray(freq_index: int) -> int:
     return freq_index ^ (freq_index >> 1)
 
 
-@dataclass(frozen=True, eq=False)
-class WpNode:
-    """One packet node: frequency-ordered index within its level."""
-
-    level: int
-    index: int
-    coeffs: np.ndarray
-
-
 class WpTree:
     """Full wavelet packet coefficient tree down to a fixed depth.
 
     Level 0 holds the original signal; every node at level m splits into two
     children at level m+1, so each full level is an orthogonal transform of
     the signal. Level m is stored as one (2**m, N/2**m) array whose rows are
-    the nodes in natural order; node lookup is by frequency-ordered index.
+    the nodes in natural order; node lookup is by frequency-ordered index
+    and returns that node's coefficients (a row view of its level).
     """
 
     def __init__(self, levels_natural: list[np.ndarray], bank: QuadFilterBank):
@@ -211,19 +200,19 @@ class WpTree:
         self.depth = len(levels_natural) - 1
         self.bank = bank
 
-    def node(self, level: int, index: int) -> WpNode:
+    def node(self, level: int, index: int) -> np.ndarray:
         if not 0 <= level <= self.depth:
             raise ValueError(f"level must be in [0, {self.depth}], got {level}")
         if not 0 <= index < 2 ** level:
             raise ValueError(
                 f"index must be in [0, {2 ** level - 1}] at level {level}, got {index}"
             )
-        return WpNode(level, index, self._levels[level][_gray(index)])
+        return self._levels[level][_gray(index)]
 
-    def level_nodes(self, level: int) -> list[WpNode]:
+    def level_nodes(self, level: int) -> list[np.ndarray]:
         return [self.node(level, j) for j in range(2 ** level)]
 
-    def leaves(self) -> list[WpNode]:
+    def leaves(self) -> list[np.ndarray]:
         return self.level_nodes(self.depth)
 
     def level_energy(self, level: int) -> float:
@@ -231,19 +220,20 @@ class WpTree:
         return float(np.dot(flat, flat))
 
 
-def wpt_decompose(signal: UniformSignal, depth: int, bank: QuadFilterBank) -> WpTree:
-    """Decompose a uniform signal into a full packet tree of the given depth.
+def wpt_decompose(signal: np.ndarray, depth: int, bank: QuadFilterBank) -> WpTree:
+    """Decompose uniformly sampled signal values into a full packet tree of the given depth.
 
     One analysis_step call per level: node i of a level becomes rows 2i
     (approx) and 2i+1 (detail) of the next.
     """
-    x = np.asarray(signal.samples, dtype=float)
+    x = np.asarray(signal, dtype=float)
     if depth < 0:
         raise ValueError("depth must be >= 0")
     block = 2 ** depth
-    if x.size == 0 or x.size % block != 0:
+    if x.ndim != 1 or x.size == 0 or x.size % block != 0:
         raise ValueError(
-            f"signal length {x.size} is not a positive multiple of 2**{depth}"
+            f"signal of shape {x.shape} is not 1-d with a length that is a "
+            f"positive multiple of 2**{depth}"
         )
     levels = [x.reshape(1, -1).copy()]
     for _ in range(depth):

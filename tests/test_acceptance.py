@@ -22,7 +22,6 @@ import pytest
 from hrvwp import (
     PipelineConfig,
     RunReport,
-    UniformSignal,
     band_nodes,
     daubechies_filters,
     emit_report,
@@ -143,15 +142,12 @@ def grid_with_prescribed_ss(shape, ss):
 
 def analyze_samples(samples, config=PipelineConfig()):
     """Post-ingest chain on raw samples: decompose, threshold, features."""
-    signal = truncate_to_block(
-        UniformSignal(samples=np.asarray(samples, float), rate_hz=config.rate_hz),
-        config.depth,
-    )
+    signal = truncate_to_block(np.asarray(samples, float), config.depth)
     tree = wpt_decompose(signal, config.depth, daubechies_filters(config.wavelet_order))
     splits = {}
     for band, edges in (("LF", config.lf_band_hz), ("HF", config.hf_band_hz)):
         leaves = band_nodes(band, config.depth, config.rate_hz, edges)
-        chunks = [tree.node(config.depth, j).coeffs for j in leaves]
+        chunks = [tree.node(config.depth, j) for j in leaves]
         splits[band] = threshold_band(np.concatenate(chunks), leaf_ids=leaves, band=band)
     return extract_features(splits["LF"], splits["HF"]), splits
 
@@ -167,7 +163,7 @@ def test_c02_perfect_reconstruction_corpus(order):
     rng = np.random.default_rng(2024)
     for _ in range(100):
         x = rng.standard_normal(1024)
-        tree = wpt_decompose(UniformSignal(samples=x, rate_hz=4.0), 6, bank)
+        tree = wpt_decompose(x, 6, bank)
         out = wpt_reconstruct_nodes(tree, range(64))
         assert np.max(np.abs(out - x)) < 1e-10 * np.max(np.abs(x))
 
@@ -178,7 +174,7 @@ def test_c03_parseval_every_level(order):
     rng = np.random.default_rng(2024)
     for _ in range(100):
         x = rng.standard_normal(1024)
-        tree = wpt_decompose(UniformSignal(samples=x, rate_hz=4.0), 6, bank)
+        tree = wpt_decompose(x, 6, bank)
         energy = float(np.dot(x, x))
         for level in range(1, 7):
             assert abs(tree.level_energy(level) - energy) < 1e-9 * energy
@@ -188,9 +184,8 @@ def test_c03_parseval_every_level(order):
 def test_c04_frequency_ordering(slot):
     freq = (slot + 0.5) * 4.0 / 2 ** 7
     samples = np.sin(2 * np.pi * freq * np.arange(1024) / 4.0)
-    tree = wpt_decompose(UniformSignal(samples=samples, rate_hz=4.0), 6,
-                         daubechies_filters(4))
-    energies = [float(np.dot(n.coeffs, n.coeffs)) for n in tree.leaves()]
+    tree = wpt_decompose(samples, 6, daubechies_filters(4))
+    energies = [float(np.dot(n, n)) for n in tree.leaves()]
     assert int(np.argmax(energies)) == slot
 
 
@@ -305,12 +300,12 @@ def test_c09_determinism_and_scale_law(tmp_path):
 
     # scale law on the uniform tachogram amplitudes (doubling raw RR intervals
     # would also stretch the beat times and move spectral content downward)
-    from hrvwp.ingest import RRSeries, resample_cubic_spline, rr_to_tachogram
+    from hrvwp.ingest import resample_cubic_spline, rr_to_tachogram
 
-    times, values = rr_to_tachogram(RRSeries(rr))
+    times, values = rr_to_tachogram(rr)
     signal = resample_cubic_spline(times, values, 4.0)
-    base_feats, base_splits = analyze_samples(signal.samples)
-    scaled_feats, scaled_splits = analyze_samples(2.0 * signal.samples)
+    base_feats, base_splits = analyze_samples(signal)
+    scaled_feats, scaled_splits = analyze_samples(2.0 * signal)
 
     assert scaled_feats.e_lf == pytest.approx(4.0 * base_feats.e_lf, rel=1e-9)
     assert scaled_feats.e_hf == pytest.approx(4.0 * base_feats.e_hf, rel=1e-9)

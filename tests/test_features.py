@@ -1,3 +1,4 @@
+from dataclasses import fields
 from math import log, sqrt
 
 import numpy as np
@@ -5,15 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hrvwp import (
-    UniformSignal,
-    daubechies_filters,
-    extract_features,
-    threshold_band,
-    wpt_decompose,
-)
+from hrvwp import daubechies_filters, extract_features, threshold_band, wpt_decompose
 from hrvwp.features import FeatureError
-from hrvwp.ingest import Group
 from hrvwp.threshold import BandReport
 from hrvwp.wavelet import band_nodes
 
@@ -49,8 +43,6 @@ class TestExtractFeatures:
         feats = extract_features(
             split_all_background([1.0, -1.0], band="LF"),
             split_all_background([2.0], band="HF"),
-            subject_id="s1",
-            group=Group.VT,
         )
         assert feats.mean_lf == 0.0
         assert feats.std_lf == 1.0
@@ -59,7 +51,9 @@ class TestExtractFeatures:
         assert feats.std_hf == 0.0
         assert feats.e_hf == 4.0
         assert feats.r_e == 0.5
-        assert feats.subject_id == "s1" and feats.group is Group.VT
+        # the features alone: a recording's identity is kept on its RecordingReport
+        assert [f.name for f in fields(feats)] == [
+            "std_lf", "mean_lf", "std_hf", "mean_hf", "e_lf", "e_hf", "r_e"]
 
     def test_significant_coefficients_left_out(self):
         feats = extract_features(split([1.0, -1.0, 10.0, -1.0], 2.0, band="LF"),
@@ -176,13 +170,11 @@ class TestEndToEndOracle:
     def test_two_tone_band_energies_match_naive_chain(self):
         t = np.arange(1024) / 4.0
         samples = np.sin(2 * np.pi * 0.1 * t) + np.sin(2 * np.pi * 0.3 * t)
-        signal = UniformSignal(samples=samples, rate_hz=4.0)
-
-        tree = wpt_decompose(signal, 6, daubechies_filters(4))
+        tree = wpt_decompose(samples, 6, daubechies_filters(4))
         splits = {}
         for band in ("LF", "HF"):
             leaves = band_nodes(band, 6, 4.0)
-            chunks = [tree.node(6, j).coeffs for j in leaves]
+            chunks = [tree.node(6, j) for j in leaves]
             splits[band] = threshold_band(np.concatenate(chunks), leaf_ids=leaves, band=band)
         feats = extract_features(splits["LF"], splits["HF"])
 
@@ -193,21 +185,19 @@ class TestEndToEndOracle:
     def test_amplitude_scaling_law(self):
         rng = np.random.default_rng(12)
         samples = rng.standard_normal(512) * 40.0 + 800.0
-        signal = UniformSignal(samples=samples, rate_hz=4.0)
-        scaled = UniformSignal(samples=3.0 * samples, rate_hz=4.0)
 
         def run(sig):
             tree = wpt_decompose(sig, 6, daubechies_filters(4))
             splits = {}
             for band in ("LF", "HF"):
                 leaves = band_nodes(band, 6, 4.0)
-                chunks = [tree.node(6, j).coeffs for j in leaves]
+                chunks = [tree.node(6, j) for j in leaves]
                 splits[band] = threshold_band(np.concatenate(chunks), leaf_ids=leaves,
                                               band=band)
             return extract_features(splits["LF"], splits["HF"]), splits
 
-        base, base_splits = run(signal)
-        big, big_splits = run(scaled)
+        base, base_splits = run(samples)
+        big, big_splits = run(3.0 * samples)
         assert big.e_lf == pytest.approx(9.0 * base.e_lf, rel=1e-9)
         assert big.e_hf == pytest.approx(9.0 * base.e_hf, rel=1e-9)
         assert big.r_e == pytest.approx(base.r_e, rel=1e-9)

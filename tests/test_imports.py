@@ -3,8 +3,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import hrvwp
 from hrvwp.cli import build_parser
+from hrvwp.features import FeatureVector
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = str(Path(hrvwp.__file__).resolve().parents[1])
@@ -35,3 +38,19 @@ def test_cli_flags_are_the_readme_table():
     options = [opt for action in build_parser()._actions if action.dest != "help"
                for opt in action.option_strings]
     assert documented == options
+
+
+def test_readme_library_use_runs(tmp_path, monkeypatch):
+    # the block reads tachogram.txt from the working directory
+    section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    t = np.arange(1024) / 4.0
+    samples = 800.0 + 40.0 * np.sin(2 * np.pi * 0.1 * t) + 25.0 * np.sin(2 * np.pi * 0.3 * t)
+    np.savetxt(tmp_path / "tachogram.txt", samples)
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    features, bands = namespace["features"], namespace["bands"]
+    assert isinstance(features, FeatureVector)
+    assert bands["LF"].leaves == (1, 2, 3, 4) and bands["HF"].leaves == tuple(range(5, 13))
+    assert features.e_lf > 0.0 and features.e_hf > 0.0

@@ -5,11 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrvwp import UniformSignal
 from hrvwp.ingest import (
     Group,
     RRParseError,
-    RRSeries,
     parse_rr_file,
     resample_cubic_spline,
     rr_to_tachogram,
@@ -99,16 +97,15 @@ def natural_spline_eval(t, y, xs):
 
 class TestParse:
     def test_one_column(self):
-        series = parse_rr_file("800\n810\n790\n805\n")
-        assert np.array_equal(series.intervals_ms, [800, 810, 790, 805])
+        rr = parse_rr_file("800\n810\n790\n805\n")
+        assert rr.dtype == np.float64
+        assert np.array_equal(rr, [800, 810, 790, 805])
 
     def test_two_column_takes_second(self):
-        series = parse_rr_file("0.800 800\n1.610 810\n")
-        assert np.array_equal(series.intervals_ms, [800, 810])
+        assert np.array_equal(parse_rr_file("0.800 800\n1.610 810\n"), [800, 810])
 
     def test_comments_and_blank_lines_skipped(self):
-        series = parse_rr_file("# header\n\n800\n# mid\n810\n")
-        assert len(series) == 2
+        assert len(parse_rr_file("# header\n\n800\n# mid\n810\n")) == 2
 
     def test_non_numeric_reports_line(self):
         with pytest.raises(RRParseError, match="line 2"):
@@ -131,14 +128,13 @@ class TestParse:
             parse_rr_file("800\n")
 
     def test_bytes_accepted(self):
-        series = parse_rr_file(b"800\n810\n")
-        assert len(series) == 2
+        assert len(parse_rr_file(b"800\n810\n")) == 2
 
     def test_detect_format(self):
         # the first data line alone picks the column; later lines may carry
         # extra tokens
-        assert np.array_equal(parse_rr_file("# x\n800\n810 5\n").intervals_ms, [800, 810])
-        assert np.array_equal(parse_rr_file("0.8 800 x\n1.61 810\n").intervals_ms, [800, 810])
+        assert np.array_equal(parse_rr_file("# x\n800\n810 5\n"), [800, 810])
+        assert np.array_equal(parse_rr_file("0.8 800 x\n1.61 810\n"), [800, 810])
         with pytest.raises(RRParseError, match="line 2: expected 2 columns"):
             parse_rr_file("0.8 800\n810\n")
 
@@ -149,7 +145,7 @@ class TestParse:
         text = newline.join(lines) + newline
         first = next(line.split() for line in lines if is_data(line))
         col = 1 if len(first) >= 2 else 0  # the first data line picks the column
-        assert np.array_equal(parse_rr_file(text).intervals_ms, line_loop(text, col))
+        assert np.array_equal(parse_rr_file(text), line_loop(text, col))
 
         rows = [num for num, line in enumerate(lines, start=1) if is_data(line)]
         bad = data.draw(st.sampled_from(rows))
@@ -166,9 +162,9 @@ class TestParse:
         # first data line, which alone picks the column
         for header in range(1200):
             text = f"#{'x' * header}{newline}800 810{newline}900 910{newline}"
-            assert np.array_equal(parse_rr_file(text).intervals_ms, [810, 910]), header
+            assert np.array_equal(parse_rr_file(text), [810, 910]), header
             one_column = text.replace("800 810", "800")
-            assert np.array_equal(parse_rr_file(one_column).intervals_ms, [800, 900]), header
+            assert np.array_equal(parse_rr_file(one_column), [800, 900]), header
 
     def test_group_parsing(self):
         assert Group.from_string("control") is Group.CONTROL
@@ -179,22 +175,29 @@ class TestParse:
 
 class TestTachogram:
     def test_constant_intervals(self):
-        times, values = rr_to_tachogram(RRSeries(np.array([1000.0, 1000.0, 1000.0])))
+        times, values = rr_to_tachogram(np.array([1000.0, 1000.0, 1000.0]))
         assert np.allclose(times, [1.0, 2.0, 3.0])
         assert np.array_equal(values, [1000, 1000, 1000])
 
     def test_cumulative_sum(self):
-        times, values = rr_to_tachogram(RRSeries(np.array([800.0, 810.0])))
+        rr = np.array([800.0, 810.0])
+        times, values = rr_to_tachogram(rr)
         assert np.allclose(times, [0.8, 1.61])
         assert np.array_equal(values, [800, 810])
+        assert values is rr  # the values are the intervals themselves, not a copy
 
     def test_single_interval_rejected(self):
-        with pytest.raises(ValueError):
-            RRSeries(np.array([500.0]))
+        # the chain rejects one interval: when parsing a file, and when
+        # resampling a tachogram built from an array
+        with pytest.raises(ValueError, match="at least 2"):
+            parse_rr_file("500\n")
+        times, values = rr_to_tachogram(np.array([500.0]))
+        with pytest.raises(ValueError, match="at least 2"):
+            resample_cubic_spline(times, values, 4.0)
 
     @given(st.lists(st.floats(min_value=200.0, max_value=2000.0), min_size=2, max_size=60))
     def test_times_strictly_increase(self, intervals):
-        times, _ = rr_to_tachogram(RRSeries(np.array(intervals)))
+        times, _ = rr_to_tachogram(np.array(intervals))
         assert np.all(np.diff(times) > 0.0)
 
 
@@ -202,13 +205,13 @@ class TestResample:
     def test_linear_reproduction(self):
         t = np.array([0.0, 0.7, 1.3, 2.9, 4.0])
         sig = resample_cubic_spline(t, 2.0 * t, 4.0)
-        grid = sig.t0_s + np.arange(len(sig)) / sig.rate_hz
-        assert np.allclose(sig.samples, 2.0 * grid, rtol=1e-9, atol=1e-12)
+        grid = t[0] + np.arange(len(sig)) / 4.0
+        assert np.allclose(sig, 2.0 * grid, rtol=1e-9, atol=1e-12)
 
     def test_constant_reproduction(self):
         t = np.array([0.0, 0.5, 1.7, 3.0])
         sig = resample_cubic_spline(t, np.full(4, 7.0), 4.0)
-        assert np.allclose(sig.samples, 7.0, rtol=1e-9)
+        assert np.allclose(sig, 7.0, rtol=1e-9)
 
     # 2 knots need no solve; 3, 4, 5, 64, 65 and 1000 knots leave 1, 2, 3,
     # 62, 63 and 998 unknowns, so the cyclic reduction meets odd and even
@@ -219,21 +222,24 @@ class TestResample:
         y = rng.uniform(-1.0, 1.0, knots)
         # on unit-spaced knots the 1 Hz grid is the knots themselves
         sig = resample_cubic_spline(np.arange(knots, dtype=float), y, 1.0)
-        assert np.allclose(sig.samples, y, rtol=1e-9, atol=1e-12)
+        assert np.allclose(sig, y, rtol=1e-9, atol=1e-12)
         # non-uniform knots: full 4 Hz grid against the independent solve
         t = np.concatenate([[0.3], 0.3 + np.cumsum(rng.uniform(0.2, 1.5, knots - 1))])
         sig4 = resample_cubic_spline(t, y, 4.0)
-        grid = sig4.t0_s + np.arange(len(sig4)) / 4.0
-        assert np.allclose(sig4.samples, natural_spline_eval(t, y, grid),
+        grid = t[0] + np.arange(len(sig4)) / 4.0
+        assert np.allclose(sig4, natural_spline_eval(t, y, grid),
                            rtol=1e-9, atol=1e-12)
 
     def test_no_extrapolation_past_last_knot(self):
         sig = resample_cubic_spline(np.array([0.0, 1.1]), np.array([1.0, 2.0]), 4.0)
-        assert sig.t0_s + (len(sig) - 1) / 4.0 <= 1.1 + 1e-12
+        assert (len(sig) - 1) / 4.0 <= 1.1 + 1e-12
 
     def test_nonzero_start_time(self):
+        # the grid starts at the first beat, so on these collinear knots the
+        # first sample is the first beat's value, not an extrapolation to t = 0
         sig = resample_cubic_spline(np.array([0.8, 1.6, 2.4]), np.array([1.0, 2.0, 3.0]), 4.0)
-        assert sig.t0_s == pytest.approx(0.8)
+        assert sig[0] == pytest.approx(1.0, rel=1e-12)
+        assert np.allclose(sig, 1.0 + 1.25 * np.arange(7) / 4.0, rtol=1e-12)
 
     def test_non_increasing_times_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -253,42 +259,30 @@ class TestResample:
     def test_interpolation_property(self, gaps, values):
         t = np.concatenate([[0.0], np.cumsum(gaps)])
         y = np.array(values[: len(t)])
-        sig = resample_cubic_spline(t, y, 36.0 / (t[-1] - t[0]))
-        grid = sig.t0_s + np.arange(len(sig)) / sig.rate_hz
-        assert np.allclose(
-            sig.samples, natural_spline_eval(t, y, grid), rtol=1e-9, atol=1e-9
-        )
+        rate_hz = 36.0 / (t[-1] - t[0])
+        sig = resample_cubic_spline(t, y, rate_hz)
+        grid = t[0] + np.arange(len(sig)) / rate_hz
+        assert np.allclose(sig, natural_spline_eval(t, y, grid), rtol=1e-9, atol=1e-9)
 
     def test_determinism(self):
         t = np.array([0.0, 0.4, 1.0, 1.9, 3.2])
         y = np.array([5.0, 6.5, 4.2, 7.7, 5.5])
         a = resample_cubic_spline(t, y, 4.0)
         b = resample_cubic_spline(t, y, 4.0)
-        assert np.array_equal(a.samples, b.samples)
-
-
-class TestUniformSignal:
-    def test_too_short_rejected(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            UniformSignal(samples=np.array([1.0]), rate_hz=4.0)
-
-    def test_non_positive_rate_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            UniformSignal(samples=np.zeros(4), rate_hz=0.0)
+        assert np.array_equal(a, b)
 
 
 class TestConditioning:
     def test_truncates_to_block(self):
-        sig = UniformSignal(samples=np.arange(150.0), rate_hz=4.0)
-        out = truncate_to_block(sig, 5)
+        out = truncate_to_block(np.arange(150.0), 5)
         assert len(out) == 128
-        assert np.array_equal(out.samples, np.arange(128.0))
+        assert np.array_equal(out, np.arange(128.0))
 
     def test_exact_multiple_untouched(self):
-        sig = UniformSignal(samples=np.arange(128.0), rate_hz=4.0)
-        assert truncate_to_block(sig, 5) is sig
+        sig = np.arange(128.0)
+        out = truncate_to_block(sig, 5)
+        assert np.array_equal(out, sig) and np.shares_memory(out, sig)
 
     def test_too_short_rejected(self):
-        sig = UniformSignal(samples=np.arange(63.0), rate_hz=4.0)
         with pytest.raises(ValueError, match="too short"):
-            truncate_to_block(sig, 6)
+            truncate_to_block(np.arange(63.0), 6)

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import hrvwp
 from hrvwp import PipelineConfig, RunReport, emit_report, run_pipeline
-from hrvwp.pipeline import load_manifest
+from hrvwp.ingest import Group
+from hrvwp.pipeline import AnovaReport, RecordingReport, load_manifest
 from hrvwp.cli import main
 from conftest import balanced_spec, synthetic_rr
 
@@ -225,6 +226,14 @@ class TestRunPipeline:
             assert a.status == "skipped"
             assert "unbalanced" in a.reason
 
+    def test_unlabeled_recording_left_out_of_anova(self, write_dataset):
+        spec = balanced_spec(per_group=2) + [("extra", "Unlabeled", synthetic_rr(300, seed=40))]
+        report = run_pipeline(write_dataset(spec), PipelineConfig())
+        assert [r.status for r in report.recordings] == ["ok"] * 7
+        for a in report.anova:
+            assert a.status == "ok"
+            assert a.row_labels == ("Control", "VT", "VF") and a.replicates == 2
+
     def test_row_order_independence(self, write_dataset, tmp_path):
         spec = balanced_spec(per_group=2)
         manifest = write_dataset(spec)
@@ -259,9 +268,13 @@ class TestRunPipeline:
     def test_report_schema_version(self, balanced_report):
         _, report = balanced_report
         payload = json.loads(report.to_json())
-        assert payload["tool"] == {"name": "hrvwp", "version": hrvwp.__version__, "schema": 4}
-        payload["tool"]["schema"] = 3
-        with pytest.raises(ValueError, match="schema 3"):
+        assert payload["tool"] == {"name": "hrvwp", "version": hrvwp.__version__, "schema": 5}
+        # schema 5: a recording's identity is stored once, beside its features
+        assert list(payload["recordings"][0])[:2] == ["subject_id", "group"]
+        assert list(payload["recordings"][0]["features"]) == [
+            "std_lf", "mean_lf", "std_hf", "mean_hf", "e_lf", "e_hf", "r_e"]
+        payload["tool"]["schema"] = 4
+        with pytest.raises(ValueError, match="schema 4"):
             RunReport.from_json(json.dumps(payload))
         del payload["tool"]["schema"]
         with pytest.raises(ValueError, match="schema"):
@@ -281,7 +294,7 @@ class TestRunPipeline:
         (lambda d: d["anova"][0]["table"].update(rows="x"), "expected a JSON array, got str"),
         (lambda d: d["recordings"][0].update(n_intervals="12"),
          "RecordingReport: key 'n_intervals': expected int, got str"),
-        (lambda d: d["tool"].update(schema=4.0), "ToolInfo: key 'schema': expected int, got float"),
+        (lambda d: d["tool"].update(schema=5.0), "ToolInfo: key 'schema': expected int, got float"),
         (lambda d: d["config"].update(rate_hz="x"),
          "PipelineConfig: key 'rate_hz': expected float, got str"),
         (lambda d: d["config"].update(rate_hz=None),
@@ -298,11 +311,18 @@ class TestRunPipeline:
          "PipelineConfig: key 'lf_band_hz': expected float, got str"),
         (lambda d: d["recordings"][0]["bands"][0]["leaves"].__setitem__(0, 1.0),
          "BandReport: key 'leaves': expected int, got float"),
+        (lambda d: d["recordings"][0].update(group="Healthy"),
+         "RecordingReport: key 'group': expected one of ['Control', 'VT', 'VF', 'Unlabeled'], "
+         "got 'Healthy'"),
+        (lambda d: d["recordings"][0].update(group=1),
+         "RecordingReport: key 'group': expected one of ['Control', 'VT', 'VF', 'Unlabeled'], "
+         "got 1"),
     ], ids=["missing-band-key", "unknown-band-key", "missing-tool", "unknown-top-key",
             "missing-config-key", "features-not-object", "bands-not-array",
             "config-null", "rows-not-array", "int-as-string", "schema-as-float",
             "float-as-string", "float-null", "int-as-bool", "float-as-bool", "bool-as-int",
-            "str-as-int", "tuple-item-kind", "leaf-as-float"])
+            "str-as-int", "tuple-item-kind", "leaf-as-float", "unknown-group",
+            "group-as-number"])
     def test_report_keys_checked(self, balanced_report, edit, message):
         _, report = balanced_report
         payload = json.loads(report.to_json())
@@ -332,6 +352,33 @@ class TestRunPipeline:
         rebuilt = RunReport.from_json(json.dumps(payload))
         assert rebuilt == report
         assert rebuilt.to_json() == report.to_json()
+
+    def test_stored_status_is_recomputed(self, balanced_report):
+        # status follows from error (recording) and table (ANOVA); a stored
+        # status is accepted as a key and ignored
+        _, report = balanced_report
+        payload = json.loads(report.to_json())
+        payload["recordings"][0]["status"] = "maybe"
+        payload["anova"][0]["status"] = "failed"
+        rebuilt = RunReport.from_json(json.dumps(payload))
+        assert rebuilt == report and rebuilt.all_ok
+        assert rebuilt.to_json() == report.to_json()
+        rec, table = report.recordings[0], report.anova[0]
+        assert (rec.status, table.status) == ("ok", "ok")
+        assert dataclasses.replace(rec, error="OSError: gone").status == "failed"
+        assert dataclasses.replace(table, table=None).status == "skipped"
+        with pytest.raises(TypeError, match="status"):
+            RecordingReport(subject_id="s", group=Group.VT, status="ok")
+        with pytest.raises(TypeError, match="status"):
+            AnovaReport("energy", status="ok")
+
+    @pytest.mark.parametrize("lam", ["NaN", "Infinity", "-Infinity"])
+    def test_stored_threshold_must_be_finite(self, balanced_report, lam):
+        # json reads NaN and Infinity; a band split at such a threshold is meaningless
+        _, report = balanced_report
+        text = re.sub(r'"lam": [^,]*,', f'"lam": {lam},', report.to_json(), count=1)
+        with pytest.raises(ValueError, match="threshold must be finite and non-negative"):
+            RunReport.from_json(text)
 
     def test_recording_counts(self, balanced_report):
         _, report = balanced_report
@@ -365,6 +412,9 @@ class TestEmit:
         with open(out / "features.csv", newline="") as fh:
             frows = list(csv.reader(fh))
         assert len(frows) == 1 + 9
+        assert frows[0][:3] == ["subject_id", "group", "std_lf"]
+        assert [row[:2] for row in frows[1:]] == sorted(
+            [subject, group] for subject, group, _ in balanced_spec())
         with open(out / "bands_control0.csv", newline="") as fh:
             brows = list(csv.reader(fh))
         assert brows[0] == ["band", "node", "offset", "coefficient", "component"]

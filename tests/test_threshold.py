@@ -143,8 +143,10 @@ class TestSplit:
         assert band.n_background == 4
 
     def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            split(np.array([1.0]), -0.1)
+        # NaN would put every coefficient in the background (|c| > nan is false)
+        for lam in (-0.1, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="non-negative"):
+                split(np.array([1.0]), lam)
 
     def test_direct_construction_enforces_membership(self):
         # membership is derived from values and lam; it cannot be passed in

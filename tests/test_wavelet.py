@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrvwp import UniformSignal, band_nodes, daubechies_filters, wpt_decompose
-from hrvwp.ingest import RRSeries, resample_cubic_spline, rr_to_tachogram, truncate_to_block
+from hrvwp import band_nodes, daubechies_filters, wpt_decompose
+from hrvwp.ingest import resample_cubic_spline, rr_to_tachogram, truncate_to_block
 from hrvwp.wavelet import (
     HF_BAND_HZ,
     LF_BAND_HZ,
@@ -187,22 +187,22 @@ class TestAnalysisSynthesis:
 
 class TestPacketTree:
     def test_depth_zero_is_identity(self):
-        sig = UniformSignal(samples=np.arange(8.0), rate_hz=4.0)
+        sig = np.arange(8.0)
         tree = wpt_decompose(sig, 0, daubechies_filters(2))
         assert tree.depth == 0
-        assert np.array_equal(tree.node(0, 0).coeffs, sig.samples)
-        assert np.array_equal(wpt_reconstruct_nodes(tree, [0]), sig.samples)
+        assert np.array_equal(tree.node(0, 0), sig)
+        assert np.array_equal(wpt_reconstruct_nodes(tree, [0]), sig)
 
     def test_constant_signal_maps_to_lowest_leaf(self):
         # with leaf 0 outside both default bands, a signal's mean never
         # reaches a band feature, so no mean removal is needed
-        sig = UniformSignal(samples=np.full(256, 3.0), rate_hz=4.0)
+        sig = np.full(256, 3.0)
         for order in range(1, 11):
             tree = wpt_decompose(sig, 6, daubechies_filters(order))
             for j in range(1, 64):
-                assert np.max(np.abs(tree.node(6, j).coeffs)) <= 1e-9, (order, j)
-            energy0 = float(np.dot(tree.node(6, 0).coeffs, tree.node(6, 0).coeffs))
-            assert energy0 == pytest.approx(np.dot(sig.samples, sig.samples), rel=1e-12), order
+                assert np.max(np.abs(tree.node(6, j))) <= 1e-9, (order, j)
+            energy0 = float(np.dot(tree.node(6, 0), tree.node(6, 0)))
+            assert energy0 == pytest.approx(np.dot(sig, sig), rel=1e-12), order
         fitting = 0
         for level in range(MAX_DEPTH + 1):
             for band in ("LF", "HF"):
@@ -215,16 +215,16 @@ class TestPacketTree:
         assert fitting == (MAX_DEPTH - 4) + (MAX_DEPTH - 3)  # LF from level 5, HF from 4
 
     def test_sinusoid_017hz_lands_in_leaf_5(self):
-        sig = UniformSignal(samples=tone(0.17), rate_hz=4.0)
+        sig = tone(0.17)
         tree = wpt_decompose(sig, 6, daubechies_filters(4))
-        energies = [float(np.dot(n.coeffs, n.coeffs)) for n in tree.leaves()]
+        energies = [float(np.dot(n, n)) for n in tree.leaves()]
         assert int(np.argmax(energies)) == 5
 
     def test_parseval_every_level(self):
         rng = np.random.default_rng(5)
-        sig = UniformSignal(samples=rng.standard_normal(512), rate_hz=4.0)
+        sig = rng.standard_normal(512)
         tree = wpt_decompose(sig, 6, daubechies_filters(4))
-        reference = float(np.dot(sig.samples, sig.samples))
+        reference = float(np.dot(sig, sig))
         for level in range(7):
             assert tree.level_energy(level) == pytest.approx(reference, rel=1e-9)
 
@@ -234,7 +234,7 @@ class TestPacketTree:
         # above order 1, so the circular extension wraps more than once
         bank = daubechies_filters(order)
         x = np.random.default_rng(order).standard_normal(64)
-        tree = wpt_decompose(UniformSignal(samples=x, rate_hz=4.0), 6, bank)
+        tree = wpt_decompose(x, 6, bank)
         natural = [x]
         for level in range(1, 7):
             n = natural[0].size
@@ -243,7 +243,7 @@ class TestPacketTree:
             natural = [half for node in natural
                        for half in np.split(step @ node, 2)]
             for j in range(2 ** level):
-                assert np.allclose(tree.node(level, j).coeffs, natural[_gray(j)],
+                assert np.allclose(tree.node(level, j), natural[_gray(j)],
                                    rtol=0, atol=1e-12)
 
     @settings(max_examples=50, deadline=None)
@@ -254,30 +254,29 @@ class TestPacketTree:
     )
     def test_resample_then_transform_conserves_energy(self, rr, order, depth):
         # 60 beats of at least 300 ms span 18 s, so 4 Hz gives >= 64 samples
-        times, values = rr_to_tachogram(RRSeries(np.array(rr)))
+        times, values = rr_to_tachogram(np.array(rr))
         signal = truncate_to_block(resample_cubic_spline(times, values, 4.0), depth)
         tree = wpt_decompose(signal, depth, daubechies_filters(order))
-        leaf_energy = sum(float(np.dot(n.coeffs, n.coeffs)) for n in tree.leaves())
-        assert leaf_energy == pytest.approx(float(np.dot(signal.samples, signal.samples)),
-                                            rel=1e-9)
+        leaf_energy = sum(float(np.dot(n, n)) for n in tree.leaves())
+        assert leaf_energy == pytest.approx(float(np.dot(signal, signal)), rel=1e-9)
 
     def test_level_lengths_partition_signal(self):
-        sig = UniformSignal(samples=np.random.default_rng(0).standard_normal(128),
-                            rate_hz=4.0)
+        sig = np.random.default_rng(0).standard_normal(128)
         tree = wpt_decompose(sig, 4, daubechies_filters(3))
         for level in range(5):
             nodes = tree.level_nodes(level)
             assert len(nodes) == 2 ** level
-            assert sum(len(n.coeffs) for n in nodes) == 128
-            assert all(len(n.coeffs) == 128 // 2 ** level for n in nodes)
+            assert sum(len(n) for n in nodes) == 128
+            assert all(len(n) == 128 // 2 ** level for n in nodes)
 
     def test_length_not_multiple_rejected(self):
-        sig = UniformSignal(samples=np.ones(96), rate_hz=4.0)
-        with pytest.raises(ValueError, match="multiple"):
-            wpt_decompose(sig, 6, daubechies_filters(2))
+        # a 2-d array of 128 values is not read as one 128-sample signal
+        for sig in (np.ones(96), np.ones((2, 64))):
+            with pytest.raises(ValueError, match="multiple"):
+                wpt_decompose(sig, 6, daubechies_filters(2))
 
     def test_bad_node_lookup(self):
-        sig = UniformSignal(samples=np.ones(16), rate_hz=4.0)
+        sig = np.ones(16)
         tree = wpt_decompose(sig, 2, daubechies_filters(1))
         with pytest.raises(ValueError):
             tree.node(2, 4)
@@ -288,8 +287,7 @@ class TestPacketTree:
 class TestReconstruction:
     def _tree(self, n=256, seed=1, depth=6):
         x = np.random.default_rng(seed).standard_normal(n)
-        return x, wpt_decompose(UniformSignal(samples=x, rate_hz=4.0), depth,
-                                daubechies_filters(4))
+        return x, wpt_decompose(x, depth, daubechies_filters(4))
 
     def test_all_leaves_return_original(self):
         x, tree = self._tree()
@@ -316,8 +314,7 @@ class TestReconstruction:
     @pytest.mark.parametrize("order", [2, 7, 10])
     def test_full_tree_roundtrip_other_orders(self, order):
         x = np.random.default_rng(order).standard_normal(256)
-        tree = wpt_decompose(UniformSignal(samples=x, rate_hz=4.0), 6,
-                             daubechies_filters(order))
+        tree = wpt_decompose(x, 6, daubechies_filters(order))
         out = wpt_reconstruct_nodes(tree, range(64))
         assert np.max(np.abs(out - x)) < 1e-10 * np.max(np.abs(x))
 
@@ -353,9 +350,8 @@ class TestFrequencyMapping:
     @pytest.mark.parametrize("slot", [0, 1, 5, 9, 31, 62])
     def test_tone_at_slot_center_maximizes_that_leaf(self, slot):
         freq = (slot + 0.5) * 4.0 / 2 ** 7
-        tree = wpt_decompose(UniformSignal(samples=tone(freq), rate_hz=4.0), 6,
-                             daubechies_filters(4))
-        energies = [float(np.dot(n.coeffs, n.coeffs)) for n in tree.leaves()]
+        tree = wpt_decompose(tone(freq), 6, daubechies_filters(4))
+        energies = [float(np.dot(n, n)) for n in tree.leaves()]
         assert int(np.argmax(energies)) == slot
 
 
