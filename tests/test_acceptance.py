@@ -333,5 +333,8 @@ def test_c10_smoke_batch_emits_well_formed_report(write_dataset, tmp_path):
     for rec in payload["recordings"]:
         assert rec["features"]["e_lf"] > 0.0
         assert rec["features"]["e_hf"] > 0.0
-    assert RunReport.from_json(json.dumps(payload)) == report
-    assert len(written) == 1 + 1 + 2 + 9  # report, features, two anova, nine dumps
+    coefficients = np.load(out / "coefficients.npy", allow_pickle=False)
+    assert RunReport.from_json(json.dumps(payload), coefficients) == report
+    assert RunReport.read(out) == report
+    # report, coefficients, features, two anova, nine dumps
+    assert len(written) == 1 + 1 + 1 + 2 + 9

@@ -48,7 +48,7 @@ class TestConfig:
     def test_round_trip(self):
         config = PipelineConfig(rate_hz=8.0, depth=4, mad_source="first-level")
         report = RunReport(config=config, recordings=(), anova=())
-        assert RunReport.from_json(report.to_json()).config == config
+        assert RunReport.from_json(report.to_json(), report.coefficients()).config == config
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -243,12 +243,14 @@ class TestRunPipeline:
         a = run_pipeline(manifest, PipelineConfig())
         b = run_pipeline(shuffled, PipelineConfig())
         assert a.to_json() == b.to_json()
+        assert a.coefficients().tobytes() == b.coefficients().tobytes()
 
     def test_determinism(self, write_dataset):
         manifest = write_dataset([("r0", "Control", synthetic_rr(300, seed=8)),
                                   ("r1", "VT", synthetic_rr(300, seed=9))])
-        assert (run_pipeline(manifest, PipelineConfig()).to_json()
-                == run_pipeline(manifest, PipelineConfig()).to_json())
+        a, b = (run_pipeline(manifest, PipelineConfig()) for _ in range(2))
+        assert a.to_json() == b.to_json()
+        assert a.coefficients().tobytes() == b.coefficients().tobytes()
 
     def test_mad_source_first_level_shares_noise_scale(self, write_dataset):
         manifest = write_dataset([("m0", "Control", synthetic_rr(300, seed=10))])
@@ -263,22 +265,55 @@ class TestRunPipeline:
 
     def test_report_round_trip(self, balanced_report):
         _, report = balanced_report
-        assert RunReport.from_json(report.to_json()) == report
+        assert RunReport.from_json(report.to_json(), report.coefficients()) == report
+
+    def test_coefficients_are_the_band_values_in_report_order(self, balanced_report):
+        _, report = balanced_report
+        vector = report.coefficients()
+        assert vector.dtype == np.float64 and vector.ndim == 1
+        bands = [b for r in report.recordings for b in r.bands]
+        assert [b.band for b in bands[:2]] == ["LF", "HF"]
+        ends = np.cumsum([b.n for b in bands])
+        for band, part in zip(bands, np.split(vector, ends[:-1])):
+            assert np.array_equal(part, band.values)
+        assert vector.size == ends[-1]
 
     def test_report_schema_version(self, balanced_report):
         _, report = balanced_report
+        coefficients = report.coefficients()
         payload = json.loads(report.to_json())
-        assert payload["tool"] == {"name": "hrvwp", "version": hrvwp.__version__, "schema": 5}
+        assert payload["tool"] == {"name": "hrvwp", "version": hrvwp.__version__, "schema": 6}
         # schema 5: a recording's identity is stored once, beside its features
         assert list(payload["recordings"][0])[:2] == ["subject_id", "group"]
         assert list(payload["recordings"][0]["features"]) == [
             "std_lf", "mean_lf", "std_hf", "mean_hf", "e_lf", "e_hf", "r_e"]
+        # schema 6: a band keeps its summaries, and its values live in coefficients.npy
+        assert list(payload["recordings"][0]["bands"][0]) == [
+            "band", "lam", "h", "n", "n_background", "n_significant",
+            "energy_background", "energy_significant", "leaves"]
         payload["tool"]["schema"] = 4
         with pytest.raises(ValueError, match="schema 4"):
-            RunReport.from_json(json.dumps(payload))
+            RunReport.from_json(json.dumps(payload), coefficients)
         del payload["tool"]["schema"]
         with pytest.raises(ValueError, match="schema"):
-            RunReport.from_json(json.dumps(payload))
+            RunReport.from_json(json.dumps(payload), coefficients)
+
+    def test_schema_5_report_rejected(self, balanced_report):
+        # schema 5 held each band's values and significant positions in the JSON
+        _, report = balanced_report
+        payload = json.loads(report.to_json())
+        payload["tool"]["schema"] = 5
+        for rec, stored in zip(report.recordings, payload["recordings"]):
+            for band, data in zip(rec.bands, stored["bands"]):
+                data.update(values=band.values.tolist(), significant=band.significant.tolist())
+        with pytest.raises(ValueError, match="report schema 5 is not readable, only schema 6"):
+            RunReport.from_json(json.dumps(payload), np.empty(0))
+        payload["tool"]["schema"] = 6
+        with pytest.raises(ValueError, match="BandReport: unknown key 'values'"):
+            RunReport.from_json(json.dumps(payload), report.coefficients())
+        del payload["recordings"][0]["bands"][0]["values"]
+        with pytest.raises(ValueError, match="BandReport: unknown key 'significant'"):
+            RunReport.from_json(json.dumps(payload), report.coefficients())
 
     @pytest.mark.parametrize("edit,message", [
         (lambda d: d["recordings"][0]["bands"][0].pop("lam"), "BandReport: missing key 'lam'"),
@@ -294,7 +329,7 @@ class TestRunPipeline:
         (lambda d: d["anova"][0]["table"].update(rows="x"), "expected a JSON array, got str"),
         (lambda d: d["recordings"][0].update(n_intervals="12"),
          "RecordingReport: key 'n_intervals': expected int, got str"),
-        (lambda d: d["tool"].update(schema=5.0), "ToolInfo: key 'schema': expected int, got float"),
+        (lambda d: d["tool"].update(schema=6.0), "ToolInfo: key 'schema': expected int, got float"),
         (lambda d: d["config"].update(rate_hz="x"),
          "PipelineConfig: key 'rate_hz': expected float, got str"),
         (lambda d: d["config"].update(rate_hz=None),
@@ -317,41 +352,71 @@ class TestRunPipeline:
         (lambda d: d["recordings"][0].update(group=1),
          "RecordingReport: key 'group': expected one of ['Control', 'VT', 'VF', 'Unlabeled'], "
          "got 1"),
+        (lambda d: d["recordings"][0]["bands"][0].pop("n"),
+         "BandReport: key 'n': expected int, got NoneType"),
+        (lambda d: d["recordings"][0]["bands"][0].update(n=1.5),
+         "BandReport: key 'n': expected int, got float"),
+        (lambda d: d["config"].update(depth=99),
+         "RunReport: key 'config': PipelineConfig: depth must be in [0, 24]"),
+        (lambda d: d["recordings"][0].update(error="OSError: edited"),
+         "RunReport: key 'recordings': RecordingReport: an ok recording has features and "
+         "bands, a failed one neither"),
+        (lambda d: d["recordings"][0].update(features=None),
+         "RunReport: key 'recordings': RecordingReport: an ok recording has features and "
+         "bands, a failed one neither"),
     ], ids=["missing-band-key", "unknown-band-key", "missing-tool", "unknown-top-key",
             "missing-config-key", "features-not-object", "bands-not-array",
             "config-null", "rows-not-array", "int-as-string", "schema-as-float",
             "float-as-string", "float-null", "int-as-bool", "float-as-bool", "bool-as-int",
             "str-as-int", "tuple-item-kind", "leaf-as-float", "unknown-group",
-            "group-as-number"])
+            "group-as-number", "missing-band-n", "band-n-as-float", "config-check",
+            "failed-row-keeps-results", "ok-row-without-features"])
     def test_report_keys_checked(self, balanced_report, edit, message):
         _, report = balanced_report
         payload = json.loads(report.to_json())
         edit(payload)
         with pytest.raises(ValueError, match=re.escape(message)):
-            RunReport.from_json(json.dumps(payload))
+            RunReport.from_json(json.dumps(payload), report.coefficients())
 
     def test_int_accepted_for_float(self, balanced_report):
         _, report = balanced_report
         payload = json.loads(report.to_json())
         payload["config"].update(rate_hz=4, lf_band_hz=[0, 0.15625])
-        config = RunReport.from_json(json.dumps(payload)).config
+        config = RunReport.from_json(json.dumps(payload), report.coefficients()).config
         assert config.rate_hz == 4.0
         assert config.lf_band_hz == (0.0, 0.15625)
 
     @pytest.mark.parametrize("text", ["[]", "3", '"report"', "null"])
     def test_report_not_an_object(self, text):
         with pytest.raises(ValueError, match="RunReport: expected a JSON object"):
-            RunReport.from_json(text)
+            RunReport.from_json(text, np.empty(0))
 
     def test_stored_band_summaries_are_recomputed(self, balanced_report):
+        # n is kept as stored: it says where the band's values sit in the vector
         _, report = balanced_report
         payload = json.loads(report.to_json())
         band = payload["recordings"][0]["bands"][0]
-        band.update(n=-1, n_background=-1, n_significant=-1, energy_background=-1.0,
-                    energy_significant=-1.0, significant=[0])
-        rebuilt = RunReport.from_json(json.dumps(payload))
+        band.update(n_background=-1, n_significant=-1, energy_background=-1.0,
+                    energy_significant=-1.0)
+        rebuilt = RunReport.from_json(json.dumps(payload), report.coefficients())
         assert rebuilt == report
         assert rebuilt.to_json() == report.to_json()
+
+    @pytest.mark.parametrize("sign,message", [
+        (-1, r"coefficients.npy holds (\d+) values, not (?!\1)\d+"),
+        (1, "coefficients.npy holds no band of n="),
+    ], ids=["short", "long"])
+    def test_stored_band_n_must_fit_the_vector(self, balanced_report, sign, message):
+        # one value per leaf more or fewer: the band itself stays well formed
+        _, report = balanced_report
+        payload = json.loads(report.to_json())
+        band = payload["recordings"][-1]["bands"][-1]
+        band["n"] += sign * len(band["leaves"])
+        with pytest.raises(ValueError, match=message):
+            RunReport.from_json(json.dumps(payload), report.coefficients())
+        payload["recordings"][0]["bands"][0]["n"] = -4
+        with pytest.raises(ValueError, match="coefficients.npy holds no band of n=-4 at 0"):
+            RunReport.from_json(json.dumps(payload), report.coefficients())
 
     def test_stored_status_is_recomputed(self, balanced_report):
         # status follows from error (recording) and table (ANOVA); a stored
@@ -360,12 +425,13 @@ class TestRunPipeline:
         payload = json.loads(report.to_json())
         payload["recordings"][0]["status"] = "maybe"
         payload["anova"][0]["status"] = "failed"
-        rebuilt = RunReport.from_json(json.dumps(payload))
+        rebuilt = RunReport.from_json(json.dumps(payload), report.coefficients())
         assert rebuilt == report and rebuilt.all_ok
         assert rebuilt.to_json() == report.to_json()
         rec, table = report.recordings[0], report.anova[0]
         assert (rec.status, table.status) == ("ok", "ok")
-        assert dataclasses.replace(rec, error="OSError: gone").status == "failed"
+        failed = dataclasses.replace(rec, error="OSError: gone", features=None, bands=())
+        assert failed.status == "failed"
         assert dataclasses.replace(table, table=None).status == "skipped"
         with pytest.raises(TypeError, match="status"):
             RecordingReport(subject_id="s", group=Group.VT, status="ok")
@@ -377,8 +443,9 @@ class TestRunPipeline:
         # json reads NaN and Infinity; a band split at such a threshold is meaningless
         _, report = balanced_report
         text = re.sub(r'"lam": [^,]*,', f'"lam": {lam},', report.to_json(), count=1)
-        with pytest.raises(ValueError, match="threshold must be finite and non-negative"):
-            RunReport.from_json(text)
+        with pytest.raises(ValueError, match="RecordingReport: key 'bands': BandReport: "
+                                             "threshold must be finite and non-negative"):
+            RunReport.from_json(text, report.coefficients())
 
     def test_recording_counts(self, balanced_report):
         _, report = balanced_report
@@ -422,7 +489,8 @@ class TestEmit:
         assert {r[4] for r in brows[1:]} <= {"background", "significant"}
         assert {r[1] for r in brows[1:] if r[0] == "LF"} == {"1", "2", "3", "4"}
 
-    @pytest.mark.parametrize("names", [None, ('L,F', 'H"F\r\n')], ids=["pipeline", "quoted"])
+    # "%" in a name must reach the file as it is, not act as a format directive
+    @pytest.mark.parametrize("names", [None, ('L,%sF', 'H"%F\r\n')], ids=["pipeline", "quoted"])
     def test_band_csv_bytes_match_csv_writer(self, write_dataset, tmp_path, names):
         rr = synthetic_rr(300, seed=30)
         rr[150:153] += 300.0  # a burst gives both bands significant coefficients
@@ -451,13 +519,51 @@ class TestEmit:
 
     def test_json_outputs(self, balanced_report, tmp_path):
         # report.json is the one JSON output, and it holds the features and
-        # the ANOVA tables the CSV files mirror
+        # the ANOVA tables the CSV files mirror; the band values are in
+        # coefficients.npy
         _, report = balanced_report
         out = tmp_path / "json_out"
         written = emit_report(report, out)
         assert [p.name for p in written if p.suffix == ".json"] == ["report.json"]
-        rebuilt = RunReport.from_json((out / "report.json").read_text())
+        assert out / "coefficients.npy" in written
+        rebuilt = RunReport.read(out)
         assert rebuilt == report
+
+    def test_all_failed_run_round_trips_with_an_empty_vector(self, write_dataset, tmp_path):
+        manifest = write_dataset([("only", "Control", synthetic_rr(300, seed=12))])
+        manifest.write_text("path,subject_id,group\ndata/missing.txt,gone,Control\n")
+        report = run_pipeline(manifest, PipelineConfig())
+        assert [r.status for r in report.recordings] == ["failed"]
+        out = tmp_path / "failed_out"
+        emit_report(report, out)
+        vector = np.load(out / "coefficients.npy", allow_pickle=False)
+        assert vector.dtype == np.float64 and vector.shape == (0,)
+        assert RunReport.read(out) == report
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda v: v[:-1], "coefficients.npy holds no band of n="),
+        (lambda v: np.append(v, 0.0), r"coefficients.npy holds (\d+) values, not (?!\1)\d+"),
+        (lambda v: v.reshape(2, -1), "coefficients.npy must hold a 1-d float64 vector"),
+        (lambda v: v.astype(np.int64), "coefficients.npy must hold a 1-d float64 vector"),
+    ], ids=["one-short", "one-long", "2-d", "int64"])
+    def test_read_rejects_a_wrong_vector(self, balanced_report, tmp_path, edit, message):
+        _, report = balanced_report
+        out = tmp_path / "bad_vector"
+        emit_report(report, out)
+        np.save(out / "coefficients.npy", edit(np.load(out / "coefficients.npy")))
+        with pytest.raises(ValueError, match=message):
+            RunReport.read(out)
+
+    def test_read_rejects_a_pickled_vector(self, balanced_report, tmp_path):
+        _, report = balanced_report
+        out = tmp_path / "pickled"
+        emit_report(report, out)
+        vector = np.load(out / "coefficients.npy").astype(object)
+        np.save(out / "coefficients.npy", vector, allow_pickle=True)
+        with pytest.raises(ValueError, match="coefficients.npy: .*allow_pickle"):
+            RunReport.read(out)
+        with pytest.raises(ValueError, match="coefficients.npy must hold a 1-d float64 vector"):
+            RunReport.from_json(report.to_json(), vector)
 
     def test_empty_feature_list_writes_header_only(self, write_dataset, tmp_path):
         manifest = write_dataset([("only", "Control", synthetic_rr(300, seed=12))])
@@ -520,7 +626,7 @@ class TestCli:
         assert code == 0
         assert "6 ok" in captured.out
         # the CLI's defaults are the reference configuration
-        report = RunReport.from_json((tmp_path / "cli_out" / "report.json").read_text())
+        report = RunReport.read(tmp_path / "cli_out")
         assert report.config == PipelineConfig()
 
     def test_insufficient_design_exit_one(self, write_dataset, tmp_path, capsys):
