@@ -1,7 +1,7 @@
 """Wavelet packet analysis of RR-interval variability.
 
-Pipeline: RR intervals -> tachogram -> natural-spline resampling -> full
-wavelet packet decomposition (frequency-ordered leaves) -> per-band adaptive
+Pipeline: RR intervals -> tachogram -> natural-spline resampling -> wavelet
+packet leaves of the LF/HF bands (frequency-ordered) -> per-band adaptive
 MAD threshold separating background variability from significant changes ->
 band features -> balanced two-way ANOVA across subject groups.
 """

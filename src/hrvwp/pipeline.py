@@ -1,7 +1,7 @@
 """Batch orchestration: manifest in, per-recording analysis, ANOVA, reports out.
 
 Each manifest row (path, subject_id, group) is processed independently:
-parse -> tachogram -> spline resample -> packet decomposition -> per-band
+parse -> tachogram -> spline resample -> LF/HF packet leaves -> per-band
 threshold split -> features. Failures are recorded per recording without
 aborting the batch. Completed recordings feed two group-level ANOVA tables
 (coefficient statistics and band energies), run only when the design is
@@ -41,7 +41,7 @@ from .wavelet import (
     MAX_DEPTH,
     band_nodes,
     daubechies_filters,
-    wpt_decompose,
+    wpt_leaves,
 )
 
 __all__ = [
@@ -169,12 +169,10 @@ class RunReport:
 
     @classmethod
     def from_json(cls, text: str, coefficients: np.ndarray) -> "RunReport":
-        data = _checked_object(cls, json.loads(text))
-        schema = data["tool"].get("schema") if isinstance(data["tool"], dict) else None
-        if schema != REPORT_SCHEMA:
-            raise ValueError(f"report schema {schema} is not readable, only schema "
-                             f"{REPORT_SCHEMA}; a report without one has the older "
-                             "per-coefficient band layout")
+        return cls._from_object(_report_object(text), coefficients)
+
+    @classmethod
+    def _from_object(cls, data: dict, coefficients: np.ndarray) -> "RunReport":
         if not (isinstance(coefficients, np.ndarray) and coefficients.ndim == 1
                 and coefficients.dtype == np.float64):
             raise ValueError("coefficients.npy must hold a 1-d float64 vector")
@@ -194,18 +192,30 @@ class RunReport:
 
     @classmethod
     def read(cls, out_dir) -> "RunReport":
-        """The report emit_report wrote under out_dir."""
+        """The report emit_report wrote under out_dir; the JSON's schema is checked first."""
+        data = _report_object(Path(out_dir, "report.json").read_text(encoding="utf-8"))
         try:
             coefficients = np.load(Path(out_dir, "coefficients.npy"), allow_pickle=False)
         except ValueError as exc:
             raise ValueError(f"coefficients.npy: {exc}") from None
-        return cls.from_json(Path(out_dir, "report.json").read_text(encoding="utf-8"), coefficients)
+        return cls._from_object(data, coefficients)
 
     @property
     def all_ok(self) -> bool:
         return all(r.status == "ok" for r in self.recordings) and all(
             a.status == "ok" for a in self.anova
         )
+
+
+def _report_object(text: str) -> dict:
+    """The JSON object of a report.json, checked to be of the one readable schema."""
+    data = _checked_object(RunReport, json.loads(text))
+    schema = data["tool"].get("schema") if isinstance(data["tool"], dict) else None
+    if schema != REPORT_SCHEMA:
+        raise ValueError(f"report schema {schema} is not readable, only schema "
+                         f"{REPORT_SCHEMA}; a report without one has the older "
+                         "per-coefficient band layout")
+    return data
 
 
 def _encode(obj):
@@ -345,17 +355,16 @@ def process_recording(
         signal = truncate_to_block(signal, config.depth)
 
         bank = daubechies_filters(config.wavelet_order)
-        tree = wpt_decompose(signal, config.depth, bank)
+        (lf, lf_ids), (hf, hf_ids) = _band_leaves(config)
+        leaves = wpt_leaves(signal, config.depth, bank, lf_ids + hf_ids)
 
         # finest-detail convention: noise scale from the level-1 high-pass node
-        mad_coeffs = tree.node(1, 1) if config.mad_source == "first-level" else None
+        first_level = config.mad_source == "first-level"
+        mad_coeffs = wpt_leaves(signal, 1, bank, [1])[0] if first_level else None
 
-        bands = tuple(
-            threshold_band(
-                np.concatenate([tree.node(config.depth, j) for j in leaf_ids]),
-                band=band, leaf_ids=leaf_ids, mad_coeffs=mad_coeffs,
-            )
-            for band, leaf_ids in _band_leaves(config)
+        bands = (
+            threshold_band(leaves[:len(lf_ids)].ravel(), lf_ids, band=lf, mad_coeffs=mad_coeffs),
+            threshold_band(leaves[len(lf_ids):].ravel(), hf_ids, band=hf, mad_coeffs=mad_coeffs),
         )
 
         return RecordingReport(

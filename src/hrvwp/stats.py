@@ -56,23 +56,6 @@ class FactorialData:
     def shape(self) -> tuple[int, int, int]:
         return tuple(self.values.shape)
 
-    @classmethod
-    def from_cells(cls, cells) -> "FactorialData":
-        """Build from a nested list cells[r][c] of per-cell replicate lists.
-
-        The grid must be balanced: every cell holds the same number of
-        replicates.
-        """
-        r = len(cells)
-        if r == 0 or len(cells[0]) == 0:
-            raise ValueError("empty design")
-        c = len(cells[0])
-        lengths = {len(cell) for row in cells for cell in row}
-        if any(len(row) != c for row in cells) or len(lengths) != 1:
-            raise ValueError("unbalanced design: unequal cell sizes")
-        k = lengths.pop()
-        return cls(np.array([[list(cell) for cell in row] for row in cells], dtype=float).reshape(r, c, k))
-
 
 @dataclass(frozen=True)
 class AnovaRow:

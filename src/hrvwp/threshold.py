@@ -101,8 +101,8 @@ def noise_scale(coeffs: np.ndarray) -> float:
 
 def compute_threshold(
     coeffs: np.ndarray, mad_coeffs: np.ndarray | None = None
-) -> tuple[float, float, int]:
-    """Return (lambda, h, n) for a band's coefficient vector.
+) -> tuple[float, float]:
+    """Return (lambda, h) for a band's coefficient vector.
 
     lambda = h * sqrt(2 ln n) with n the length of this band's vector; a
     single-coefficient band gives lambda = 0. h is estimated on mad_coeffs
@@ -112,8 +112,7 @@ def compute_threshold(
     if v.size == 0:
         raise ValueError("cannot compute a threshold for an empty vector")
     h = noise_scale(v if mad_coeffs is None else mad_coeffs)
-    n = int(v.size)
-    return h * sqrt(2.0 * log(n)), h, n
+    return h * sqrt(2.0 * log(v.size)), h
 
 
 def threshold_band(
@@ -123,5 +122,5 @@ def threshold_band(
     mad_coeffs: np.ndarray | None = None,
 ) -> BandReport:
     """Threshold one band end to end: lambda from compute_threshold, then the record."""
-    lam, h, _ = compute_threshold(band_coeffs, mad_coeffs)
+    lam, h = compute_threshold(band_coeffs, mad_coeffs)
     return BandReport(band=band, lam=lam, h=h, leaves=leaf_ids, values=band_coeffs)

@@ -194,12 +194,13 @@ def test_c05_threshold_law():
     for mad_value, n in ((0.6745, 256), (2.0, 64), (0.25, 1000)):
         half = n // 2
         values = np.array([mad_value, -mad_value] * half)
-        lam, h, n_out = compute_threshold(values)
-        assert n_out == n
+        lam, h = compute_threshold(values)
+        band = threshold_band(values, leaf_ids=(0,))
+        assert (band.lam, band.h, band.n) == (lam, h, n)
         expected_h = mad_value / 0.6745
         assert h == pytest.approx(expected_h, rel=1e-12)
         assert lam == pytest.approx(expected_h * sqrt(2.0 * log(n)), rel=1e-12)
-    lam, h, _ = compute_threshold(np.array([0.6745, -0.6745] * 128))
+    lam, h = compute_threshold(np.array([0.6745, -0.6745] * 128))
     assert h == pytest.approx(1.0, rel=1e-12)
     assert lam == pytest.approx(3.3302, abs=1e-4)
 

@@ -263,6 +263,21 @@ class TestRunPipeline:
         # same coefficients either way, only the threshold moved
         assert per_band.bands[0].n == first.bands[0].n
 
+    def test_transform_splits_only_the_band_ancestors(self, write_dataset, monkeypatch):
+        # the 12 LF/HF leaves of a depth-6 tree need about 2.5 N input samples, the full tree 6 N
+        sizes = []
+        step = hrvwp.wavelet.analysis_step
+
+        def counted(signal, bank):
+            sizes.append(np.size(signal))
+            return step(signal, bank)
+
+        monkeypatch.setattr(hrvwp.wavelet, "analysis_step", counted)
+        manifest = write_dataset([("w0", "Control", synthetic_rr(300, seed=11))])
+        rec = run_pipeline(manifest, PipelineConfig()).recordings[0]
+        assert rec.status == "ok" and len(sizes) == 6
+        assert sum(sizes) <= 2.5 * rec.n_analyzed
+
     def test_report_round_trip(self, balanced_report):
         _, report = balanced_report
         assert RunReport.from_json(report.to_json(), report.coefficients()) == report
@@ -552,6 +567,17 @@ class TestEmit:
         emit_report(report, out)
         np.save(out / "coefficients.npy", edit(np.load(out / "coefficients.npy")))
         with pytest.raises(ValueError, match=message):
+            RunReport.read(out)
+
+    def test_read_names_the_schema_of_an_older_output_dir(self, balanced_report, tmp_path):
+        # a schema-5 directory holds report.json only: the values were in the JSON
+        _, report = balanced_report
+        payload = json.loads(report.to_json())
+        payload["tool"]["schema"] = 5
+        out = tmp_path / "schema5"
+        out.mkdir()
+        (out / "report.json").write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match="report schema 5 is not readable"):
             RunReport.read(out)
 
     def test_read_rejects_a_pickled_vector(self, balanced_report, tmp_path):

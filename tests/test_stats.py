@@ -63,11 +63,12 @@ class TestFactorialData:
         with pytest.raises(ValueError, match="2 rows"):
             FactorialData(np.zeros((1, 4, 3)))
 
-    def test_from_cells(self):
-        data = FactorialData.from_cells([[[1, 2], [3, 4]], [[5, 6], [7, 8]]])
+    def test_from_nested_lists(self):
+        data = FactorialData([[[1, 2], [3, 4]], [[5, 6], [7, 8]]])
         assert data.shape == (2, 2, 2)
-        with pytest.raises(ValueError, match="unbalanced"):
-            FactorialData.from_cells([[[1, 2], [3]], [[5, 6], [7, 8]]])
+        assert data.values.dtype == np.float64
+        with pytest.raises(ValueError):  # unequal cell sizes form no grid
+            FactorialData([[[1, 2], [3]], [[5, 6], [7, 8]]])
 
 
 class TestAnova:
@@ -85,13 +86,13 @@ class TestAnova:
 
     def test_hand_computed_2x2x2(self):
         cells = [[[0.0, 0.0], [1.0, 1.0]], [[1.0, 1.0], [2.0, 2.0]]]
-        decomp = sum_of_squares(FactorialData.from_cells(cells))
+        decomp = sum_of_squares(FactorialData(cells))
         assert decomp["rows"][0] == pytest.approx(2.0, abs=1e-12)
         assert decomp["columns"][0] == pytest.approx(2.0, abs=1e-12)
         assert decomp["interaction"][0] == pytest.approx(0.0, abs=1e-12)
         assert decomp["error"][0] == pytest.approx(0.0, abs=1e-12)
         with pytest.raises(DegenerateDataError):
-            anova_two_way(FactorialData.from_cells(cells))
+            anova_two_way(FactorialData(cells))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_fitted_means_oracle(self, seed):

@@ -90,23 +90,21 @@ class TestComputeThreshold:
     def test_formula(self):
         rng = np.random.default_rng(2)
         coeffs = rng.standard_normal(300)
-        lam, h, n = compute_threshold(coeffs)
-        assert n == 300
+        lam, h = compute_threshold(coeffs)
         assert h == pytest.approx(mad_oracle(coeffs) / 0.6745, rel=1e-12)
         assert lam == pytest.approx(h * sqrt(2.0 * log(300)), rel=1e-12, abs=1e-12)
 
     def test_single_coefficient_gives_zero(self):
-        lam, h, n = compute_threshold([5.0])
-        assert (lam, h, n) == (0.0, 0.0, 1)
+        assert compute_threshold([5.0]) == (0.0, 0.0)
 
     def test_unit_scale_n256(self):
         values = np.array([0.6745, -0.6745] * 128)
-        lam, h, n = compute_threshold(values)
+        lam, h = compute_threshold(values)
         assert h == pytest.approx(1.0, rel=1e-12)
         assert lam == pytest.approx(3.3302, abs=1e-4)
 
     def test_constant_vector_gives_zero(self):
-        lam, _, _ = compute_threshold(np.full(64, 2.5))
+        lam, _ = compute_threshold(np.full(64, 2.5))
         assert lam == 0.0
 
     def test_empty_rejected(self):
@@ -207,16 +205,16 @@ class TestSplit:
     @given(scalable_lists, st.floats(min_value=1e-3, max_value=1e3, allow_nan=False))
     def test_scale_equivariance(self, values, scale):
         v = np.asarray(values)
-        lam, _, _ = compute_threshold(v)
+        lam, _ = compute_threshold(v)
         base = split(v, lam)
-        lam_scaled, _, _ = compute_threshold(scale * v)
+        lam_scaled, _ = compute_threshold(scale * v)
         scaled = split(scale * v, lam_scaled)
         assert lam_scaled == pytest.approx(scale * lam, rel=1e-9, abs=1e-12)
         assert np.array_equal(base.significant, scaled.significant)
 
     @given(finite_lists)
     def test_idempotent_on_background(self, values):
-        lam, _, _ = compute_threshold(np.asarray(values))
+        lam, _ = compute_threshold(np.asarray(values))
         first = split(np.asarray(values), lam)
         again = split(first.background, lam)
         assert again.n_significant == 0
@@ -228,9 +226,9 @@ class TestThresholdBand:
         rng = np.random.default_rng(8)
         coeffs = rng.standard_normal(128)
         split = threshold_band(coeffs, leaf_ids=(0,), band="HF")
-        lam, h, n = compute_threshold(coeffs)
+        lam, h = compute_threshold(coeffs)
         assert split.band == "HF"
-        assert (split.lam, split.h, split.n) == (lam, h, n)
+        assert (split.lam, split.h, split.n) == (lam, h, 128)
 
     def test_external_noise_source(self):
         coeffs = np.array([1.0, -2.0, 3.0, -4.0])
@@ -239,7 +237,8 @@ class TestThresholdBand:
         assert split.h == pytest.approx(1.0, rel=1e-12)
         # N stays the band length, not the reference length
         assert split.lam == pytest.approx(sqrt(2.0 * log(4)), rel=1e-12)
-        assert compute_threshold(coeffs, reference) == (split.lam, split.h, 4)
+        assert compute_threshold(coeffs, reference) == (split.lam, split.h)
+        assert split.n == 4
 
     def test_empty_band_rejected(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from hrvwp.wavelet import (
     analysis_step,
     node_frequency_range,
     synthesis_step,
+    wpt_leaves,
     wpt_reconstruct_nodes,
 )
 from hrvwp.wavelet import _gray
@@ -282,6 +283,54 @@ class TestPacketTree:
             tree.node(2, 4)
         with pytest.raises(ValueError):
             tree.node(3, 0)
+
+
+class TestPrunedLeaves:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        order=st.integers(min_value=1, max_value=10),
+        depth=st.integers(min_value=0, max_value=8),
+        blocks=st.integers(min_value=1, max_value=3),
+        picks=st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+                       min_size=1, max_size=20),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_equal_to_full_tree_leaves(self, order, depth, blocks, picks, seed):
+        # slots in any order and with repeats; bitwise equal, not merely close
+        slots = [int(p * 2 ** depth) for p in picks]
+        bank = daubechies_filters(order)
+        x = np.random.default_rng(seed).standard_normal(blocks * 2 ** depth)
+        tree = wpt_decompose(x, depth, bank)
+        leaves = wpt_leaves(x, depth, bank, slots)
+        assert leaves.shape == (len(slots), blocks)
+        assert np.array_equal(leaves, np.stack([tree.node(depth, f) for f in slots]))
+
+    def test_band_leaves_of_the_reference_configuration(self):
+        x = np.random.default_rng(3).standard_normal(1216 // 64 * 64)
+        bank = daubechies_filters(4)
+        slots = band_nodes("LF", 6, 4.0) + band_nodes("HF", 6, 4.0)
+        tree = wpt_decompose(x, 6, bank)
+        assert np.array_equal(wpt_leaves(x, 6, bank, slots),
+                              np.stack([tree.node(6, f) for f in slots]))
+        assert np.array_equal(wpt_leaves(x, 1, bank, [1])[0], tree.node(1, 1))
+
+    def test_result_does_not_alias_the_signal(self):
+        x = np.arange(8.0)
+        leaves = wpt_leaves(x, 0, daubechies_filters(1), [0])
+        leaves[0, 0] = -1.0
+        assert x[0] == 0.0
+
+    @pytest.mark.parametrize("slots", [[], [-1], [64], [3, 64], [0, -64]])
+    def test_slots_out_of_range_rejected(self, slots):
+        with pytest.raises(ValueError, match="slots"):
+            wpt_leaves(np.ones(128), 6, daubechies_filters(4), slots)
+
+    def test_signal_checked_like_the_full_tree(self):
+        for sig in (np.ones(96), np.ones((2, 64))):
+            with pytest.raises(ValueError, match="multiple"):
+                wpt_leaves(sig, 6, daubechies_filters(2), [1])
+        with pytest.raises(ValueError, match="depth"):
+            wpt_leaves(np.ones(8), -1, daubechies_filters(2), [0])
 
 
 class TestReconstruction:
