@@ -6,16 +6,15 @@ threshold split -> features. Failures are recorded per recording without
 aborting the batch. Completed recordings feed two group-level ANOVA tables
 (coefficient statistics and band energies), run only when the design is
 balanced. One codec over the dataclass fields serializes reports losslessly, to
-JSON plus a binary coefficient vector; CSV mirrors use 12 significant digits.
+JSON plus a binary coefficient vector, which holds each band coefficient once;
+the feature and ANOVA tables are also written as CSV with 12 significant digits.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
-import io
 import json
-import re
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
@@ -442,13 +441,6 @@ def run_pipeline(manifest, config: PipelineConfig | None = None) -> RunReport:
     ids = [subject for _, subject, _ in rows]
     if len(set(ids)) != len(ids):
         raise ValueError("manifest subject_id values must be unique")
-    dump_owner: dict[str, str] = {}
-    for subject in ids:
-        # casefolded: on a case-insensitive filesystem "A" and "a" share a file
-        other = dump_owner.setdefault(_safe_name(subject).casefold(), subject)
-        if other != subject:
-            raise ValueError(f"subject_id values {other!r} and {subject!r} would both "
-                             f"write bands_{_safe_name(subject)}.csv")
     _band_leaves(config)  # a band without a whole leaf is a usage error, not N failures
 
     recordings = tuple(
@@ -472,25 +464,6 @@ def _fmt(value) -> str:
     return "" if value is None else str(value)
 
 
-def _band_csv_text(band: BandReport) -> str:
-    """Rows of a band dump, byte for byte as csv.writer writes them.
-
-    Only the band name can need quoting; csv.writer quotes it once per band,
-    and one %-format over the interleaved cells writes every row.
-    """
-    head = io.StringIO()
-    csv.writer(head).writerow([band.band, ""])
-    prefix = head.getvalue()[:-2].replace("%", "%%")  # "<band field>," without "\r\n"
-    leaf_len = band.n // len(band.leaves)
-    cells = np.empty((band.n, 4), dtype=object)  # node, offset, value, component
-    cells[:, 0] = np.repeat(band.leaves, leaf_len)
-    cells[:, 1] = np.tile(np.arange(leaf_len), len(band.leaves))
-    cells[:, 2] = band.values
-    cells[:, 3] = "background"  # np.full with a str fill is about 20x slower
-    cells[band.significant, 3] = "significant"
-    return f"{prefix}%d,%d,%.{CSV_FLOAT_DIGITS}g,%s\r\n" * band.n % tuple(cells.ravel().tolist())
-
-
 def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -499,19 +472,16 @@ def _write_csv(path: Path, header, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _safe_name(subject_id: str) -> str:
-    return re.sub(r"[^A-Za-z0-9._-]", "_", subject_id) or "unnamed"
-
-
 def _anova_table_rows(table: AnovaTable):
     return [(r.source.capitalize(), r.ss, r.df, r.ms, r.f, r.p) for r in table.rows]
 
 
 def emit_report(report: RunReport, out_dir=".") -> set[Path]:
-    """Write report.json, coefficients.npy, the feature and ANOVA tables and the band dumps.
+    """Write report.json, coefficients.npy, features.csv and one CSV per ANOVA table.
 
     Returns the set of files written. RunReport.read reads the first two back
-    exactly; CSV numbers carry 12 significant digits.
+    exactly; CSV numbers carry 12 significant digits. A skipped table's CSV is
+    removed, so none is left over from an earlier run into out_dir.
     """
     out = Path(out_dir)
     try:
@@ -534,19 +504,11 @@ def emit_report(report: RunReport, out_dir=".") -> set[Path]:
         written.add(path)
 
         for a in report.anova:
-            if a.status != "ok":
-                continue
             path = out / f"anova_{a.name}.csv"
-            _write_csv(path, ["Source", "SS", "df", "MS", "F", "p"], _anova_table_rows(a.table))
-            written.add(path)
-
-        for rec in report.recordings:
-            if rec.status != "ok":
+            if a.status != "ok":
+                path.unlink(missing_ok=True)
                 continue
-            path = out / f"bands_{_safe_name(rec.subject_id)}.csv"
-            text = "".join(_band_csv_text(band) for band in rec.bands)
-            path.write_text("band,node,offset,coefficient,component\r\n" + text,
-                            encoding="utf-8", newline="")
+            _write_csv(path, ["Source", "SS", "df", "MS", "F", "p"], _anova_table_rows(a.table))
             written.add(path)
     except OSError as exc:
         raise OSError(f"cannot write report under {out}: {exc}") from exc

@@ -337,5 +337,5 @@ def test_c10_smoke_batch_emits_well_formed_report(write_dataset, tmp_path):
     coefficients = np.load(out / "coefficients.npy", allow_pickle=False)
     assert RunReport.from_json(json.dumps(payload), coefficients) == report
     assert RunReport.read(out) == report
-    # report, coefficients, features, two anova, nine dumps
-    assert len(written) == 1 + 1 + 1 + 2 + 9
+    # report, coefficients, features, two anova
+    assert len(written) == 1 + 1 + 1 + 2

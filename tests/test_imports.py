@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 
 import hrvwp
+from hrvwp import PipelineConfig, emit_report, run_pipeline
 from hrvwp.cli import build_parser
 from hrvwp.features import FeatureVector
+from conftest import synthetic_rr
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = str(Path(hrvwp.__file__).resolve().parents[1])
@@ -54,3 +56,30 @@ def test_readme_library_use_runs(tmp_path, monkeypatch):
     assert isinstance(features, FeatureVector)
     assert bands["LF"].leaves == (1, 2, 3, 4) and bands["HF"].leaves == tuple(range(5, 13))
     assert features.e_lf > 0.0 and features.e_hf > 0.0
+
+
+def test_readme_band_table_runs(write_dataset, tmp_path, monkeypatch, capsys):
+    # the block reads the output directory "results" under the working directory
+    section = README.read_text(encoding="utf-8").split("### Outputs", 1)[1].split("\n## ", 1)[0]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    rr = synthetic_rr(300, seed=30)
+    rr[150:153] += 300.0  # a burst gives both bands significant coefficients
+    report = run_pipeline(write_dataset([("spike", "Control", rr)]), PipelineConfig())
+    emit_report(report, tmp_path / "results")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md", "exec"), {})
+    rows = [line.split(" ") for line in capsys.readouterr().out.splitlines()]
+    (rec,) = report.recordings
+    for band, nodes in zip(rec.bands, [set(range(1, 5)), set(range(5, 13))]):
+        table = [row[1:] for row in rows if row[0] == band.band]
+        assert len(table) == band.n and band.n_significant > 0
+        assert {int(node) for node, *_ in table} == nodes == set(band.leaves)
+        leaf_len = band.n // len(band.leaves)
+        assert [(int(node), int(offset)) for node, offset, *_ in table] == [
+            (band.leaves[i // leaf_len], i % leaf_len) for i in range(band.n)]
+        values = np.array([float(value) for _, _, value, _ in table])
+        assert np.array_equal(values, band.values)
+        significant = [i for i, row in enumerate(table) if row[3] == "significant"]
+        assert significant == band.significant.tolist()
+        assert significant == np.flatnonzero(np.abs(values) > band.lam).tolist()
+        assert {row[3] for row in table} == {"significant", "background"}
