@@ -94,7 +94,7 @@ def parse_rr_file(text: str | bytes) -> np.ndarray:
     the offending line or takes the kept column from lines with extra tokens.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        text = text.decode("utf-8-sig")
 
     kept = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
     col = 1 if kept and len(kept[0].split()) >= 2 else 0
@@ -165,8 +165,8 @@ def resample_cubic_spline(
     h = np.diff(t)
     if np.any(h <= 0.0):
         raise ValueError("times must be strictly increasing")
-    if not rate_hz > 0.0:
-        raise ValueError("sampling rate must be positive")
+    if not 0.0 < rate_hz < np.inf:
+        raise ValueError(f"sampling rate must be positive and finite, got {rate_hz}")
 
     span = t[-1] - t[0]
     # epsilon keeps an exactly-aligned final knot on the grid

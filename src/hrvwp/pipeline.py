@@ -84,8 +84,8 @@ class PipelineConfig:
     standardize_anova: bool = False
 
     def __post_init__(self):
-        if not self.rate_hz > 0.0:
-            raise ValueError("rate_hz must be positive")
+        if not 0.0 < self.rate_hz < np.inf:
+            raise ValueError(f"rate_hz must be positive and finite, got {self.rate_hz}")
         for name in ("wavelet_order", "depth"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -346,7 +346,7 @@ def process_recording(
     failed; any other exception is a bug and propagates.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
         rr_ms = parse_rr_file(text)
         times, values = rr_to_tachogram(rr_ms)
         signal = resample_cubic_spline(times, values, config.rate_hz)

@@ -5,26 +5,26 @@ exactly N/2**m coefficients per node at level m, the transform matrix is
 orthogonal, and Parseval / perfect reconstruction hold to rounding error.
 
 Node indexing: splitting the high-pass branch and downsampling mirrors the
-spectrum, so the raw filter-bank ("natural") order of the leaves is not
-monotone in frequency. Each level is stored as one array whose rows are the
-nodes in natural order, and is computed from the level above in a single
-filter-bank step (Mallat's algorithm applied to every node at once); the
-public index of a node at level m is its frequency slot, with slot f mapping
-to natural position f ^ (f >> 1) (binary-reflected Gray code). Under this
-indexing, node (level, j) covers exactly [j, j+1] * rate / 2**(level+1) Hz.
+spectrum, so the raw filter-bank ("natural") order of the nodes is not
+monotone in frequency. Each level is computed from the level above in a
+single filter-bank step (Mallat's algorithm applied to every node at once),
+in natural order; that order stays internal. Every level a function returns
+is one array whose row j is node j in frequency order, its frequency slot;
+slot f is natural position f ^ (f >> 1) (binary-reflected Gray code). Under
+this indexing, node (level, j) covers exactly [j, j+1] * rate / 2**(level+1) Hz.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil, comb, floor, sqrt
+from math import comb, sqrt
 
 import numpy as np
 
 __all__ = [
     "QuadFilterBank",
-    "WpTree",
     "daubechies_filters",
     "analysis_step",
     "synthesis_step",
@@ -181,44 +181,9 @@ def synthesis_step(
     return _synthesize(np.stack((a, d), axis=-2), bank)
 
 
-def _gray(freq_index: int) -> int:
-    """Natural (filter-path) position of the node in frequency slot freq_index."""
+def _gray(freq_index):
+    """Natural (filter-path) position of the node(s) in frequency slot(s) freq_index."""
     return freq_index ^ (freq_index >> 1)
-
-
-class WpTree:
-    """Full wavelet packet coefficient tree down to a fixed depth.
-
-    Level 0 holds the original signal; every node at level m splits into two
-    children at level m+1, so each full level is an orthogonal transform of
-    the signal. Level m is stored as one (2**m, N/2**m) array whose rows are
-    the nodes in natural order; node lookup is by frequency-ordered index
-    and returns that node's coefficients (a row view of its level).
-    """
-
-    def __init__(self, levels_natural: list[np.ndarray], bank: QuadFilterBank):
-        self._levels = levels_natural
-        self.depth = len(levels_natural) - 1
-        self.bank = bank
-
-    def node(self, level: int, index: int) -> np.ndarray:
-        if not 0 <= level <= self.depth:
-            raise ValueError(f"level must be in [0, {self.depth}], got {level}")
-        if not 0 <= index < 2 ** level:
-            raise ValueError(
-                f"index must be in [0, {2 ** level - 1}] at level {level}, got {index}"
-            )
-        return self._levels[level][_gray(index)]
-
-    def level_nodes(self, level: int) -> list[np.ndarray]:
-        return [self.node(level, j) for j in range(2 ** level)]
-
-    def leaves(self) -> list[np.ndarray]:
-        return self.level_nodes(self.depth)
-
-    def level_energy(self, level: int) -> float:
-        flat = self._levels[level].ravel()
-        return float(np.dot(flat, flat))
 
 
 def _level_zero(signal: np.ndarray, depth: int) -> np.ndarray:
@@ -235,17 +200,19 @@ def _level_zero(signal: np.ndarray, depth: int) -> np.ndarray:
     return x.reshape(1, -1)
 
 
-def wpt_decompose(signal: np.ndarray, depth: int, bank: QuadFilterBank) -> WpTree:
+def wpt_decompose(signal: np.ndarray, depth: int, bank: QuadFilterBank) -> list[np.ndarray]:
     """Decompose uniformly sampled signal values into a full packet tree of the given depth.
 
-    One analysis_step call per level: node i of a level becomes rows 2i
-    (approx) and 2i+1 (detail) of the next.
+    Returns the levels 0..depth; levels[m] has shape (2**m, N/2**m) and row j
+    is node (m, j), in frequency order. Every node is split: one analysis_step
+    call per level turns natural row i into rows 2i (approx) and 2i+1 (detail)
+    of the next level, and each level is put in frequency order once, at the end.
     """
-    levels = [_level_zero(signal, depth).copy()]
+    natural = [_level_zero(signal, depth)]
     for _ in range(depth):
-        pairs = analysis_step(levels[-1], bank)
-        levels.append(pairs.reshape(2 * pairs.shape[0], -1))
-    return WpTree(levels, bank)
+        pairs = analysis_step(natural[-1], bank)
+        natural.append(pairs.reshape(2 * pairs.shape[0], -1))
+    return [level[_gray(np.arange(level.shape[0]))] for level in natural]
 
 
 @lru_cache(maxsize=64)
@@ -266,9 +233,9 @@ def _leaf_plan(depth: int, slots: tuple[int, ...]) -> tuple[list[np.ndarray], np
 def wpt_leaves(signal: np.ndarray, depth: int, bank: QuadFilterBank, slots) -> np.ndarray:
     """The depth-level leaves in frequency slots `slots`, as rows of one array in that order.
 
-    Bitwise equal to stacking wpt_decompose(...).node(depth, f), but each level
-    splits only the ancestors of the requested leaves, in one analysis_step call
-    per level. For leaves 1-12 at depth 6 that is 2.47 N input samples, not 6 N.
+    Bitwise equal to wpt_decompose(...)[depth][slots], but each level splits
+    only the ancestors of the requested leaves, in one analysis_step call per
+    level. For leaves 1-12 at depth 6 that is 2.47 N input samples, not 6 N.
     """
     rows, slots = _level_zero(signal, depth), tuple(slots)
     if not slots or not all(0 <= f < 2 ** depth for f in slots):
@@ -280,24 +247,30 @@ def wpt_leaves(signal: np.ndarray, depth: int, bank: QuadFilterBank, slots) -> n
     return rows[order]
 
 
-def wpt_reconstruct_nodes(tree: WpTree, node_set) -> np.ndarray:
+def wpt_reconstruct_nodes(leaves: np.ndarray, bank: QuadFilterBank, node_set) -> np.ndarray:
     """Time-domain component carried by the selected leaves.
 
-    All leaves outside node_set are zeroed before synthesis, so selecting all
-    leaves returns the original signal and complementary selections add up to
-    it (the transform is linear and orthogonal).
+    leaves is the frequency-ordered (2**depth, L) last level of a tree, as
+    wpt_decompose(...)[-1] returns it. All leaves outside node_set are zeroed
+    before synthesis, so selecting all leaves returns the original signal and
+    complementary selections add up to it (the transform is linear and
+    orthogonal).
     """
-    n_leaves = 2 ** tree.depth
+    leaves = np.asarray(leaves, dtype=float)
+    n_leaves = leaves.shape[0] if leaves.ndim == 2 else 0
+    if n_leaves < 1 or n_leaves & (n_leaves - 1):
+        raise ValueError(
+            f"leaves of shape {leaves.shape} are not a 2-d level with a power-of-two row count"
+        )
     selected = set(int(j) for j in node_set)
     for j in selected:
         if not 0 <= j < n_leaves:
             raise ValueError(f"leaf index {j} out of range [0, {n_leaves - 1}]")
-    leaves = tree._levels[tree.depth]
     level = np.zeros_like(leaves)
-    natural = [_gray(j) for j in selected]
-    level[natural] = leaves[natural]
+    slots = np.array(sorted(selected), dtype=int)
+    level[_gray(slots)] = leaves[slots]
     while level.shape[0] > 1:
-        level = _synthesize(level.reshape(level.shape[0] // 2, 2, -1), tree.bank)
+        level = _synthesize(level.reshape(level.shape[0] // 2, 2, -1), bank)
     return level[0]
 
 
@@ -309,8 +282,8 @@ def node_frequency_range(level: int, index: int, rate_hz: float) -> tuple[float,
         raise ValueError(
             f"index must be in [0, {2 ** level - 1}] at level {level}, got {index}"
         )
-    if not rate_hz > 0.0:
-        raise ValueError("rate_hz must be positive")
+    if not 0.0 < rate_hz < np.inf:
+        raise ValueError(f"rate_hz must be positive and finite, got {rate_hz}")
     width = rate_hz / 2 ** (level + 1)
     return (index * width, (index + 1) * width)
 
@@ -335,22 +308,14 @@ def band_nodes(
         raise ValueError(f"invalid band edges ({lo}, {hi})")
     if not 0 <= level <= MAX_DEPTH:
         raise ValueError(f"level must be in [0, {MAX_DEPTH}], got {level}")
-    if not rate_hz > 0.0:
-        raise ValueError("rate_hz must be positive")
-    # leaf j fits when j*width >= lo - eps and (j+1)*width <= hi + eps; both are
-    # monotone in j, so estimate the run's ends, then step to the exact tests
+    if not 0.0 < rate_hz < np.inf:
+        raise ValueError(f"rate_hz must be positive and finite, got {rate_hz}")
+    # leaf j fits when j*width >= lo - eps and (j+1)*width <= hi + eps; both
+    # are monotone in j, so the fitting leaves are one run found by bisection
     eps = 1e-12 * max(rate_hz, 1.0)
     n, width = 2 ** level, rate_hz / 2 ** (level + 1)
-    first = ceil(min(max((lo - eps) / width, 0.0), n))
-    while first > 0 and (first - 1) * width >= lo - eps:
-        first -= 1
-    while first < n and first * width < lo - eps:
-        first += 1
-    last = floor(min((hi + eps) / width, n)) - 1
-    while last + 1 < n and (last + 2) * width <= hi + eps:
-        last += 1
-    while last >= 0 and (last + 1) * width > hi + eps:
-        last -= 1
+    first = bisect_left(range(n), lo - eps, key=lambda j: j * width)
+    last = bisect_right(range(n), hi + eps, key=lambda j: (j + 1) * width) - 1
     if first > last:
         raise ValueError(f"no level-{level} node fits inside [{lo}, {hi}] Hz at {rate_hz} Hz")
     return list(range(first, last + 1))

@@ -170,12 +170,11 @@ class TestEndToEndOracle:
     def test_two_tone_band_energies_match_naive_chain(self):
         t = np.arange(1024) / 4.0
         samples = np.sin(2 * np.pi * 0.1 * t) + np.sin(2 * np.pi * 0.3 * t)
-        tree = wpt_decompose(samples, 6, daubechies_filters(4))
+        levels = wpt_decompose(samples, 6, daubechies_filters(4))
         splits = {}
         for band in ("LF", "HF"):
             leaves = band_nodes(band, 6, 4.0)
-            chunks = [tree.node(6, j) for j in leaves]
-            splits[band] = threshold_band(np.concatenate(chunks), leaf_ids=leaves, band=band)
+            splits[band] = threshold_band(levels[6][leaves].ravel(), leaf_ids=leaves, band=band)
         feats = extract_features(splits["LF"], splits["HF"])
 
         expected = naive_chain_energies(samples)
@@ -187,12 +186,11 @@ class TestEndToEndOracle:
         samples = rng.standard_normal(512) * 40.0 + 800.0
 
         def run(sig):
-            tree = wpt_decompose(sig, 6, daubechies_filters(4))
+            levels = wpt_decompose(sig, 6, daubechies_filters(4))
             splits = {}
             for band in ("LF", "HF"):
                 leaves = band_nodes(band, 6, 4.0)
-                chunks = [tree.node(6, j) for j in leaves]
-                splits[band] = threshold_band(np.concatenate(chunks), leaf_ids=leaves,
+                splits[band] = threshold_band(levels[6][leaves].ravel(), leaf_ids=leaves,
                                               band=band)
             return extract_features(splits["LF"], splits["HF"]), splits
 

@@ -1,3 +1,4 @@
+import importlib
 import re
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from conftest import synthetic_rr
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = str(Path(hrvwp.__file__).resolve().parents[1])
+MODULES = sorted(Path(hrvwp.__file__).parent.glob("[!_]*.py"))
 
 
 def test_cli_import_loads_no_scipy():
@@ -30,6 +32,14 @@ def test_public_names_are_the_readme_list():
     assert listed, "README names no public API"
     assert hrvwp.__all__ == re.findall(r"`(\w+)`", listed.group(1))
     assert all(hasattr(hrvwp, name) for name in hrvwp.__all__)
+
+
+def test_module_exports_exist():
+    # a name left in __all__ after its definition went fails only a star import
+    for module in ["hrvwp", *(f"hrvwp.{path.stem}" for path in MODULES)]:
+        mod = importlib.import_module(module)
+        missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+        assert missing == [], module
 
 
 def test_cli_flags_are_the_readme_table():
@@ -56,6 +66,23 @@ def test_readme_library_use_runs(tmp_path, monkeypatch):
     assert isinstance(features, FeatureVector)
     assert bands["LF"].leaves == (1, 2, 3, 4) and bands["HF"].leaves == tuple(range(5, 13))
     assert features.e_lf > 0.0 and features.e_hf > 0.0
+
+
+def test_readme_whole_tree_runs(tmp_path, monkeypatch):
+    # the second block of the section goes on from the first one's signal and bands
+    section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
+    blocks = re.findall(r"```python\n(.*?)```", section.split("\n## ", 1)[0], re.DOTALL)
+    assert len(blocks) == 2
+    samples = 800.0 + 40.0 * np.sin(2 * np.pi * 0.1 * np.arange(1024) / 4.0)
+    np.savetxt(tmp_path / "tachogram.txt", samples)
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    for code in blocks:
+        exec(compile(code, "README.md", "exec"), namespace)
+    signal, levels = namespace["signal"], namespace["levels"]
+    assert len(levels) == 7 and levels[6].shape == (64, 16)
+    assert namespace["same_leaves"] is True
+    assert np.max(np.abs(namespace["restored"] - signal)) < 1e-10 * np.max(np.abs(signal))
 
 
 def test_readme_band_table_runs(write_dataset, tmp_path, monkeypatch, capsys):

@@ -129,6 +129,7 @@ class TestParse:
 
     def test_bytes_accepted(self):
         assert len(parse_rr_file(b"800\n810\n")) == 2
+        assert parse_rr_file(b"\xef\xbb\xbf812\n810\n").tolist() == [812.0, 810.0]
 
     def test_detect_format(self):
         # the first data line alone picks the column; later lines may carry
@@ -248,8 +249,9 @@ class TestResample:
     def test_rate_too_low(self):
         with pytest.raises(ValueError):
             resample_cubic_spline(np.array([0.0, 0.5]), np.array([1.0, 2.0]), 0.5)
-        with pytest.raises(ValueError, match="positive"):
-            resample_cubic_spline(np.array([0.0, 1.0]), np.array([1.0, 2.0]), 0.0)
+        for rate_hz in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                resample_cubic_spline(np.array([0.0, 1.0]), np.array([1.0, 2.0]), rate_hz)
 
     @settings(max_examples=50)
     @given(

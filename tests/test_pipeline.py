@@ -63,6 +63,8 @@ class TestConfig:
             {"depth": 5.0},
             {"depth": True},
             {"depth": 25},
+            {"rate_hz": float("inf")},
+            {"rate_hz": float("nan")},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -201,6 +203,15 @@ class TestRunPipeline:
         assert by_id["latin1"].status == "failed"
         assert "UnicodeDecodeError" in by_id["latin1"].error
         assert by_id["ok0"].status == "ok"
+
+    def test_byte_order_mark_accepted(self, write_dataset, tmp_path):
+        manifest = write_dataset([("plain", "Control", synthetic_rr(300, seed=6))])
+        plain = (tmp_path / "data" / "plain.txt").read_bytes()
+        (tmp_path / "data" / "bom.txt").write_bytes(b"\xef\xbb\xbf" + plain)
+        manifest.write_text(manifest.read_text() + "data/bom.txt,bom,Control\n")
+        by_id = {r.subject_id: r for r in run_pipeline(manifest, PipelineConfig()).recordings}
+        assert by_id["bom"].status == "ok"
+        assert by_id["bom"].features == by_id["plain"].features
 
     def test_internal_error_propagates(self, write_dataset, monkeypatch):
         manifest = write_dataset([("ok0", "Control", synthetic_rr(300, seed=6))])
@@ -633,6 +644,13 @@ class TestCli:
         code = main(["--manifest", str(manifest), "--out", str(tmp_path / "o2"),
                      "--depth", "-3"])
         assert code == 2
+
+    def test_infinite_rate_exit_two(self, write_dataset, tmp_path, capsys):
+        manifest = write_dataset([("c0", "Control", synthetic_rr(300, seed=15))])
+        code = main(["--manifest", str(manifest), "--out", str(tmp_path / "o5"),
+                     "--rate", "inf"])
+        assert code == 2
+        assert "rate_hz must be positive and finite" in capsys.readouterr().err
 
     def test_huge_depth_exit_two_promptly(self, write_dataset, tmp_path, capsys):
         # a typo for --depth 6 is a prompt usage error, not a scan over 2**60 leaves

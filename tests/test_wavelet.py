@@ -189,20 +189,27 @@ class TestAnalysisSynthesis:
 class TestPacketTree:
     def test_depth_zero_is_identity(self):
         sig = np.arange(8.0)
-        tree = wpt_decompose(sig, 0, daubechies_filters(2))
-        assert tree.depth == 0
-        assert np.array_equal(tree.node(0, 0), sig)
-        assert np.array_equal(wpt_reconstruct_nodes(tree, [0]), sig)
+        bank = daubechies_filters(2)
+        levels = wpt_decompose(sig, 0, bank)
+        assert len(levels) == 1
+        assert np.array_equal(levels[0][0], sig)
+        assert np.array_equal(wpt_reconstruct_nodes(levels[-1], bank, [0]), sig)
+
+    def test_levels_do_not_alias_the_signal(self):
+        sig = np.arange(8.0)
+        levels = wpt_decompose(sig, 0, daubechies_filters(1))
+        levels[0][0, 0] = -1.0
+        assert sig[0] == 0.0
 
     def test_constant_signal_maps_to_lowest_leaf(self):
         # with leaf 0 outside both default bands, a signal's mean never
         # reaches a band feature, so no mean removal is needed
         sig = np.full(256, 3.0)
         for order in range(1, 11):
-            tree = wpt_decompose(sig, 6, daubechies_filters(order))
+            leaves = wpt_decompose(sig, 6, daubechies_filters(order))[6]
             for j in range(1, 64):
-                assert np.max(np.abs(tree.node(6, j))) <= 1e-9, (order, j)
-            energy0 = float(np.dot(tree.node(6, 0), tree.node(6, 0)))
+                assert np.max(np.abs(leaves[j])) <= 1e-9, (order, j)
+            energy0 = float(np.dot(leaves[0], leaves[0]))
             assert energy0 == pytest.approx(np.dot(sig, sig), rel=1e-12), order
         fitting = 0
         for level in range(MAX_DEPTH + 1):
@@ -217,17 +224,17 @@ class TestPacketTree:
 
     def test_sinusoid_017hz_lands_in_leaf_5(self):
         sig = tone(0.17)
-        tree = wpt_decompose(sig, 6, daubechies_filters(4))
-        energies = [float(np.dot(n, n)) for n in tree.leaves()]
+        levels = wpt_decompose(sig, 6, daubechies_filters(4))
+        energies = [float(np.dot(n, n)) for n in levels[-1]]
         assert int(np.argmax(energies)) == 5
 
     def test_parseval_every_level(self):
         rng = np.random.default_rng(5)
         sig = rng.standard_normal(512)
-        tree = wpt_decompose(sig, 6, daubechies_filters(4))
+        levels = wpt_decompose(sig, 6, daubechies_filters(4))
         reference = float(np.dot(sig, sig))
         for level in range(7):
-            assert tree.level_energy(level) == pytest.approx(reference, rel=1e-9)
+            assert np.sum(levels[level] ** 2) == pytest.approx(reference, rel=1e-9)
 
     @pytest.mark.parametrize("order", range(1, 11))
     def test_matches_orthogonal_matrix_reference(self, order):
@@ -235,7 +242,7 @@ class TestPacketTree:
         # above order 1, so the circular extension wraps more than once
         bank = daubechies_filters(order)
         x = np.random.default_rng(order).standard_normal(64)
-        tree = wpt_decompose(x, 6, bank)
+        levels = wpt_decompose(x, 6, bank)
         natural = [x]
         for level in range(1, 7):
             n = natural[0].size
@@ -244,7 +251,7 @@ class TestPacketTree:
             natural = [half for node in natural
                        for half in np.split(step @ node, 2)]
             for j in range(2 ** level):
-                assert np.allclose(tree.node(level, j), natural[_gray(j)],
+                assert np.allclose(levels[level][j], natural[_gray(j)],
                                    rtol=0, atol=1e-12)
 
     @settings(max_examples=50, deadline=None)
@@ -257,15 +264,16 @@ class TestPacketTree:
         # 60 beats of at least 300 ms span 18 s, so 4 Hz gives >= 64 samples
         times, values = rr_to_tachogram(np.array(rr))
         signal = truncate_to_block(resample_cubic_spline(times, values, 4.0), depth)
-        tree = wpt_decompose(signal, depth, daubechies_filters(order))
-        leaf_energy = sum(float(np.dot(n, n)) for n in tree.leaves())
+        levels = wpt_decompose(signal, depth, daubechies_filters(order))
+        leaf_energy = sum(float(np.dot(n, n)) for n in levels[-1])
         assert leaf_energy == pytest.approx(float(np.dot(signal, signal)), rel=1e-9)
 
     def test_level_lengths_partition_signal(self):
         sig = np.random.default_rng(0).standard_normal(128)
-        tree = wpt_decompose(sig, 4, daubechies_filters(3))
+        levels = wpt_decompose(sig, 4, daubechies_filters(3))
+        assert len(levels) == 5
         for level in range(5):
-            nodes = tree.level_nodes(level)
+            nodes = levels[level]
             assert len(nodes) == 2 ** level
             assert sum(len(n) for n in nodes) == 128
             assert all(len(n) == 128 // 2 ** level for n in nodes)
@@ -275,14 +283,6 @@ class TestPacketTree:
         for sig in (np.ones(96), np.ones((2, 64))):
             with pytest.raises(ValueError, match="multiple"):
                 wpt_decompose(sig, 6, daubechies_filters(2))
-
-    def test_bad_node_lookup(self):
-        sig = np.ones(16)
-        tree = wpt_decompose(sig, 2, daubechies_filters(1))
-        with pytest.raises(ValueError):
-            tree.node(2, 4)
-        with pytest.raises(ValueError):
-            tree.node(3, 0)
 
 
 class TestPrunedLeaves:
@@ -300,19 +300,18 @@ class TestPrunedLeaves:
         slots = [int(p * 2 ** depth) for p in picks]
         bank = daubechies_filters(order)
         x = np.random.default_rng(seed).standard_normal(blocks * 2 ** depth)
-        tree = wpt_decompose(x, depth, bank)
+        levels = wpt_decompose(x, depth, bank)
         leaves = wpt_leaves(x, depth, bank, slots)
         assert leaves.shape == (len(slots), blocks)
-        assert np.array_equal(leaves, np.stack([tree.node(depth, f) for f in slots]))
+        assert np.array_equal(leaves, levels[depth][slots])
 
     def test_band_leaves_of_the_reference_configuration(self):
         x = np.random.default_rng(3).standard_normal(1216 // 64 * 64)
         bank = daubechies_filters(4)
         slots = band_nodes("LF", 6, 4.0) + band_nodes("HF", 6, 4.0)
-        tree = wpt_decompose(x, 6, bank)
-        assert np.array_equal(wpt_leaves(x, 6, bank, slots),
-                              np.stack([tree.node(6, f) for f in slots]))
-        assert np.array_equal(wpt_leaves(x, 1, bank, [1])[0], tree.node(1, 1))
+        levels = wpt_decompose(x, 6, bank)
+        assert np.array_equal(wpt_leaves(x, 6, bank, slots), levels[6][slots])
+        assert np.array_equal(wpt_leaves(x, 1, bank, [1])[0], levels[1][1])
 
     def test_result_does_not_alias_the_signal(self):
         x = np.arange(8.0)
@@ -334,37 +333,51 @@ class TestPrunedLeaves:
 
 
 class TestReconstruction:
-    def _tree(self, n=256, seed=1, depth=6):
+    BANK = daubechies_filters(4)
+
+    def _leaves(self, n=256, seed=1, depth=6):
         x = np.random.default_rng(seed).standard_normal(n)
-        return x, wpt_decompose(x, depth, daubechies_filters(4))
+        return x, wpt_decompose(x, depth, self.BANK)[-1]
 
     def test_all_leaves_return_original(self):
-        x, tree = self._tree()
-        out = wpt_reconstruct_nodes(tree, range(64))
+        x, leaves = self._leaves()
+        out = wpt_reconstruct_nodes(leaves, self.BANK, range(64))
         assert np.max(np.abs(out - x)) < 1e-10 * np.max(np.abs(x))
 
     def test_empty_set_returns_zero(self):
-        _, tree = self._tree()
-        assert np.array_equal(wpt_reconstruct_nodes(tree, []), np.zeros(256))
+        _, leaves = self._leaves()
+        assert np.array_equal(wpt_reconstruct_nodes(leaves, self.BANK, []), np.zeros(256))
 
     def test_complementary_sets_sum_to_signal(self):
-        x, tree = self._tree()
+        x, leaves = self._leaves()
         rng = np.random.default_rng(9)
         subset = set(rng.choice(64, size=20, replace=False).tolist())
         rest = set(range(64)) - subset
-        total = wpt_reconstruct_nodes(tree, subset) + wpt_reconstruct_nodes(tree, rest)
+        total = (wpt_reconstruct_nodes(leaves, self.BANK, subset)
+                 + wpt_reconstruct_nodes(leaves, self.BANK, rest))
         assert np.max(np.abs(total - x)) < 1e-10 * np.max(np.abs(x))
 
     def test_invalid_leaf_rejected(self):
-        _, tree = self._tree()
+        _, leaves = self._leaves()
         with pytest.raises(ValueError, match="out of range"):
-            wpt_reconstruct_nodes(tree, [64])
+            wpt_reconstruct_nodes(leaves, self.BANK, [64])
+
+    @pytest.mark.parametrize("shape", [(256,), (0, 4), (3, 4), (48, 4), (2, 2, 4)])
+    def test_leaves_not_a_level_rejected(self, shape):
+        with pytest.raises(ValueError, match="power-of-two"):
+            wpt_reconstruct_nodes(np.ones(shape), self.BANK, [0])
+
+    def test_pruned_leaves_reconstruct(self):
+        x = np.random.default_rng(4).standard_normal(256)
+        leaves = wpt_leaves(x, 6, self.BANK, range(64))
+        out = wpt_reconstruct_nodes(leaves, self.BANK, range(64))
+        assert np.max(np.abs(out - x)) < 1e-10 * np.max(np.abs(x))
 
     @pytest.mark.parametrize("order", [2, 7, 10])
     def test_full_tree_roundtrip_other_orders(self, order):
         x = np.random.default_rng(order).standard_normal(256)
-        tree = wpt_decompose(x, 6, daubechies_filters(order))
-        out = wpt_reconstruct_nodes(tree, range(64))
+        bank = daubechies_filters(order)
+        out = wpt_reconstruct_nodes(wpt_decompose(x, 6, bank)[-1], bank, range(64))
         assert np.max(np.abs(out - x)) < 1e-10 * np.max(np.abs(x))
 
 
@@ -399,8 +412,8 @@ class TestFrequencyMapping:
     @pytest.mark.parametrize("slot", [0, 1, 5, 9, 31, 62])
     def test_tone_at_slot_center_maximizes_that_leaf(self, slot):
         freq = (slot + 0.5) * 4.0 / 2 ** 7
-        tree = wpt_decompose(tone(freq), 6, daubechies_filters(4))
-        energies = [float(np.dot(n, n)) for n in tree.leaves()]
+        levels = wpt_decompose(tone(freq), 6, daubechies_filters(4))
+        energies = [float(np.dot(n, n)) for n in levels[-1]]
         assert int(np.argmax(energies)) == slot
 
 
@@ -460,8 +473,8 @@ class TestBandNodes:
         for _ in range(20):
             lo, hi = np.sort(rng.uniform(0.0, 2.4, 2))
             self.check_against_scan(level, 4.0, (float(lo), float(hi)))
-        # edges on the leaf grid, and a few ulps around grid +- eps, where the
-        # quotient estimate of the run's ends can be off by one either way
+        # edges on the leaf grid, and a few ulps around grid +- eps, where a
+        # fit test that rounds differently from the scan would change the run
         for rate_hz in (0.7, 4.0, 7.3):
             eps, width = 1e-12 * max(rate_hz, 1.0), rate_hz / 2 ** (level + 1)
             for _ in range(6):
