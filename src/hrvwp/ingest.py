@@ -9,7 +9,11 @@ a natural cubic spline and sampled at a fixed rate (4 Hz by default).
 
 from __future__ import annotations
 
+import io
+import os
+import warnings
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 
@@ -21,6 +25,10 @@ __all__ = [
     "resample_cubic_spline",
     "truncate_to_block",
 ]
+
+# numpy's reader would open these through a decompressor
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
 
 class Group(Enum):
     """Subject group label."""
@@ -50,13 +58,21 @@ class RRParseError(ValueError):
         self.line = line
 
 
-def _parse_lines(text: str, col: int) -> list[float]:
-    """Column col of every data line, raising RRParseError at the first bad line."""
-    values = []
-    for num, line in enumerate(text.splitlines(), start=1):
-        tokens = line.split()
-        if not tokens or tokens[0].startswith("#"):
-            continue  # blank line or comment
+def _parse_lines(text: str) -> list[float]:
+    """The kept column of every data line, raising RRParseError at the first bad line.
+
+    This pass defines the file format. Lines end at LF, CR LF or CR; '#' starts
+    a comment anywhere in a line; tokens are separated by any whitespace. Lines
+    with no token left are skipped. The first data line picks the kept column:
+    one token means column 0, two or more mean column 1.
+    """
+    values, col = [], None
+    for num, line in enumerate(io.StringIO(text, newline=None), start=1):
+        tokens = line.partition("#")[0].split()
+        if not tokens:
+            continue
+        if col is None:
+            col = 1 if len(tokens) >= 2 else 0
         if len(tokens) <= col:
             raise RRParseError(f"expected {col + 1} columns, got {len(tokens)}", num)
         try:
@@ -67,40 +83,48 @@ def _parse_lines(text: str, col: int) -> list[float]:
     return values
 
 
-def _parse_plain(kept: list[str], col: int) -> np.ndarray | None:
-    """Column col of every kept line in one conversion, or None if any line is not plain.
+def _read_table(source) -> np.ndarray | None:
+    """The kept column by numpy's C text reader, or None where the reader declines.
 
-    Plain means a single number per line (one-column), or the same count of
-    numbers on every line (two-column); anything else is left to _parse_lines.
+    The reader follows _parse_lines' rules but takes only a table: the same
+    count of numbers on every data line. Ragged lines, a bad token, no data
+    and read errors are left to _parse_lines, which names the offending line.
     """
     try:
-        if col == 0:
-            return np.array(kept, dtype=float)
-        table = np.array([line.split() for line in kept], dtype=float)
-    except ValueError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            table = np.loadtxt(source, ndmin=2, encoding="utf-8-sig")
+    except (ValueError, OSError):
         return None
-    return table[:, col].copy() if table.ndim == 2 and table.shape[1] > col else None
+    if table.size == 0:
+        return None
+    return np.ascontiguousarray(table[:, 0 if table.shape[1] == 1 else 1])
 
 
-def parse_rr_file(text: str | bytes) -> np.ndarray:
-    """Parse an RR-interval text file into its intervals (ms), in file order.
+def parse_rr_file(source: str | bytes | os.PathLike) -> np.ndarray:
+    """Parse an RR-interval file, or its text, into its intervals (ms), in file order.
 
     Two formats are accepted: one RR interval (ms) per line, or two
     whitespace-separated columns (beat time, RR in ms) where only the second
-    column is kept. The first data line picks the format: one token means
-    one column, two or more mean two. Blank lines and lines starting with '#'
-    are skipped. Input order is preserved. All data lines are converted in
-    one pass; only when that fails does a line-by-line pass run, which finds
-    the offending line or takes the kept column from lines with extra tokens.
+    column is kept; _parse_lines states the rules. A leading byte-order mark
+    is skipped. Given a path, numpy's C reader converts the file in chunks;
+    given text, the same reader converts it line by line. Only input the
+    reader declines goes through _parse_lines, so both give the same values.
+    A compressed-file suffix is read as plain text, never decompressed.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8-sig")
-
-    kept = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
-    col = 1 if kept and len(kept[0].split()) >= 2 else 0
-    arr = _parse_plain(kept, col)
+    arr = text = None
+    if isinstance(source, os.PathLike):
+        path = Path(source)
+        if path.suffix.lower() not in _COMPRESSED_SUFFIXES and path.is_file():
+            arr = _read_table(path)
+        if arr is None:
+            text = path.read_text(encoding="utf-8-sig")
+    else:
+        text = (source.decode("utf-8-sig") if isinstance(source, bytes)
+                else source.removeprefix("\ufeff"))
+        arr = _read_table(io.StringIO(text, newline=None))
     if arr is None:
-        arr = np.asarray(_parse_lines(text, col), dtype=float)
+        arr = np.asarray(_parse_lines(text), dtype=float)
     if arr.size < 2:
         raise ValueError(f"need at least 2 RR intervals, got {arr.size}")
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):

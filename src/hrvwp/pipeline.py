@@ -328,10 +328,11 @@ def load_manifest(path) -> list[tuple[str, str, Group]]:
     return rows
 
 
-def _band_leaves(config: PipelineConfig) -> tuple[tuple[str, list[int]], ...]:
-    """(band, leaf ids) for LF and HF; raises ValueError if a band holds no whole leaf."""
+@functools.lru_cache(maxsize=16)
+def _band_leaves(config: PipelineConfig) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """(band, leaf ids) for LF and HF, once per config; ValueError if a band holds no whole leaf."""
     return tuple(
-        (band, band_nodes(band, config.depth, config.rate_hz, edges))
+        (band, tuple(band_nodes(band, config.depth, config.rate_hz, edges)))
         for band, edges in (("LF", config.lf_band_hz), ("HF", config.hf_band_hz))
     )
 
@@ -346,8 +347,7 @@ def process_recording(
     failed; any other exception is a bug and propagates.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-        rr_ms = parse_rr_file(text)
+        rr_ms = parse_rr_file(Path(path))
         times, values = rr_to_tachogram(rr_ms)
         signal = resample_cubic_spline(times, values, config.rate_hz)
         n_resampled = len(signal)

@@ -83,15 +83,28 @@ class BandReport:
         return np.delete(self.values, self.significant)
 
 
+def _median(v: np.ndarray) -> float:
+    """np.median of a non-empty 1-d vector, from one partition instead of its sort-based path.
+
+    The middle element for odd n, (a + b) / 2 of the two middle ones for even
+    n, as np.median computes them; NaN if v holds a NaN (partition puts it last).
+    """
+    k, odd = v.size // 2, v.size % 2
+    part = np.partition(v, (k, -1) if odd else (k - 1, k, -1))
+    if np.isnan(part[-1]):
+        return float("nan")
+    return float(part[k]) if odd else (float(part[k - 1]) + float(part[k])) / 2
+
+
 def mad(values: np.ndarray) -> float:
     """Median absolute deviation from the median.
 
     Even-length medians are the mean of the two middle order statistics.
     """
-    v = np.asarray(values, dtype=float)
+    v = np.asarray(values, dtype=float).ravel()
     if v.size == 0:
         raise ValueError("mad of an empty vector is undefined")
-    return float(np.median(np.abs(v - np.median(v))))
+    return _median(np.abs(v - _median(v)))
 
 
 def noise_scale(coeffs: np.ndarray) -> float:

@@ -223,11 +223,12 @@ def _leaf_plan(depth: int, slots: tuple[int, ...]) -> tuple[list[np.ndarray], np
     and splitting puts natural position p at row 2 * (row of p >> 1) + (p & 1).
     """
     natural = [_gray(f) for f in slots]
-    held, keep = [0], []
+    row, keep = {0: 0}, []  # row of each held natural position
     for m in range(1, depth + 1):
-        parents, held = held, sorted({p >> (depth - m) for p in natural})
-        keep.append(np.array([2 * parents.index(p >> 1) + (p & 1) for p in held]))
-    return keep, np.array([held.index(p) for p in natural])
+        held = sorted({p >> (depth - m) for p in natural})
+        keep.append(np.array([2 * row[p >> 1] + (p & 1) for p in held]))
+        row = {p: i for i, p in enumerate(held)}
+    return keep, np.array([row[p] for p in natural])
 
 
 def wpt_leaves(signal: np.ndarray, depth: int, bank: QuadFilterBank, slots) -> np.ndarray:

@@ -1,10 +1,14 @@
 import bisect
+import contextlib
+import gzip
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from hrvwp import ingest
 from hrvwp.ingest import (
     Group,
     RRParseError,
@@ -15,29 +19,39 @@ from hrvwp.ingest import (
 )
 
 
+def file_lines(text):
+    """The lines of text, ended at LF, CR LF or CR only, each cut at its first '#'."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return [line.split("#")[0] for line in lines]
+
+
 def line_loop(text, col):
-    """Independent per-line parse: column col of every non-blank, non-comment line."""
-    return [float(line.split()[col]) for line in map(str.strip, text.splitlines())
-            if line and not line.startswith("#")]
+    """Independent per-line parse: column col of every line with a token before any '#'."""
+    return [float(line.split()[col]) for line in file_lines(text) if line.split()]
 
 
 def is_data(line):
-    line = line.strip()
-    return bool(line) and not line.startswith("#")
+    return bool(line.split("#")[0].split())
+
+
+# whitespace that separates tokens inside a line, but does not end it
+SEPARATORS = [" ", "\t", "  ", "\f", "\v", "\x1c", "\x85", "\xa0", "\u2028"]
 
 
 @st.composite
 def rr_files(draw):
-    """(lines, newline) of a valid RR file with comments, blanks and odd spacing.
+    """(lines, newline, bom) of a valid RR file with comments, blanks and odd spacing.
 
     Half the files are plain (a number per column, nothing else); in the
     others data lines may carry extra tokens, which only the per-line pass
     accepts. A one-column file's first data line has no extra token, as it
-    picks the format.
+    picks the format. Comments may follow data on a line; a file may start
+    with a byte-order mark.
     """
     columns = draw(st.sampled_from([1, 2]))
     extras = st.sampled_from([[], ["17"], ["# note"]] if draw(st.booleans()) else [[]])
-    pad = st.sampled_from(["", " ", "  ", "\t", " \t "])
+    pad = st.sampled_from(["", " ", "  ", "\t", " \t ", "\f", "\x1e", "\u2029"])
+    comment = st.sampled_from(["", "", "#", " # 1 2", "#x\x85y"])
 
     def number():
         v = draw(st.floats(min_value=200.0, max_value=2000.0))
@@ -47,16 +61,48 @@ def rr_files(draw):
         tokens = [number() for _ in range(columns)]
         if columns == 2 or not first:
             tokens += draw(extras)
-        sep = draw(st.sampled_from([" ", "\t", "  "]))
-        return draw(pad) + sep.join(tokens) + draw(pad)
+        sep = draw(st.sampled_from(SEPARATORS))
+        return draw(pad) + sep.join(tokens) + draw(pad) + draw(comment)
 
-    noise = st.sampled_from(["", "   ", "\t", "# comment", "  # indented 1 2", "#"])
+    noise = st.sampled_from(["", "   ", "\t", "# comment", "  # indented 1 2", "#", "\f"])
     lines = []
     for k in range(draw(st.integers(min_value=2, max_value=40))):
         lines.extend(draw(st.lists(noise, max_size=2)))
         lines.append(data_line(first=k == 0))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
-    return lines, newline
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return lines, newline, draw(st.sampled_from(["", "\ufeff"]))
+
+
+def outcome(source, line_pass=False):
+    """parse_rr_file's result, or the type and text of its error.
+
+    With line_pass, numpy's reader declines everything, so only the line
+    pass runs.
+    """
+    reader = mock.patch.object(ingest, "_read_table", return_value=None)
+    with reader if line_pass else contextlib.nullcontext():
+        try:
+            return parse_rr_file(source)
+        except (ValueError, OSError) as exc:
+            return type(exc), str(exc)
+
+
+def routes(path, text):
+    """The outcomes of parsing text from the file path, as text, and by the line pass alone."""
+    path.write_bytes(text.encode("utf-8"))
+    return outcome(path), outcome(text), outcome(text, line_pass=True)
+
+
+def assert_same(outcomes):
+    """Equal errors, or float64 results equal bit for bit."""
+    first = outcomes[0]
+    for other in outcomes[1:]:
+        assert type(other) is type(first)
+        if isinstance(first, np.ndarray):
+            assert other.dtype == first.dtype == np.float64
+            assert other.tobytes() == first.tobytes()
+        else:
+            assert other == first
 
 
 def natural_spline_eval(t, y, xs):
@@ -139,23 +185,87 @@ class TestParse:
         with pytest.raises(RRParseError, match="line 2: expected 2 columns"):
             parse_rr_file("0.8 800\n810\n")
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(rr_files(), st.data())
-    def test_matches_line_loop(self, generated, data):
-        lines, newline = generated
+    def test_matches_line_loop(self, tmp_path, generated, data):
+        # the file, its text and the line pass alone agree bit for bit, and
+        # on the type and text of every error
+        lines, newline, bom = generated
         text = newline.join(lines) + newline
-        first = next(line.split() for line in lines if is_data(line))
+        first = next(line.split("#")[0].split() for line in lines if is_data(line))
         col = 1 if len(first) >= 2 else 0  # the first data line picks the column
-        assert np.array_equal(parse_rr_file(text), line_loop(text, col))
+        results = routes(tmp_path / "rr.txt", bom + text)
+        assert_same(results)
+        assert np.array_equal(results[0], line_loop(text, col))
 
         rows = [num for num, line in enumerate(lines, start=1) if is_data(line)]
         bad = data.draw(st.sampled_from(rows))
-        tokens = lines[bad - 1].split()
+        tokens = lines[bad - 1].split("#")[0].split()
         tokens[col] = data.draw(st.sampled_from(["abc", "8OO", "1,5", "--5"]))
         lines[bad - 1] = "\t".join(tokens)
-        with pytest.raises(RRParseError) as err:
-            parse_rr_file(newline.join(lines))
-        assert err.value.line == bad
+        results = routes(tmp_path / "rr.txt", bom + newline.join(lines))
+        assert_same(results)
+        assert results[0][0] is RRParseError
+        assert results[0][1].startswith(f"line {bad}: ")
+
+    @pytest.mark.parametrize("text, expected", [
+        ("800\r810\r", [800, 810]),
+        ("800\r\n810\r\n", [800, 810]),
+        ("0.8 800\r1.6 810", [800, 810]),
+        ("\ufeff800\n810\n", [800, 810]),
+        ("800 # first\n810#second\n", [800, 810]),
+        ("0.8 800#7\n1.6 810 # 9 9\n", [800, 810]),
+        # a form feed, vertical tab or U+2028 separates tokens, it ends no line
+        ("0.8\f800\n1.6\v810\u2028\n", [800, 810]),
+        # Python's float() takes these, numpy's reader leaves them to the line pass
+        ("8_00\n\uff18\uff11\uff10\n", [800, 810]),
+        ("800\f810\n", (ValueError, "need at least 2 RR intervals, got 1")),
+        ("", (ValueError, "need at least 2 RR intervals, got 0")),
+        ("# only\n\n  # a comment\n", (ValueError, "need at least 2 RR intervals, got 0")),
+        ("800\n810 #\n-5\n", (ValueError, "non-positive RR interval at position 3: -5.0")),
+        ("800\n\ufeff810\n", (RRParseError, "line 2: non-numeric token '\\ufeff810'")),
+        ("0.8 800\n810 # 5\n", (RRParseError, "line 2: expected 2 columns, got 1")),
+    ])
+    def test_line_rules(self, tmp_path, text, expected):
+        results = routes(tmp_path / "rr.txt", text)
+        assert_same(results)
+        if isinstance(expected, list):
+            assert results[0].tolist() == expected
+        else:
+            assert results[0] == expected
+
+    def test_missing_file(self, tmp_path):
+        path = tmp_path / "absent.txt"
+        with pytest.raises(FileNotFoundError) as expected:
+            path.read_text(encoding="utf-8-sig")
+        with pytest.raises(FileNotFoundError) as err:
+            parse_rr_file(path)
+        assert str(err.value) == str(expected.value)
+
+    def test_only_the_named_file_is_read(self, tmp_path):
+        # numpy's reader would fall back to x.txt.gz, and decompress any *.gz
+        with gzip.open(tmp_path / "x.txt.gz", "wt") as fh:
+            fh.write("800\n810\n")
+        with pytest.raises(FileNotFoundError, match="x.txt'$"):
+            parse_rr_file(tmp_path / "x.txt")
+        with pytest.raises(UnicodeDecodeError):
+            parse_rr_file(tmp_path / "x.txt.gz")
+        (tmp_path / "plain.gz").write_text("800\n810\n")
+        assert parse_rr_file(tmp_path / "plain.gz").tolist() == [800, 810]
+
+    def test_plain_input_skips_the_line_pass(self, tmp_path, monkeypatch):
+        def line_pass(text):
+            raise AssertionError("the line pass ran")
+
+        monkeypatch.setattr(ingest, "_parse_lines", line_pass)
+        texts = ["800\n810\n", "\ufeff# header\r\n0.8 800\r\n\r\n1.6 810 # x\r\n",
+                 "  800.5\t\r 8.1e2 \r"]
+        for k, text in enumerate(texts):
+            path = tmp_path / f"rr{k}.txt"
+            path.write_bytes(text.encode("utf-8"))
+            expected = [800.5, 810] if k == 2 else [800, 810]
+            assert parse_rr_file(path).tolist() == parse_rr_file(text).tolist() == expected
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     def test_detect_format_past_the_first_chunk(self, newline):

@@ -164,6 +164,16 @@ class TestRunPipeline:
         assert by_id["good2"].status == "ok"
         assert not report.all_ok
 
+    def test_empty_file_isolated(self, write_dataset, tmp_path):
+        # numpy's reader warns on a file without data; the warning is silenced
+        # (the suite turns warnings into errors), and the line pass fails it
+        manifest = write_dataset([("ok0", "Control", synthetic_rr(300, seed=6))])
+        (tmp_path / "data" / "empty.txt").write_text("# header only\n")
+        manifest.write_text(manifest.read_text() + "data/empty.txt,empty,VT\n")
+        by_id = {r.subject_id: r for r in run_pipeline(manifest, PipelineConfig()).recordings}
+        assert by_id["empty"].error == "ValueError: need at least 2 RR intervals, got 0"
+        assert by_id["ok0"].status == "ok"
+
     def test_two_column_input_format(self, tmp_path):
         rr = synthetic_rr(300, seed=20)
         times = np.cumsum(rr) / 1000.0

@@ -53,6 +53,16 @@ class TestMad:
     def test_matches_sort_oracle(self, values):
         assert mad(values) == pytest.approx(mad_oracle(values), rel=1e-12, abs=1e-12)
 
+    @given(st.one_of(finite_lists, scalable_lists))
+    def test_bitwise_equal_to_numpy_median(self, values):
+        # the partition kernel computes exactly what np.median does
+        v = np.array(values)
+        assert mad(v) == float(np.median(np.abs(v - np.median(v))))
+
+    def test_nan_propagates(self):
+        for values in ([1.0, float("nan"), 3.0], [float("nan"), 2.0], [float("nan")]):
+            assert np.isnan(mad(values))
+
     @given(
         finite_lists,
         st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),

@@ -313,6 +313,16 @@ class TestPrunedLeaves:
         assert np.array_equal(wpt_leaves(x, 6, bank, slots), levels[6][slots])
         assert np.array_equal(wpt_leaves(x, 1, bank, [1])[0], levels[1][1])
 
+    def test_deep_band_plans_match_the_full_tree(self):
+        # LF+HF at depth 16 are 12 288 leaves: the plan maps each kept node to
+        # its parent's row by lookup, so it takes milliseconds, not seconds
+        bank = daubechies_filters(2)
+        for depth in (6, 9, 16):
+            slots = band_nodes("LF", depth, 4.0) + band_nodes("HF", depth, 4.0)
+            x = np.random.default_rng(depth).standard_normal(2 ** depth)
+            assert np.array_equal(wpt_leaves(x, depth, bank, slots),
+                                  wpt_decompose(x, depth, bank)[depth][slots])
+
     def test_result_does_not_alias_the_signal(self):
         x = np.arange(8.0)
         leaves = wpt_leaves(x, 0, daubechies_filters(1), [0])
