@@ -83,7 +83,7 @@ def _parse_lines(text: str) -> list[float]:
     return values
 
 
-def _read_table(source) -> np.ndarray | None:
+def _read_table(path: Path) -> np.ndarray | None:
     """The kept column by numpy's C text reader, or None where the reader declines.
 
     The reader follows _parse_lines' rules but takes only a table: the same
@@ -93,7 +93,7 @@ def _read_table(source) -> np.ndarray | None:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-            table = np.loadtxt(source, ndmin=2, encoding="utf-8-sig")
+            table = np.loadtxt(path, ndmin=2, encoding="utf-8-sig")
     except (ValueError, OSError):
         return None
     if table.size == 0:
@@ -101,30 +101,21 @@ def _read_table(source) -> np.ndarray | None:
     return np.ascontiguousarray(table[:, 0 if table.shape[1] == 1 else 1])
 
 
-def parse_rr_file(source: str | bytes | os.PathLike) -> np.ndarray:
-    """Parse an RR-interval file, or its text, into its intervals (ms), in file order.
+def parse_rr_file(path: str | os.PathLike) -> np.ndarray:
+    """Parse the RR-interval file at path into its intervals (ms), in file order.
 
     Two formats are accepted: one RR interval (ms) per line, or two
     whitespace-separated columns (beat time, RR in ms) where only the second
     column is kept; _parse_lines states the rules. A leading byte-order mark
-    is skipped. Given a path, numpy's C reader converts the file in chunks;
-    given text, the same reader converts it line by line. Only input the
-    reader declines goes through _parse_lines, so both give the same values.
-    A compressed-file suffix is read as plain text, never decompressed.
+    is skipped. numpy's C reader converts the file in chunks; only a file it
+    declines goes through _parse_lines, so both give the same values. A
+    compressed-file suffix is read as plain text, never decompressed.
     """
-    arr = text = None
-    if isinstance(source, os.PathLike):
-        path = Path(source)
-        if path.suffix.lower() not in _COMPRESSED_SUFFIXES and path.is_file():
-            arr = _read_table(path)
-        if arr is None:
-            text = path.read_text(encoding="utf-8-sig")
-    else:
-        text = (source.decode("utf-8-sig") if isinstance(source, bytes)
-                else source.removeprefix("\ufeff"))
-        arr = _read_table(io.StringIO(text, newline=None))
+    path, arr = Path(path), None
+    if path.suffix.lower() not in _COMPRESSED_SUFFIXES and path.is_file():
+        arr = _read_table(path)
     if arr is None:
-        arr = np.asarray(_parse_lines(text), dtype=float)
+        arr = np.asarray(_parse_lines(path.read_text(encoding="utf-8-sig")), dtype=float)
     if arr.size < 2:
         raise ValueError(f"need at least 2 RR intervals, got {arr.size}")
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
@@ -136,7 +127,11 @@ def parse_rr_file(source: str | bytes | os.PathLike) -> np.ndarray:
 def rr_to_tachogram(rr_ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Return (beat_times_s, rr_values_ms): beat k at cumsum(intervals)/1000."""
     rr = np.asarray(rr_ms, dtype=float)
-    return np.cumsum(rr) / 1000.0, rr
+    with np.errstate(over="ignore"):
+        times = np.cumsum(rr) / 1000.0
+    if times.size and not np.isfinite(times[-1]):
+        raise ValueError("beat times overflow: the RR intervals sum past the float range")
+    return times, rr
 
 
 def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -186,6 +181,8 @@ def resample_cubic_spline(
         raise ValueError("times and values must be 1-d arrays of equal length")
     if t.size < 2:
         raise ValueError("need at least 2 points to resample")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+        raise ValueError("times and values must be finite")
     h = np.diff(t)
     if np.any(h <= 0.0):
         raise ValueError("times must be strictly increasing")

@@ -27,7 +27,6 @@ __all__ = [
     "QuadFilterBank",
     "daubechies_filters",
     "analysis_step",
-    "synthesis_step",
     "wpt_decompose",
     "wpt_leaves",
     "wpt_reconstruct_nodes",
@@ -168,17 +167,6 @@ def _synthesize(pairs: np.ndarray, bank: QuadFilterBank) -> np.ndarray:
     for j in range(1, taps.shape[0]):
         phases += taps[j] @ ext[..., lag - j:lag - j + half]
     return phases.swapaxes(-1, -2).reshape(*pairs.shape[:-2], 2 * half)
-
-
-def synthesis_step(
-    approx: np.ndarray, detail: np.ndarray, bank: QuadFilterBank
-) -> np.ndarray:
-    """Exact inverse of analysis_step (transpose of the orthogonal step), along the last axis."""
-    a = np.asarray(approx, dtype=float)
-    d = np.asarray(detail, dtype=float)
-    if a.shape != d.shape or a.ndim < 1 or a.shape[-1] < 1:
-        raise ValueError("approx and detail must be arrays of equal length and shape")
-    return _synthesize(np.stack((a, d), axis=-2), bank)
 
 
 def _gray(freq_index):

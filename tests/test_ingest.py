@@ -73,7 +73,14 @@ def rr_files(draw):
     return lines, newline, draw(st.sampled_from(["", "\ufeff"]))
 
 
-def outcome(source, line_pass=False):
+def rr_path(tmp_path, text, name="rr.txt"):
+    """Write the UTF-8 bytes of text to tmp_path / name and return that path."""
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+def outcome(path, line_pass=False):
     """parse_rr_file's result, or the type and text of its error.
 
     With line_pass, numpy's reader declines everything, so only the line
@@ -82,15 +89,14 @@ def outcome(source, line_pass=False):
     reader = mock.patch.object(ingest, "_read_table", return_value=None)
     with reader if line_pass else contextlib.nullcontext():
         try:
-            return parse_rr_file(source)
+            return parse_rr_file(path)
         except (ValueError, OSError) as exc:
             return type(exc), str(exc)
 
 
-def routes(path, text):
-    """The outcomes of parsing text from the file path, as text, and by the line pass alone."""
-    path.write_bytes(text.encode("utf-8"))
-    return outcome(path), outcome(text), outcome(text, line_pass=True)
+def routes(path):
+    """The outcomes of parsing the file at path, and of the line pass alone."""
+    return outcome(path), outcome(path, line_pass=True)
 
 
 def assert_same(outcomes):
@@ -142,60 +148,67 @@ def natural_spline_eval(t, y, xs):
 
 
 class TestParse:
-    def test_one_column(self):
-        rr = parse_rr_file("800\n810\n790\n805\n")
+    def test_one_column(self, tmp_path):
+        rr = parse_rr_file(str(rr_path(tmp_path, "800\n810\n790\n805\n")))
         assert rr.dtype == np.float64
         assert np.array_equal(rr, [800, 810, 790, 805])
 
-    def test_two_column_takes_second(self):
-        assert np.array_equal(parse_rr_file("0.800 800\n1.610 810\n"), [800, 810])
+    def test_two_column_takes_second(self, tmp_path):
+        rr = parse_rr_file(rr_path(tmp_path, "0.800 800\n1.610 810\n"))
+        assert np.array_equal(rr, [800, 810])
 
-    def test_comments_and_blank_lines_skipped(self):
-        assert len(parse_rr_file("# header\n\n800\n# mid\n810\n")) == 2
+    def test_comments_and_blank_lines_skipped(self, tmp_path):
+        assert len(parse_rr_file(rr_path(tmp_path, "# header\n\n800\n# mid\n810\n"))) == 2
 
-    def test_non_numeric_reports_line(self):
+    def test_non_numeric_reports_line(self, tmp_path):
         with pytest.raises(RRParseError, match="line 2"):
-            parse_rr_file("800\nabc\n")
-        err = None
-        try:
-            parse_rr_file("# c\n800\nabc\n")
-        except RRParseError as exc:
-            err = exc
-        assert err is not None and err.line == 3
+            parse_rr_file(rr_path(tmp_path, "800\nabc\n"))
+        with pytest.raises(RRParseError) as err:
+            parse_rr_file(str(rr_path(tmp_path, "# c\n800\nabc\n")))
+        assert err.value.line == 3
 
-    def test_non_positive_interval_rejected(self):
+    def test_non_positive_interval_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="non-positive"):
-            parse_rr_file("800\n-5\n810\n")
+            parse_rr_file(rr_path(tmp_path, "800\n-5\n810\n"))
         with pytest.raises(ValueError, match="non-positive"):
-            parse_rr_file("800\n0\n")
+            parse_rr_file(rr_path(tmp_path, "800\n0\n"))
 
-    def test_too_few_intervals(self):
+    def test_too_few_intervals(self, tmp_path):
         with pytest.raises(ValueError, match="at least 2"):
-            parse_rr_file("800\n")
+            parse_rr_file(rr_path(tmp_path, "800\n"))
 
-    def test_bytes_accepted(self):
-        assert len(parse_rr_file(b"800\n810\n")) == 2
-        assert parse_rr_file(b"\xef\xbb\xbf812\n810\n").tolist() == [812.0, 810.0]
+    def test_str_path_equals_pathlike(self, tmp_path):
+        for text in ("800\n810\n", "0.8 800.25\n1.6 810 x\n"):  # reader, line pass
+            path = rr_path(tmp_path, text)
+            assert_same([parse_rr_file(str(path)), parse_rr_file(path)])
 
-    def test_detect_format(self):
+    def test_bytes_rejected(self, tmp_path):
+        path = rr_path(tmp_path, "800\n810\n")
+        with pytest.raises(TypeError):
+            parse_rr_file(b"800\n810\n")
+        with pytest.raises(TypeError):
+            parse_rr_file(bytes(path))
+
+    def test_detect_format(self, tmp_path):
         # the first data line alone picks the column; later lines may carry
         # extra tokens
-        assert np.array_equal(parse_rr_file("# x\n800\n810 5\n"), [800, 810])
-        assert np.array_equal(parse_rr_file("0.8 800 x\n1.61 810\n"), [800, 810])
+        assert np.array_equal(parse_rr_file(rr_path(tmp_path, "# x\n800\n810 5\n")), [800, 810])
+        assert np.array_equal(parse_rr_file(rr_path(tmp_path, "0.8 800 x\n1.61 810\n")),
+                              [800, 810])
         with pytest.raises(RRParseError, match="line 2: expected 2 columns"):
-            parse_rr_file("0.8 800\n810\n")
+            parse_rr_file(rr_path(tmp_path, "0.8 800\n810\n"))
 
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(rr_files(), st.data())
     def test_matches_line_loop(self, tmp_path, generated, data):
-        # the file, its text and the line pass alone agree bit for bit, and
-        # on the type and text of every error
+        # the file through the reader and through the line pass alone agree
+        # bit for bit, and on the type and text of every error
         lines, newline, bom = generated
         text = newline.join(lines) + newline
         first = next(line.split("#")[0].split() for line in lines if is_data(line))
         col = 1 if len(first) >= 2 else 0  # the first data line picks the column
-        results = routes(tmp_path / "rr.txt", bom + text)
+        results = routes(rr_path(tmp_path, bom + text))
         assert_same(results)
         assert np.array_equal(results[0], line_loop(text, col))
 
@@ -204,7 +217,7 @@ class TestParse:
         tokens = lines[bad - 1].split("#")[0].split()
         tokens[col] = data.draw(st.sampled_from(["abc", "8OO", "1,5", "--5"]))
         lines[bad - 1] = "\t".join(tokens)
-        results = routes(tmp_path / "rr.txt", bom + newline.join(lines))
+        results = routes(rr_path(tmp_path, bom + newline.join(lines)))
         assert_same(results)
         assert results[0][0] is RRParseError
         assert results[0][1].startswith(f"line {bad}: ")
@@ -228,7 +241,7 @@ class TestParse:
         ("0.8 800\n810 # 5\n", (RRParseError, "line 2: expected 2 columns, got 1")),
     ])
     def test_line_rules(self, tmp_path, text, expected):
-        results = routes(tmp_path / "rr.txt", text)
+        results = routes(rr_path(tmp_path, text))
         assert_same(results)
         if isinstance(expected, list):
             assert results[0].tolist() == expected
@@ -262,20 +275,54 @@ class TestParse:
         texts = ["800\n810\n", "\ufeff# header\r\n0.8 800\r\n\r\n1.6 810 # x\r\n",
                  "  800.5\t\r 8.1e2 \r"]
         for k, text in enumerate(texts):
-            path = tmp_path / f"rr{k}.txt"
-            path.write_bytes(text.encode("utf-8"))
+            path = rr_path(tmp_path, text, f"rr{k}.txt")
             expected = [800.5, 810] if k == 2 else [800, 810]
-            assert parse_rr_file(path).tolist() == parse_rr_file(text).tolist() == expected
+            assert parse_rr_file(path).tolist() == parse_rr_file(str(path)).tolist() == expected
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
-    def test_detect_format_past_the_first_chunk(self, newline):
+    def test_detect_format_past_the_first_chunk(self, tmp_path, newline):
         # a comment header of any length up to 1200 characters ahead of the
         # first data line, which alone picks the column
         for header in range(1200):
             text = f"#{'x' * header}{newline}800 810{newline}900 910{newline}"
-            assert np.array_equal(parse_rr_file(text), [810, 910]), header
+            assert np.array_equal(parse_rr_file(rr_path(tmp_path, text)), [810, 910]), header
             one_column = text.replace("800 810", "800")
-            assert np.array_equal(parse_rr_file(one_column), [800, 900]), header
+            assert np.array_equal(parse_rr_file(rr_path(tmp_path, one_column)),
+                                  [800, 900]), header
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_files_past_one_reader_chunk(self, tmp_path, monkeypatch, newline):
+        # numpy's reader takes a file 16,384 characters at a time; a header
+        # whose length steps through more than one data line puts every
+        # character of the lines around each chunk boundary on it, the CR of
+        # a CR LF pair included
+        rng = np.random.default_rng(len(newline))
+        rows = [f"{t:.3f} {v!r}" + (" # ok" if k % 5 == 0 else "")
+                for k, (t, v) in enumerate(zip(np.arange(4000) * 0.8,
+                                               rng.uniform(300.0, 1500.0, 4000).tolist()))]
+        body = newline.join(rows) + newline
+        expected = np.array([float(row.split()[1]) for row in rows])
+
+        def no_line_pass(text):
+            raise AssertionError("the line pass ran")
+
+        splits = 0
+        for header in range(max(map(len, rows)) + len(newline) + 1):
+            text = f"#{'x' * header}{newline}{body}"
+            splits += text[16383:16385] == "\r\n"
+            path = rr_path(tmp_path, text)
+            with monkeypatch.context() as patch:
+                patch.setattr(ingest, "_parse_lines", no_line_pass)
+                by_reader = parse_rr_file(path)
+            assert_same([by_reader, outcome(path, line_pass=True), expected])
+        assert (splits > 0) == (newline == "\r\n")
+
+    def test_bad_token_past_many_chunks(self, tmp_path):
+        lines = ["800"] * 20_000
+        lines[15_000] = "8x0"
+        results = routes(rr_path(tmp_path, "\r\n".join(lines) + "\r\n"))
+        assert_same(results)
+        assert results[0] == (RRParseError, "line 15001: non-numeric token '8x0'")
 
     def test_group_parsing(self):
         assert Group.from_string("control") is Group.CONTROL
@@ -297,14 +344,18 @@ class TestTachogram:
         assert np.array_equal(values, [800, 810])
         assert values is rr  # the values are the intervals themselves, not a copy
 
-    def test_single_interval_rejected(self):
+    def test_single_interval_rejected(self, tmp_path):
         # the chain rejects one interval: when parsing a file, and when
         # resampling a tachogram built from an array
         with pytest.raises(ValueError, match="at least 2"):
-            parse_rr_file("500\n")
+            parse_rr_file(rr_path(tmp_path, "500\n"))
         times, values = rr_to_tachogram(np.array([500.0]))
         with pytest.raises(ValueError, match="at least 2"):
             resample_cubic_spline(times, values, 4.0)
+
+    def test_overflowing_sum_rejected(self):
+        with pytest.raises(ValueError, match="overflow"):
+            rr_to_tachogram(np.array([1e308, 1e308, 800.0]))
 
     @given(st.lists(st.floats(min_value=200.0, max_value=2000.0), min_size=2, max_size=60))
     def test_times_strictly_increase(self, intervals):
@@ -355,6 +406,12 @@ class TestResample:
     def test_non_increasing_times_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             resample_cubic_spline(np.array([0.0, 1.0, 1.0]), np.zeros(3), 4.0)
+
+    def test_non_finite_points_rejected(self):
+        for t, v in (([0.0, 1.0, np.inf], [1.0, 2.0, 3.0]), ([0.0, np.nan], [1.0, 2.0]),
+                     ([0.0, 1.0], [1.0, -np.inf])):
+            with pytest.raises(ValueError, match="finite"):
+                resample_cubic_spline(np.array(t), np.array(v), 4.0)
 
     def test_rate_too_low(self):
         with pytest.raises(ValueError):

@@ -204,6 +204,17 @@ class TestRunPipeline:
         assert by_id["bad"].status == "failed"
         assert "line 2" in by_id["bad"].error
 
+    def test_overflowing_beat_times_isolated(self, write_dataset, tmp_path):
+        # each interval is finite, but their sum is not
+        manifest = write_dataset([(f"ok{k}", "Control", synthetic_rr(300, seed=k))
+                                  for k in range(3)])
+        (tmp_path / "data" / "huge.txt").write_text("1e308\n1e308\n800\n")
+        manifest.write_text(manifest.read_text() + "data/huge.txt,huge,VT\n")
+        by_id = {r.subject_id: r for r in run_pipeline(manifest, PipelineConfig()).recordings}
+        assert by_id.pop("huge").error == (
+            "ValueError: beat times overflow: the RR intervals sum past the float range")
+        assert [r.status for r in by_id.values()] == ["ok"] * 3
+
     def test_undecodable_file_isolated(self, write_dataset, tmp_path):
         manifest = write_dataset([("ok0", "Control", synthetic_rr(300, seed=6))])
         (tmp_path / "data" / "latin1.txt").write_bytes(b"800\n8\xe910\n")

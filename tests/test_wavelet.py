@@ -11,7 +11,6 @@ from hrvwp.wavelet import (
     MAX_DEPTH,
     analysis_step,
     node_frequency_range,
-    synthesis_step,
     wpt_leaves,
     wpt_reconstruct_nodes,
 )
@@ -159,18 +158,15 @@ class TestAnalysisSynthesis:
             analysis_step(np.ones(5), daubechies_filters(2))
 
     def test_haar_synthesis_inverts_example(self):
-        out = synthesis_step(np.array([SQRT2, SQRT2]), np.zeros(2), daubechies_filters(1))
+        leaves = np.array([[SQRT2, SQRT2], [0.0, 0.0]])
+        out = wpt_reconstruct_nodes(leaves, daubechies_filters(1), [0, 1])
         assert np.allclose(out, np.ones(4))
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="equal length"):
-            synthesis_step(np.ones(2), np.ones(3), daubechies_filters(1))
 
     def test_db4_roundtrip_length_128_noise(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal(128)
         bank = daubechies_filters(4)
-        out = synthesis_step(*analysis_step(x, bank), bank)
+        out = wpt_reconstruct_nodes(wpt_decompose(x, 1, bank)[-1], bank, [0, 1])
         assert np.max(np.abs(out - x)) < 1e-10
 
     @settings(max_examples=40, deadline=None)
@@ -182,7 +178,7 @@ class TestAnalysisSynthesis:
     def test_roundtrip_property(self, order, half, seed):
         x = np.random.default_rng(seed).standard_normal(2 * half)
         bank = daubechies_filters(order)
-        out = synthesis_step(*analysis_step(x, bank), bank)
+        out = wpt_reconstruct_nodes(wpt_decompose(x, 1, bank)[-1], bank, [0, 1])
         assert np.max(np.abs(out - x)) < 1e-10 * max(1.0, np.max(np.abs(x)))
 
 
