@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .pipeline import MAD_SOURCES, PipelineConfig, emit_report, run_pipeline
+from .pipeline import PipelineConfig, emit_report, run_pipeline
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -28,10 +28,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="Daubechies order / vanishing moments (default %(default)s)")
     parser.add_argument("--depth", type=int, default=reference.depth, metavar="L",
                         help="packet decomposition depth (default %(default)s)")
-    parser.add_argument("--mad-source", choices=MAD_SOURCES, default=reference.mad_source,
-                        help="where the noise scale is estimated (default %(default)s)")
-    parser.add_argument("--standardize-anova", action="store_true",
-                        help="z-score feature columns before the ANOVA (exploratory)")
     return parser
 
 
@@ -42,8 +38,6 @@ def main(argv=None) -> int:
             rate_hz=args.rate,
             wavelet_order=args.wavelet_order,
             depth=args.depth,
-            mad_source=args.mad_source,
-            standardize_anova=args.standardize_anova,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .wavelet import MAX_DEPTH
+
 __all__ = [
     "Group",
     "RRParseError",
@@ -120,7 +122,7 @@ def parse_rr_file(path: str | os.PathLike) -> np.ndarray:
         raise ValueError(f"need at least 2 RR intervals, got {arr.size}")
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
         bad = int(np.flatnonzero(~np.isfinite(arr) | (arr <= 0.0))[0])
-        raise ValueError(f"non-positive RR interval at position {bad + 1}: {arr[bad]}")
+        raise ValueError(f"non-positive or non-finite RR interval at position {bad + 1}: {arr[bad]}")
     return arr
 
 
@@ -173,7 +175,7 @@ def resample_cubic_spline(
     Fits a natural cubic spline (zero second derivative at both ends) through
     all points and returns its values at t0, t0 + 1/rate, ... up to the last
     knot, where t0 is the first input time. No extrapolation: the output ends
-    at the last input time.
+    at the last input time. A grid of over 2**MAX_DEPTH samples is a ValueError.
     """
     t = np.asarray(times_s, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -190,6 +192,9 @@ def resample_cubic_spline(
         raise ValueError(f"sampling rate must be positive and finite, got {rate_hz}")
 
     span = t[-1] - t[0]
+    # bound the grid before allocating it, on span: span * rate_hz can overflow
+    if span > (2**MAX_DEPTH - 1) / float(rate_hz):
+        raise ValueError(f"a {span:.4g} s span at {rate_hz} Hz needs over 2**{MAX_DEPTH} samples")
     # epsilon keeps an exactly-aligned final knot on the grid
     count = int(np.floor(span * rate_hz + 1e-9)) + 1
     if count < 2:

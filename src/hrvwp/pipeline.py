@@ -63,10 +63,9 @@ COEFF_STAT_COLUMNS = ("STDLF", "MEANLF", "STDHF", "MEANHF")
 ENERGY_COLUMNS = ("E_LF", "E_HF", "R_E")
 FEATURE_COLUMNS = ("subject_id", "group", "std_lf", "mean_lf", "std_hf", "mean_hf",
                    "e_lf", "e_hf", "r_e")
-MAD_SOURCES = ("per-band", "first-level")
 CSV_FLOAT_DIGITS = 12
 # layout version of report.json, written as tool.schema and checked on reading
-REPORT_SCHEMA = 6
+REPORT_SCHEMA = 7
 
 _FEATURE_BY_COLUMN = dict(zip(COEFF_STAT_COLUMNS + ENERGY_COLUMNS, FEATURE_COLUMNS[2:]))
 
@@ -80,8 +79,6 @@ class PipelineConfig:
     depth: int = 6
     lf_band_hz: tuple[float, float] = LF_BAND_HZ
     hf_band_hz: tuple[float, float] = HF_BAND_HZ
-    mad_source: str = "per-band"
-    standardize_anova: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.rate_hz < np.inf:
@@ -99,10 +96,6 @@ class PipelineConfig:
             if not 0.0 <= lo < hi:
                 raise ValueError(f"{name} must satisfy 0 <= lo < hi")
             object.__setattr__(self, name, (float(lo), float(hi)))
-        if self.mad_source not in MAD_SOURCES:
-            raise ValueError(f"mad_source must be one of {MAD_SOURCES}")
-        if self.mad_source == "first-level" and self.depth < 1:
-            raise ValueError("first-level noise estimation needs depth >= 1")
 
 
 @dataclass(frozen=True)
@@ -258,8 +251,8 @@ def _checked_object(tp, data) -> dict:
 
 
 # the JSON values each scalar annotation accepts: an int may stand for a
-# float, but a bool (an int subclass in Python) only for a bool
-_SCALAR_KINDS = {str: (str,), int: (int,), float: (int, float), bool: (bool,)}
+# float, and a bool (an int subclass in Python) for neither
+_SCALAR_KINDS = {str: (str,), int: (int,), float: (int, float)}
 
 
 def _decode(tp, data, where: str = "report", take=None):
@@ -273,7 +266,7 @@ def _decode(tp, data, where: str = "report", take=None):
             return None
         (tp,) = (arg for arg in get_args(tp) if arg is not NoneType)
     if tp in _SCALAR_KINDS:
-        if not isinstance(data, _SCALAR_KINDS[tp]) or (tp is not bool and isinstance(data, bool)):
+        if not isinstance(data, _SCALAR_KINDS[tp]) or isinstance(data, bool):
             raise ValueError(f"{where}: expected {tp.__name__}, got {type(data).__name__}")
         return data
     if is_dataclass(tp):
@@ -356,14 +349,9 @@ def process_recording(
         bank = daubechies_filters(config.wavelet_order)
         (lf, lf_ids), (hf, hf_ids) = _band_leaves(config)
         leaves = wpt_leaves(signal, config.depth, bank, lf_ids + hf_ids)
-
-        # finest-detail convention: noise scale from the level-1 high-pass node
-        first_level = config.mad_source == "first-level"
-        mad_coeffs = wpt_leaves(signal, 1, bank, [1])[0] if first_level else None
-
         bands = (
-            threshold_band(leaves[:len(lf_ids)].ravel(), lf_ids, band=lf, mad_coeffs=mad_coeffs),
-            threshold_band(leaves[len(lf_ids):].ravel(), hf_ids, band=hf, mad_coeffs=mad_coeffs),
+            threshold_band(leaves[:len(lf_ids)].ravel(), lf_ids, band=lf),
+            threshold_band(leaves[len(lf_ids):].ravel(), hf_ids, band=hf),
         )
 
         return RecordingReport(
@@ -384,7 +372,6 @@ def _anova_report(
     name: str,
     columns: tuple[str, ...],
     completed: list[RecordingReport],
-    standardize: bool,
 ) -> AnovaReport:
     """Assemble a balanced groups x columns grid and run the ANOVA."""
     by_group: dict[Group, list[RecordingReport]] = {}
@@ -414,13 +401,6 @@ def _anova_report(
             for g in groups
         ]
     )
-    if standardize:
-        flat = grid.transpose(1, 0, 2).reshape(len(columns), -1)
-        std = flat.std(axis=1)
-        if np.any(std == 0.0):
-            return AnovaReport(name, reason="standardization undefined: constant feature column")
-        grid = (grid - flat.mean(axis=1)[None, :, None]) / std[None, :, None]
-
     try:
         table = anova_two_way(FactorialData(grid))
     except DegenerateDataError as exc:
@@ -452,8 +432,8 @@ def run_pipeline(manifest, config: PipelineConfig | None = None) -> RunReport:
     )
     completed = [r for r in recordings if r.status == "ok"]
     anova = (
-        _anova_report("coefficient_stats", COEFF_STAT_COLUMNS, completed, config.standardize_anova),
-        _anova_report("energy", ENERGY_COLUMNS, completed, config.standardize_anova),
+        _anova_report("coefficient_stats", COEFF_STAT_COLUMNS, completed),
+        _anova_report("energy", ENERGY_COLUMNS, completed),
     )
     return RunReport(config=config, recordings=recordings, anova=anova)
 

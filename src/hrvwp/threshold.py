@@ -112,28 +112,23 @@ def noise_scale(coeffs: np.ndarray) -> float:
     return mad(coeffs) / MAD_NORMAL_CONSISTENCY
 
 
-def compute_threshold(
-    coeffs: np.ndarray, mad_coeffs: np.ndarray | None = None
-) -> tuple[float, float]:
+def compute_threshold(coeffs: np.ndarray) -> tuple[float, float]:
     """Return (lambda, h) for a band's coefficient vector.
 
     lambda = h * sqrt(2 ln n) with n the length of this band's vector; a
-    single-coefficient band gives lambda = 0. h is estimated on mad_coeffs
-    when given, else on the band itself (local adaptive threshold).
+    single-coefficient band gives lambda = 0. h is estimated on the band
+    itself (local adaptive threshold).
     """
     v = np.asarray(coeffs, dtype=float)
     if v.size == 0:
         raise ValueError("cannot compute a threshold for an empty vector")
-    h = noise_scale(v if mad_coeffs is None else mad_coeffs)
+    h = noise_scale(v)
     return h * sqrt(2.0 * log(v.size)), h
 
 
 def threshold_band(
-    band_coeffs: np.ndarray,
-    leaf_ids: tuple[int, ...],
-    band: str = "",
-    mad_coeffs: np.ndarray | None = None,
+    band_coeffs: np.ndarray, leaf_ids: tuple[int, ...], band: str = ""
 ) -> BandReport:
     """Threshold one band end to end: lambda from compute_threshold, then the record."""
-    lam, h = compute_threshold(band_coeffs, mad_coeffs)
+    lam, h = compute_threshold(band_coeffs)
     return BandReport(band=band, lam=lam, h=h, leaves=leaf_ids, values=band_coeffs)

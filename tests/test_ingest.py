@@ -236,9 +236,13 @@ class TestParse:
         ("800\f810\n", (ValueError, "need at least 2 RR intervals, got 1")),
         ("", (ValueError, "need at least 2 RR intervals, got 0")),
         ("# only\n\n  # a comment\n", (ValueError, "need at least 2 RR intervals, got 0")),
-        ("800\n810 #\n-5\n", (ValueError, "non-positive RR interval at position 3: -5.0")),
+        ("800\n810 #\n-5\n",
+         (ValueError, "non-positive or non-finite RR interval at position 3: -5.0")),
         ("800\n\ufeff810\n", (RRParseError, "line 2: non-numeric token '\\ufeff810'")),
         ("0.8 800\n810 # 5\n", (RRParseError, "line 2: expected 2 columns, got 1")),
+        ("800\nnan\n", (ValueError, "non-positive or non-finite RR interval at position 2: nan")),
+        ("0.8 800\n1.6 inf\n2.4 810\n",
+         (ValueError, "non-positive or non-finite RR interval at position 2: inf")),
     ])
     def test_line_rules(self, tmp_path, text, expected):
         results = routes(rr_path(tmp_path, text))

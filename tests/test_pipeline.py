@@ -4,19 +4,46 @@ import json
 import re
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hrvwp
 from hrvwp import PipelineConfig, RunReport, emit_report, run_pipeline
 from hrvwp.ingest import Group
-from hrvwp.pipeline import AnovaReport, RecordingReport, load_manifest
+from hrvwp.pipeline import AnovaReport, RecordingReport, load_manifest, process_recording
 from hrvwp.cli import main
 from conftest import balanced_spec, synthetic_rr
+
+
+def _rr_value(x):
+    """10**x ms for x in [-320, 303.5], the decades from 1e6 to 10**10.5 ms cut out."""
+    return repr(10.0 ** (x if x <= 6.0 else x + 4.5))
+
+
+@st.composite
+def rr_files(draw):
+    """The text of an RR file: up to 40 lines of 1 to 3 tokens, some non-finite.
+
+    Values are log-uniform over four decades around a drawn centre, or over the
+    whole range, from 1e-320 to 1e308 ms. At most 40 values up to 1e6 ms span
+    fewer than 1.6e5 samples at 4 Hz; one value past 10**10.5 ms after the first
+    spans more than 2**24, so no drawn file allocates near that cap.
+    """
+    centre = draw(st.floats(-320.0, 303.5))
+    spread = draw(st.sampled_from([2.0, 624.0]))
+    value = st.floats(max(-320.0, centre - spread), min(303.5, centre + spread)).map(_rr_value)
+    columns = draw(st.integers(1, 3))
+    lines = draw(st.lists(st.lists(value, min_size=columns, max_size=3), max_size=40))
+    for _ in range(draw(st.integers(0, 2)) if lines else 0):
+        tokens = draw(st.sampled_from(lines))
+        at = draw(st.integers(0, len(tokens) - 1))
+        tokens[at] = draw(st.sampled_from(["nan", "inf", "-inf"]))
+    return "".join(" ".join(tokens) + "\n" for tokens in lines)
 
 
 @pytest.fixture(scope="module")
@@ -41,11 +68,10 @@ class TestConfig:
         assert echo["config"] == {
             "rate_hz": 4.0, "wavelet_order": 4, "depth": 6,
             "lf_band_hz": [0.03125, 0.15625], "hf_band_hz": [0.15625, 0.40625],
-            "mad_source": "per-band", "standardize_anova": False,
         }
 
     def test_round_trip(self):
-        config = PipelineConfig(rate_hz=8.0, depth=4, mad_source="first-level")
+        config = PipelineConfig(rate_hz=8.0, depth=4)
         report = RunReport(config=config, recordings=(), anova=())
         assert RunReport.from_json(report.to_json(), report.coefficients()).config == config
 
@@ -57,8 +83,8 @@ class TestConfig:
             {"wavelet_order": 11},
             {"depth": -1},
             {"lf_band_hz": (0.2, 0.1)},
-            {"mad_source": "global"},
-            {"mad_source": "first-level", "depth": 0},
+            {"hf_band_hz": (0.3, 0.3)},
+            {"lf_band_hz": (-0.1, 0.1)},
             {"wavelet_order": 4.5},
             {"depth": 5.0},
             {"depth": True},
@@ -215,6 +241,33 @@ class TestRunPipeline:
             "ValueError: beat times overflow: the RR intervals sum past the float range")
         assert [r.status for r in by_id.values()] == ["ok"] * 3
 
+    @pytest.mark.parametrize("text, rate_hz", [("1e307\n1e307\n", 1e300),
+                                               ("800\n1e12\n800\n", 4.0)],
+                             ids=["span-times-rate-overflows", "grid-of-4e9-samples"])
+    def test_oversized_grid_isolated(self, tmp_path, text, rate_hz):
+        path = tmp_path / "long.txt"
+        path.write_text(text)
+        tracemalloc.start()
+        try:
+            rec = process_recording(path, "long", Group.VT, PipelineConfig(rate_hz=rate_hz))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rec.error.startswith("ValueError: a ")
+        assert rec.error.endswith(" Hz needs over 2**24 samples")
+        assert peak < 2**20  # refused before the grid is allocated
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rr_files())
+    def test_no_exception_escapes_a_recording(self, tmp_path, text):
+        path = tmp_path / "drawn.txt"
+        path.write_text(text)
+        rec = process_recording(path, "drawn", Group.VT, PipelineConfig())
+        assert isinstance(rec, RecordingReport)
+        if rec.status == "ok":
+            assert np.all(np.isfinite(dataclasses.astuple(rec.features)))
+
     def test_undecodable_file_isolated(self, write_dataset, tmp_path):
         manifest = write_dataset([("ok0", "Control", synthetic_rr(300, seed=6))])
         (tmp_path / "data" / "latin1.txt").write_bytes(b"800\n8\xe910\n")
@@ -278,17 +331,6 @@ class TestRunPipeline:
         assert a.to_json() == b.to_json()
         assert a.coefficients().tobytes() == b.coefficients().tobytes()
 
-    def test_mad_source_first_level_shares_noise_scale(self, write_dataset):
-        manifest = write_dataset([("m0", "Control", synthetic_rr(300, seed=10))])
-        per_band = run_pipeline(manifest, PipelineConfig()).recordings[0]
-        first = run_pipeline(
-            manifest, PipelineConfig(mad_source="first-level")
-        ).recordings[0]
-        assert first.bands[0].h == first.bands[1].h
-        assert per_band.bands[0].h != per_band.bands[1].h
-        # same coefficients either way, only the threshold moved
-        assert per_band.bands[0].n == first.bands[0].n
-
     def test_transform_splits_only_the_band_ancestors(self, write_dataset, monkeypatch):
         # the 12 LF/HF leaves of a depth-6 tree need about 2.5 N input samples, the full tree 6 N
         sizes = []
@@ -323,7 +365,7 @@ class TestRunPipeline:
         _, report = balanced_report
         coefficients = report.coefficients()
         payload = json.loads(report.to_json())
-        assert payload["tool"] == {"name": "hrvwp", "version": hrvwp.__version__, "schema": 6}
+        assert payload["tool"] == {"name": "hrvwp", "version": hrvwp.__version__, "schema": 7}
         # schema 5: a recording's identity is stored once, beside its features
         assert list(payload["recordings"][0])[:2] == ["subject_id", "group"]
         assert list(payload["recordings"][0]["features"]) == [
@@ -340,16 +382,24 @@ class TestRunPipeline:
             RunReport.from_json(json.dumps(payload), coefficients)
 
     def test_schema_5_report_rejected(self, balanced_report):
-        # schema 5 held each band's values and significant positions in the JSON
         _, report = balanced_report
         payload = json.loads(report.to_json())
+        # schema 6 also echoed the options mad_source and standardize_anova
+        payload["tool"]["schema"] = 6
+        payload["config"].update(mad_source="per-band", standardize_anova=False)
+        with pytest.raises(ValueError, match="report schema 6 is not readable, only schema 7"):
+            RunReport.from_json(json.dumps(payload), report.coefficients())
+        # schema 5 also held each band's values and significant positions in the JSON
         payload["tool"]["schema"] = 5
         for rec, stored in zip(report.recordings, payload["recordings"]):
             for band, data in zip(rec.bands, stored["bands"]):
                 data.update(values=band.values.tolist(), significant=band.significant.tolist())
-        with pytest.raises(ValueError, match="report schema 5 is not readable, only schema 6"):
+        with pytest.raises(ValueError, match="report schema 5 is not readable, only schema 7"):
             RunReport.from_json(json.dumps(payload), np.empty(0))
-        payload["tool"]["schema"] = 6
+        payload["tool"]["schema"] = 7
+        with pytest.raises(ValueError, match="PipelineConfig: unknown key 'mad_source'"):
+            RunReport.from_json(json.dumps(payload), report.coefficients())
+        del payload["config"]["mad_source"], payload["config"]["standardize_anova"]
         with pytest.raises(ValueError, match="BandReport: unknown key 'values'"):
             RunReport.from_json(json.dumps(payload), report.coefficients())
         del payload["recordings"][0]["bands"][0]["values"]
@@ -370,7 +420,7 @@ class TestRunPipeline:
         (lambda d: d["anova"][0]["table"].update(rows="x"), "expected a JSON array, got str"),
         (lambda d: d["recordings"][0].update(n_intervals="12"),
          "RecordingReport: key 'n_intervals': expected int, got str"),
-        (lambda d: d["tool"].update(schema=6.0), "ToolInfo: key 'schema': expected int, got float"),
+        (lambda d: d["tool"].update(schema=7.0), "ToolInfo: key 'schema': expected int, got float"),
         (lambda d: d["config"].update(rate_hz="x"),
          "PipelineConfig: key 'rate_hz': expected float, got str"),
         (lambda d: d["config"].update(rate_hz=None),
@@ -379,8 +429,6 @@ class TestRunPipeline:
          "PipelineConfig: key 'depth': expected int, got bool"),
         (lambda d: d["recordings"][0]["bands"][0].update(lam=False),
          "BandReport: key 'lam': expected float, got bool"),
-        (lambda d: d["config"].update(standardize_anova=0),
-         "PipelineConfig: key 'standardize_anova': expected bool, got int"),
         (lambda d: d["recordings"][0].update(subject_id=7),
          "RecordingReport: key 'subject_id': expected str, got int"),
         (lambda d: d["config"]["lf_band_hz"].__setitem__(0, "0.03"),
@@ -408,7 +456,7 @@ class TestRunPipeline:
     ], ids=["missing-band-key", "unknown-band-key", "missing-tool", "unknown-top-key",
             "missing-config-key", "features-not-object", "bands-not-array",
             "config-null", "rows-not-array", "int-as-string", "schema-as-float",
-            "float-as-string", "float-null", "int-as-bool", "float-as-bool", "bool-as-int",
+            "float-as-string", "float-null", "int-as-bool", "float-as-bool",
             "str-as-int", "tuple-item-kind", "leaf-as-float", "unknown-group",
             "group-as-number", "missing-band-n", "band-n-as-float", "config-check",
             "failed-row-keeps-results", "ok-row-without-features"])
@@ -695,12 +743,9 @@ class TestCli:
         manifest = write_dataset([("f0", "Control", synthetic_rr(400, seed=16))])
         out = tmp_path / "cli_flags"
         code = main(["--manifest", str(manifest), "--out", str(out),
-                     "--rate", "2", "--wavelet-order", "2", "--depth", "5",
-                     "--mad-source", "first-level", "--standardize-anova"])
+                     "--rate", "2", "--wavelet-order", "2", "--depth", "5"])
         assert code == 1  # single recording: anova skipped
         config = json.loads((out / "report.json").read_text())["config"]
         assert config["rate_hz"] == 2.0
         assert config["wavelet_order"] == 2
         assert config["depth"] == 5
-        assert config["mad_source"] == "first-level"
-        assert config["standardize_anova"] is True

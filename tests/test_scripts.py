@@ -1,7 +1,7 @@
 import importlib.util
 from pathlib import Path
 
-from conftest import synthetic_rr
+from hrvwp import run_pipeline
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -13,21 +13,14 @@ def load_script(name):
     return module
 
 
-def test_compare_mad_sources_prints_one_row_per_band(write_dataset, monkeypatch, capsys):
-    manifest = write_dataset([("a0", "Control", synthetic_rr(300, seed=40)),
-                              ("b0", "VT", synthetic_rr(300, seed=41))])
-    script = load_script("compare_mad_sources")
-    monkeypatch.setattr("sys.argv", ["compare_mad_sources.py", "--manifest", str(manifest)])
+def test_make_synthetic_dataset_writes_a_runnable_manifest(tmp_path, monkeypatch, capsys):
+    script = load_script("make_synthetic_dataset")
+    monkeypatch.setattr("sys.argv", ["make_synthetic_dataset.py", "--out", str(tmp_path),
+                                     "--per-group", "2", "--intervals", "400"])
     assert script.main() == 0
+    assert f"manifest: {tmp_path / 'manifest.csv'}" in capsys.readouterr().out
 
-    header, rule, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == ["subject", "band", "h(band)", "h(lvl1)", "lam(band)",
-                              "lam(lvl1)", "sig(band)", "sig(lvl1)"]
-    assert set(rule) == {"-"}
-    assert [row.split()[:2] for row in rows] == [
-        ["a0", "LF"], ["a0", "HF"], ["b0", "LF"], ["b0", "HF"]]
-    for row in rows:
-        h_band, h_lvl1, lam_band, lam_lvl1 = map(float, row.split()[2:6])
-        assert h_band > 0.0 and h_lvl1 > 0.0
-        assert lam_band > 0.0 and lam_lvl1 > 0.0
-        assert all(count.isdigit() for count in row.split()[6:])
+    report = run_pipeline(tmp_path / "manifest.csv")
+    assert len(report.recordings) == 6
+    assert report.all_ok
+    assert all(r.n_intervals == 400 for r in report.recordings)

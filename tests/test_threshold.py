@@ -240,16 +240,6 @@ class TestThresholdBand:
         assert split.band == "HF"
         assert (split.lam, split.h, split.n) == (lam, h, 128)
 
-    def test_external_noise_source(self):
-        coeffs = np.array([1.0, -2.0, 3.0, -4.0])
-        reference = np.array([0.6745, -0.6745] * 8)
-        split = threshold_band(coeffs, leaf_ids=(0,), band="LF", mad_coeffs=reference)
-        assert split.h == pytest.approx(1.0, rel=1e-12)
-        # N stays the band length, not the reference length
-        assert split.lam == pytest.approx(sqrt(2.0 * log(4)), rel=1e-12)
-        assert compute_threshold(coeffs, reference) == (split.lam, split.h)
-        assert split.n == 4
-
     def test_empty_band_rejected(self):
         with pytest.raises(ValueError):
             threshold_band(np.array([]), leaf_ids=(0,))
