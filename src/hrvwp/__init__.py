@@ -9,14 +9,14 @@ band features -> balanced two-way ANOVA across subject groups.
 __version__ = "0.1.0"
 
 from .features import extract_features
-from .pipeline import PipelineConfig, RunReport, emit_report, run_pipeline
+from .pipeline import RunReport, emit_report, run_pipeline
 from .threshold import threshold_band
 from .wavelet import band_nodes, daubechies_filters, wpt_decompose
 
 # the public API as the README's "Library use" section lists it; everything
 # else is imported from its submodule (hrvwp.ingest, hrvwp.wavelet, ...)
 __all__ = [
-    "PipelineConfig", "run_pipeline", "emit_report", "RunReport",
+    "run_pipeline", "emit_report", "RunReport",
     "daubechies_filters", "wpt_decompose", "band_nodes",
     "threshold_band", "extract_features",
 ]

@@ -5,46 +5,28 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .pipeline import PipelineConfig, emit_report, run_pipeline
+from .pipeline import emit_report, run_pipeline
 
 
 def build_parser() -> argparse.ArgumentParser:
-    reference = PipelineConfig()
     parser = argparse.ArgumentParser(
         prog="hrvwp",
         description=(
-            "Analyze RR-interval recordings: wavelet packet band decomposition, "
-            "background/significant coefficient split, band features, and a "
-            "balanced two-way ANOVA across subject groups."
+            "Analyze RR-interval recordings: 4 Hz resampling, depth-6 db4 wavelet "
+            "packet band decomposition, background/significant coefficient split, "
+            "band features, and a balanced two-way ANOVA across subject groups."
         ),
     )
     parser.add_argument("--manifest", required=True,
                         help="CSV manifest with header path,subject_id,group")
     parser.add_argument("--out", required=True, help="output directory for reports")
-    parser.add_argument("--rate", type=float, default=reference.rate_hz, metavar="HZ",
-                        help="uniform resampling rate (default %(default)s)")
-    parser.add_argument("--wavelet-order", type=int, default=reference.wavelet_order,
-                        metavar="N",
-                        help="Daubechies order / vanishing moments (default %(default)s)")
-    parser.add_argument("--depth", type=int, default=reference.depth, metavar="L",
-                        help="packet decomposition depth (default %(default)s)")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = PipelineConfig(
-            rate_hz=args.rate,
-            wavelet_order=args.wavelet_order,
-            depth=args.depth,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        report = run_pipeline(args.manifest, config)
+        report = run_pipeline(args.manifest)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

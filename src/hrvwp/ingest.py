@@ -4,7 +4,7 @@ The raw input is an ordered series of RR intervals in milliseconds. Beat k
 occurs at the cumulative sum of intervals 1..k (seconds); plotting interval
 values against beat times gives the irregularly sampled tachogram. Frequency
 analysis needs a uniform sampling grid, so the tachogram is interpolated with
-a natural cubic spline and sampled at a fixed rate (4 Hz by default).
+a natural cubic spline and sampled at a fixed rate (the pipeline uses 4 Hz).
 """
 
 from __future__ import annotations

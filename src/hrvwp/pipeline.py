@@ -1,11 +1,14 @@
 """Batch orchestration: manifest in, per-recording analysis, ANOVA, reports out.
 
-Each manifest row (path, subject_id, group) is processed independently:
-parse -> tachogram -> spline resample -> LF/HF packet leaves -> per-band
-threshold split -> features. Failures are recorded per recording without
-aborting the batch. Completed recordings feed two group-level ANOVA tables
-(coefficient statistics and band energies), run only when the design is
-balanced. One codec over the dataclass fields serializes reports losslessly, to
+Each manifest row (path, subject_id, group) is processed independently, in
+the paper's one configuration (RATE_HZ, WAVELET_ORDER, DEPTH below): parse ->
+tachogram -> 4 Hz spline resample -> LF/HF leaves of a depth-6 db4 packet
+tree -> per-band threshold split -> features. Failures are recorded per
+recording without aborting the batch. Completed recordings feed two
+group-level ANOVA tables (coefficient statistics and band energies), run only
+when the design is balanced. Another configuration is a few calls of the
+ingest, wavelet and threshold functions, which take it as arguments.
+One codec over the dataclass fields serializes reports losslessly, to
 JSON plus a binary coefficient vector, which holds each band coefficient once;
 the feature and ANOVA tables are also written as CSV with 12 significant digits.
 """
@@ -34,17 +37,14 @@ from .ingest import (
 )
 from .stats import AnovaTable, DegenerateDataError, FactorialData, anova_two_way
 from .threshold import BandReport, threshold_band
-from .wavelet import (
-    HF_BAND_HZ,
-    LF_BAND_HZ,
-    MAX_DEPTH,
-    band_nodes,
-    daubechies_filters,
-    wpt_leaves,
-)
+from .wavelet import band_nodes, daubechies_filters, wpt_leaves
 
 __all__ = [
-    "PipelineConfig",
+    "RATE_HZ",
+    "WAVELET_ORDER",
+    "DEPTH",
+    "LF_LEAVES",
+    "HF_LEAVES",
     "BandReport",
     "RecordingReport",
     "AnovaReport",
@@ -65,37 +65,17 @@ FEATURE_COLUMNS = ("subject_id", "group", "std_lf", "mean_lf", "std_hf", "mean_h
                    "e_lf", "e_hf", "r_e")
 CSV_FLOAT_DIGITS = 12
 # layout version of report.json, written as tool.schema and checked on reading
-REPORT_SCHEMA = 7
+REPORT_SCHEMA = 8
+
+# the analysis: resampling rate, Daubechies order and packet depth, and the
+# depth-DEPTH leaves that lie inside the LF and HF bands (1-4 and 5-12)
+RATE_HZ = 4.0
+WAVELET_ORDER = 4
+DEPTH = 6
+LF_LEAVES = tuple(band_nodes("LF", DEPTH, RATE_HZ))
+HF_LEAVES = tuple(band_nodes("HF", DEPTH, RATE_HZ))
 
 _FEATURE_BY_COLUMN = dict(zip(COEFF_STAT_COLUMNS + ENERGY_COLUMNS, FEATURE_COLUMNS[2:]))
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Analysis parameters; the defaults are the reference configuration."""
-
-    rate_hz: float = 4.0
-    wavelet_order: int = 4
-    depth: int = 6
-    lf_band_hz: tuple[float, float] = LF_BAND_HZ
-    hf_band_hz: tuple[float, float] = HF_BAND_HZ
-
-    def __post_init__(self):
-        if not 0.0 < self.rate_hz < np.inf:
-            raise ValueError(f"rate_hz must be positive and finite, got {self.rate_hz}")
-        for name in ("wavelet_order", "depth"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not 1 <= self.wavelet_order <= 10:
-            raise ValueError("wavelet_order must be in [1, 10]")
-        if not 0 <= self.depth <= MAX_DEPTH:
-            raise ValueError(f"depth must be in [0, {MAX_DEPTH}]")
-        for name, band in (("lf_band_hz", self.lf_band_hz), ("hf_band_hz", self.hf_band_hz)):
-            lo, hi = band
-            if not 0.0 <= lo < hi:
-                raise ValueError(f"{name} must satisfy 0 <= lo < hi")
-            object.__setattr__(self, name, (float(lo), float(hi)))
 
 
 @dataclass(frozen=True)
@@ -149,7 +129,6 @@ class RunReport:
     """Full batch result: to_json() and coefficients() store it losslessly, from_json reads it."""
 
     tool: ToolInfo = ToolInfo()
-    config: PipelineConfig
     recordings: tuple[RecordingReport, ...]
     anova: tuple[AnovaReport, ...]
 
@@ -201,13 +180,14 @@ class RunReport:
 
 def _report_object(text: str) -> dict:
     """The JSON object of a report.json, checked to be of the one readable schema."""
-    data = _checked_object(RunReport, json.loads(text))
-    schema = data["tool"].get("schema") if isinstance(data["tool"], dict) else None
-    if schema != REPORT_SCHEMA:
-        raise ValueError(f"report schema {schema} is not readable, only schema "
-                         f"{REPORT_SCHEMA}; a report without one has the older "
-                         "per-coefficient band layout")
-    return data
+    data = json.loads(text)
+    if isinstance(data, dict) and "tool" in data:  # before the keys, which older schemas differ in
+        schema = data["tool"].get("schema") if isinstance(data["tool"], dict) else None
+        if schema != REPORT_SCHEMA:
+            raise ValueError(f"report schema {schema} is not readable, only schema "
+                             f"{REPORT_SCHEMA}; a report without one has the older "
+                             "per-coefficient band layout")
+    return _checked_object(RunReport, data)
 
 
 def _encode(obj):
@@ -321,18 +301,7 @@ def load_manifest(path) -> list[tuple[str, str, Group]]:
     return rows
 
 
-@functools.lru_cache(maxsize=16)
-def _band_leaves(config: PipelineConfig) -> tuple[tuple[str, tuple[int, ...]], ...]:
-    """(band, leaf ids) for LF and HF, once per config; ValueError if a band holds no whole leaf."""
-    return tuple(
-        (band, tuple(band_nodes(band, config.depth, config.rate_hz, edges)))
-        for band, edges in (("LF", config.lf_band_hz), ("HF", config.hf_band_hz))
-    )
-
-
-def process_recording(
-    path, subject_id: str, group: Group, config: PipelineConfig
-) -> RecordingReport:
+def process_recording(path, subject_id: str, group: Group) -> RecordingReport:
     """Run the full single-recording chain; data errors become a failed report.
 
     Unreadable or malformed input (OSError, ValueError and its subclasses
@@ -342,16 +311,15 @@ def process_recording(
     try:
         rr_ms = parse_rr_file(Path(path))
         times, values = rr_to_tachogram(rr_ms)
-        signal = resample_cubic_spline(times, values, config.rate_hz)
+        signal = resample_cubic_spline(times, values, RATE_HZ)
         n_resampled = len(signal)
-        signal = truncate_to_block(signal, config.depth)
+        signal = truncate_to_block(signal, DEPTH)
 
-        bank = daubechies_filters(config.wavelet_order)
-        (lf, lf_ids), (hf, hf_ids) = _band_leaves(config)
-        leaves = wpt_leaves(signal, config.depth, bank, lf_ids + hf_ids)
+        bank = daubechies_filters(WAVELET_ORDER)
+        leaves = wpt_leaves(signal, DEPTH, bank, LF_LEAVES + HF_LEAVES)
         bands = (
-            threshold_band(leaves[:len(lf_ids)].ravel(), lf_ids, band=lf),
-            threshold_band(leaves[len(lf_ids):].ravel(), hf_ids, band=hf),
+            threshold_band(leaves[:len(LF_LEAVES)].ravel(), LF_LEAVES, band="LF"),
+            threshold_band(leaves[len(LF_LEAVES):].ravel(), HF_LEAVES, band="HF"),
         )
 
         return RecordingReport(
@@ -414,18 +382,16 @@ def _anova_report(
     )
 
 
-def run_pipeline(manifest, config: PipelineConfig | None = None) -> RunReport:
+def run_pipeline(manifest) -> RunReport:
     """Process every manifest row, then run the two group-level ANOVA tables."""
-    config = config or PipelineConfig()
     rows = load_manifest(manifest)
     ids = [subject for _, subject, _ in rows]
     if len(set(ids)) != len(ids):
         raise ValueError("manifest subject_id values must be unique")
-    _band_leaves(config)  # a band without a whole leaf is a usage error, not N failures
 
     recordings = tuple(
         sorted(
-            (process_recording(path, subject, group, config)
+            (process_recording(path, subject, group)
              for path, subject, group in rows),
             key=lambda r: r.subject_id,
         )
@@ -435,7 +401,7 @@ def run_pipeline(manifest, config: PipelineConfig | None = None) -> RunReport:
         _anova_report("coefficient_stats", COEFF_STAT_COLUMNS, completed),
         _anova_report("energy", ENERGY_COLUMNS, completed),
     )
-    return RunReport(config=config, recordings=recordings, anova=anova)
+    return RunReport(recordings=recordings, anova=anova)
 
 
 def _fmt(value) -> str:

@@ -17,8 +17,6 @@ import numpy as np
 __all__ = [
     "BandReport",
     "mad",
-    "noise_scale",
-    "compute_threshold",
     "threshold_band",
     "MAD_NORMAL_CONSISTENCY",
 ]
@@ -107,28 +105,14 @@ def mad(values: np.ndarray) -> float:
     return _median(np.abs(v - _median(v)))
 
 
-def noise_scale(coeffs: np.ndarray) -> float:
-    """Robust noise scale h = MAD / 0.6745 (unbiased for Gaussian data)."""
-    return mad(coeffs) / MAD_NORMAL_CONSISTENCY
-
-
-def compute_threshold(coeffs: np.ndarray) -> tuple[float, float]:
-    """Return (lambda, h) for a band's coefficient vector.
-
-    lambda = h * sqrt(2 ln n) with n the length of this band's vector; a
-    single-coefficient band gives lambda = 0. h is estimated on the band
-    itself (local adaptive threshold).
-    """
-    v = np.asarray(coeffs, dtype=float)
-    if v.size == 0:
-        raise ValueError("cannot compute a threshold for an empty vector")
-    h = noise_scale(v)
-    return h * sqrt(2.0 * log(v.size)), h
-
-
 def threshold_band(
     band_coeffs: np.ndarray, leaf_ids: tuple[int, ...], band: str = ""
 ) -> BandReport:
-    """Threshold one band end to end: lambda from compute_threshold, then the record."""
-    lam, h = compute_threshold(band_coeffs)
-    return BandReport(band=band, lam=lam, h=h, leaves=leaf_ids, values=band_coeffs)
+    """Threshold one band at lambda = h * sqrt(2 ln n), with h = MAD / 0.6745.
+
+    h is estimated on the band's own n coefficients (a local adaptive
+    threshold); a single-coefficient band gives lambda = 0.
+    """
+    v = np.asarray(band_coeffs, dtype=float)
+    h = mad(v) / MAD_NORMAL_CONSISTENCY  # a ValueError for an empty band
+    return BandReport(band=band, lam=h * sqrt(2.0 * log(v.size)), h=h, leaves=leaf_ids, values=v)

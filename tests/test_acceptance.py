@@ -20,9 +20,7 @@ import numpy as np
 import pytest
 
 from hrvwp import (
-    PipelineConfig,
     RunReport,
-    band_nodes,
     daubechies_filters,
     emit_report,
     extract_features,
@@ -31,8 +29,8 @@ from hrvwp import (
     wpt_decompose,
 )
 from hrvwp.ingest import truncate_to_block
+from hrvwp.pipeline import DEPTH, HF_LEAVES, LF_LEAVES, RATE_HZ, WAVELET_ORDER
 from hrvwp.stats import FactorialData, anova_two_way, f_tail_probability
-from hrvwp.threshold import compute_threshold
 from hrvwp.wavelet import node_frequency_range, wpt_reconstruct_nodes
 from conftest import balanced_spec, rr_text, synthetic_rr
 
@@ -140,14 +138,13 @@ def grid_with_prescribed_ss(shape, ss):
     return grid
 
 
-def analyze_samples(samples, config=PipelineConfig()):
+def analyze_samples(samples):
     """Post-ingest chain on raw samples: decompose, threshold, features."""
-    signal = truncate_to_block(np.asarray(samples, float), config.depth)
-    levels = wpt_decompose(signal, config.depth, daubechies_filters(config.wavelet_order))
+    signal = truncate_to_block(np.asarray(samples, float), DEPTH)
+    levels = wpt_decompose(signal, DEPTH, daubechies_filters(WAVELET_ORDER))
     splits = {}
-    for band, edges in (("LF", config.lf_band_hz), ("HF", config.hf_band_hz)):
-        leaves = band_nodes(band, config.depth, config.rate_hz, edges)
-        splits[band] = threshold_band(levels[-1][leaves].ravel(), leaf_ids=leaves, band=band)
+    for band, leaves in (("LF", LF_LEAVES), ("HF", HF_LEAVES)):
+        splits[band] = threshold_band(levels[-1][list(leaves)].ravel(), leaf_ids=leaves, band=band)
     return extract_features(splits["LF"], splits["HF"]), splits
 
 
@@ -192,13 +189,14 @@ def test_c05_threshold_law():
     for mad_value, n in ((0.6745, 256), (2.0, 64), (0.25, 1000)):
         half = n // 2
         values = np.array([mad_value, -mad_value] * half)
-        lam, h = compute_threshold(values)
         band = threshold_band(values, leaf_ids=(0,))
-        assert (band.lam, band.h, band.n) == (lam, h, n)
+        lam, h = band.lam, band.h
+        assert band.n == n
         expected_h = mad_value / 0.6745
         assert h == pytest.approx(expected_h, rel=1e-12)
         assert lam == pytest.approx(expected_h * sqrt(2.0 * log(n)), rel=1e-12)
-    lam, h = compute_threshold(np.array([0.6745, -0.6745] * 128))
+    band = threshold_band(np.array([0.6745, -0.6745] * 128), leaf_ids=(0,))
+    lam, h = band.lam, band.h
     assert h == pytest.approx(1.0, rel=1e-12)
     assert lam == pytest.approx(3.3302, abs=1e-4)
 
@@ -292,8 +290,8 @@ def test_c09_determinism_and_scale_law(tmp_path):
     manifest = tmp_path / "manifest.csv"
     manifest.write_text("path,subject_id,group\ndata/subject.txt,subject,Control\n")
 
-    first = run_pipeline(manifest, PipelineConfig())
-    second = run_pipeline(manifest, PipelineConfig())
+    first = run_pipeline(manifest)
+    second = run_pipeline(manifest)
     assert first.recordings[0].status == "ok"
     assert first.to_json() == second.to_json()
 
@@ -302,7 +300,7 @@ def test_c09_determinism_and_scale_law(tmp_path):
     from hrvwp.ingest import resample_cubic_spline, rr_to_tachogram
 
     times, values = rr_to_tachogram(rr)
-    signal = resample_cubic_spline(times, values, 4.0)
+    signal = resample_cubic_spline(times, values, RATE_HZ)
     base_feats, base_splits = analyze_samples(signal)
     scaled_feats, scaled_splits = analyze_samples(2.0 * signal)
 
@@ -318,14 +316,14 @@ def test_c10_smoke_batch_emits_well_formed_report(write_dataset, tmp_path):
     # group-level findings are not reproducible without the original subject
     # selection; this asserts only that a realistic batch completes cleanly
     manifest = write_dataset(balanced_spec(per_group=3, n=400))
-    report = run_pipeline(manifest, PipelineConfig())
+    report = run_pipeline(manifest)
     assert all(r.status == "ok" for r in report.recordings)
     assert report.all_ok
 
     out = tmp_path / "smoke_out"
     written = emit_report(report, out)
     payload = json.loads((out / "report.json").read_text())
-    assert set(payload) == {"tool", "config", "recordings", "anova"}
+    assert set(payload) == {"tool", "recordings", "anova"}
     assert len(payload["recordings"]) == 9
     assert {a["name"] for a in payload["anova"]} == {"coefficient_stats", "energy"}
     assert all(a["status"] == "ok" for a in payload["anova"])

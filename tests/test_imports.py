@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 
 import hrvwp
-from hrvwp import PipelineConfig, emit_report, run_pipeline
+from hrvwp import emit_report, run_pipeline
 from hrvwp.cli import build_parser
 from hrvwp.features import FeatureVector
 from conftest import synthetic_rr
@@ -91,7 +91,7 @@ def test_readme_band_table_runs(write_dataset, tmp_path, monkeypatch, capsys):
     code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     rr = synthetic_rr(300, seed=30)
     rr[150:153] += 300.0  # a burst gives both bands significant coefficients
-    report = run_pipeline(write_dataset([("spike", "Control", rr)]), PipelineConfig())
+    report = run_pipeline(write_dataset([("spike", "Control", rr)]))
     emit_report(report, tmp_path / "results")
     monkeypatch.chdir(tmp_path)
     exec(compile(code, "README.md", "exec"), {})

@@ -1,6 +1,7 @@
 import bisect
 import contextlib
 import gzip
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -423,6 +424,18 @@ class TestResample:
         for rate_hz in (0.0, float("inf"), float("nan")):
             with pytest.raises(ValueError, match="positive and finite"):
                 resample_cubic_spline(np.array([0.0, 1.0]), np.array([1.0, 2.0]), rate_hz)
+
+    def test_span_times_rate_overflow_rejected(self):
+        # span * rate is inf here; the grid cap is checked on span, before any allocation
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^a 1e\+304 s span at 1e\+300 Hz needs over "
+                                                 r"2\*\*24 samples$"):
+                resample_cubic_spline(np.array([1e304, 2e304]), np.array([1e307, 1e307]), 1e300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @settings(max_examples=50)
     @given(

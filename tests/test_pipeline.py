@@ -3,7 +3,6 @@ import dataclasses
 import json
 import re
 import tempfile
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -13,9 +12,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hrvwp
-from hrvwp import PipelineConfig, RunReport, emit_report, run_pipeline
+from hrvwp import RunReport, emit_report, run_pipeline
 from hrvwp.ingest import Group
-from hrvwp.pipeline import AnovaReport, RecordingReport, load_manifest, process_recording
+from hrvwp.pipeline import (
+    DEPTH, HF_LEAVES, LF_LEAVES, RATE_HZ, WAVELET_ORDER,
+    AnovaReport, RecordingReport, load_manifest, process_recording,
+)
 from hrvwp.cli import main
 from conftest import balanced_spec, synthetic_rr
 
@@ -59,43 +61,15 @@ def balanced_report(tmp_path_factory):
         lines.append(f"data/{subject_id}.txt,{subject_id},{group}")
     manifest = tmp / "manifest.csv"
     manifest.write_text("\n".join(lines) + "\n")
-    return manifest, run_pipeline(manifest, PipelineConfig())
+    return manifest, run_pipeline(manifest)
 
 
 class TestConfig:
-    def test_defaults_are_reference_configuration(self):
-        echo = json.loads(RunReport(config=PipelineConfig(), recordings=(), anova=()).to_json())
-        assert echo["config"] == {
-            "rate_hz": 4.0, "wavelet_order": 4, "depth": 6,
-            "lf_band_hz": [0.03125, 0.15625], "hf_band_hz": [0.15625, 0.40625],
-        }
-
-    def test_round_trip(self):
-        config = PipelineConfig(rate_hz=8.0, depth=4)
-        report = RunReport(config=config, recordings=(), anova=())
-        assert RunReport.from_json(report.to_json(), report.coefficients()).config == config
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"rate_hz": 0.0},
-            {"wavelet_order": 0},
-            {"wavelet_order": 11},
-            {"depth": -1},
-            {"lf_band_hz": (0.2, 0.1)},
-            {"hf_band_hz": (0.3, 0.3)},
-            {"lf_band_hz": (-0.1, 0.1)},
-            {"wavelet_order": 4.5},
-            {"depth": 5.0},
-            {"depth": True},
-            {"depth": 25},
-            {"rate_hz": float("inf")},
-            {"rate_hz": float("nan")},
-        ],
-    )
-    def test_invalid_configs_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            PipelineConfig(**kwargs)
+    def test_constants_are_the_reference_configuration(self):
+        # the paper's 4 Hz grid and depth-6 db4 tree; LF and HF are leaves 1-4 and 5-12
+        assert (RATE_HZ, WAVELET_ORDER, DEPTH) == (4.0, 4, 6)
+        assert LF_LEAVES == (1, 2, 3, 4)
+        assert HF_LEAVES == tuple(range(5, 13))
 
 
 class TestManifest:
@@ -122,7 +96,7 @@ class TestManifest:
         text = manifest.read_text()
         manifest.write_text(text + text.splitlines()[1] + "\n")
         with pytest.raises(ValueError, match="unique"):
-            run_pipeline(manifest, PipelineConfig())
+            run_pipeline(manifest)
 
     @pytest.mark.parametrize("pair", [("a b", "a_b"), ("A", "a")], ids=["punctuation", "case"])
     def test_ids_alike_after_case_or_punctuation_both_run(self, write_dataset, tmp_path, pair):
@@ -151,7 +125,7 @@ class TestManifest:
 class TestRunPipeline:
     def test_single_recording_skips_anova(self, write_dataset):
         manifest = write_dataset([("solo", "Control", synthetic_rr(300, seed=3))])
-        report = run_pipeline(manifest, PipelineConfig())
+        report = run_pipeline(manifest)
         assert len(report.recordings) == 1
         assert report.recordings[0].status == "ok"
         assert report.recordings[0].features is not None
@@ -182,7 +156,7 @@ class TestRunPipeline:
         )
         text = manifest.read_text()
         manifest.write_text(text + "data/absent.txt,ghost,VF\n")
-        report = run_pipeline(manifest, PipelineConfig())
+        report = run_pipeline(manifest)
         by_id = {r.subject_id: r for r in report.recordings}
         assert by_id["ghost"].status == "failed"
         assert "FileNotFoundError" in by_id["ghost"].error
@@ -196,7 +170,7 @@ class TestRunPipeline:
         manifest = write_dataset([("ok0", "Control", synthetic_rr(300, seed=6))])
         (tmp_path / "data" / "empty.txt").write_text("# header only\n")
         manifest.write_text(manifest.read_text() + "data/empty.txt,empty,VT\n")
-        by_id = {r.subject_id: r for r in run_pipeline(manifest, PipelineConfig()).recordings}
+        by_id = {r.subject_id: r for r in run_pipeline(manifest).recordings}
         assert by_id["empty"].error == "ValueError: need at least 2 RR intervals, got 0"
         assert by_id["ok0"].status == "ok"
 
@@ -215,7 +189,7 @@ class TestRunPipeline:
             "data/two_col.txt,two,Control\n"
             "data/one_col.txt,one,Control\n"
         )
-        report = run_pipeline(manifest, PipelineConfig())
+        report = run_pipeline(manifest)
         by_id = {r.subject_id: r for r in report.recordings}
         assert by_id["two"].status == by_id["one"].status == "ok"
         assert by_id["two"].features.e_lf == by_id["one"].features.e_lf
@@ -225,7 +199,7 @@ class TestRunPipeline:
         bad = tmp_path / "data" / "bad.txt"
         bad.write_text("800\noops\n")
         manifest.write_text(manifest.read_text() + "data/bad.txt,bad,VT\n")
-        report = run_pipeline(manifest, PipelineConfig())
+        report = run_pipeline(manifest)
         by_id = {r.subject_id: r for r in report.recordings}
         assert by_id["bad"].status == "failed"
         assert "line 2" in by_id["bad"].error
@@ -236,20 +210,18 @@ class TestRunPipeline:
                                   for k in range(3)])
         (tmp_path / "data" / "huge.txt").write_text("1e308\n1e308\n800\n")
         manifest.write_text(manifest.read_text() + "data/huge.txt,huge,VT\n")
-        by_id = {r.subject_id: r for r in run_pipeline(manifest, PipelineConfig()).recordings}
+        by_id = {r.subject_id: r for r in run_pipeline(manifest).recordings}
         assert by_id.pop("huge").error == (
             "ValueError: beat times overflow: the RR intervals sum past the float range")
         assert [r.status for r in by_id.values()] == ["ok"] * 3
 
-    @pytest.mark.parametrize("text, rate_hz", [("1e307\n1e307\n", 1e300),
-                                               ("800\n1e12\n800\n", 4.0)],
-                             ids=["span-times-rate-overflows", "grid-of-4e9-samples"])
-    def test_oversized_grid_isolated(self, tmp_path, text, rate_hz):
+    @pytest.mark.parametrize("text", ["800\n1e12\n800\n"], ids=["grid-of-4e9-samples"])
+    def test_oversized_grid_isolated(self, tmp_path, text):
         path = tmp_path / "long.txt"
         path.write_text(text)
         tracemalloc.start()
         try:
-            rec = process_recording(path, "long", Group.VT, PipelineConfig(rate_hz=rate_hz))
+            rec = process_recording(path, "long", Group.VT)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -263,7 +235,7 @@ class TestRunPipeline:
     def test_no_exception_escapes_a_recording(self, tmp_path, text):
         path = tmp_path / "drawn.txt"
         path.write_text(text)
-        rec = process_recording(path, "drawn", Group.VT, PipelineConfig())
+        rec = process_recording(path, "drawn", Group.VT)
         assert isinstance(rec, RecordingReport)
         if rec.status == "ok":
             assert np.all(np.isfinite(dataclasses.astuple(rec.features)))
@@ -272,7 +244,7 @@ class TestRunPipeline:
         manifest = write_dataset([("ok0", "Control", synthetic_rr(300, seed=6))])
         (tmp_path / "data" / "latin1.txt").write_bytes(b"800\n8\xe910\n")
         manifest.write_text(manifest.read_text() + "data/latin1.txt,latin1,VT\n")
-        report = run_pipeline(manifest, PipelineConfig())
+        report = run_pipeline(manifest)
         by_id = {r.subject_id: r for r in report.recordings}
         assert by_id["latin1"].status == "failed"
         assert "UnicodeDecodeError" in by_id["latin1"].error
@@ -283,7 +255,7 @@ class TestRunPipeline:
         plain = (tmp_path / "data" / "plain.txt").read_bytes()
         (tmp_path / "data" / "bom.txt").write_bytes(b"\xef\xbb\xbf" + plain)
         manifest.write_text(manifest.read_text() + "data/bom.txt,bom,Control\n")
-        by_id = {r.subject_id: r for r in run_pipeline(manifest, PipelineConfig()).recordings}
+        by_id = {r.subject_id: r for r in run_pipeline(manifest).recordings}
         assert by_id["bom"].status == "ok"
         assert by_id["bom"].features == by_id["plain"].features
 
@@ -295,19 +267,19 @@ class TestRunPipeline:
 
         monkeypatch.setattr("hrvwp.pipeline.extract_features", broken)
         with pytest.raises(TypeError, match="internal bug"):
-            run_pipeline(manifest, PipelineConfig())
+            run_pipeline(manifest)
 
     def test_unbalanced_design_skipped(self, write_dataset):
         spec = balanced_spec(per_group=2)[:5]  # 2+2+1 across the three groups
         manifest = write_dataset(spec)
-        report = run_pipeline(manifest, PipelineConfig())
+        report = run_pipeline(manifest)
         for a in report.anova:
             assert a.status == "skipped"
             assert "unbalanced" in a.reason
 
     def test_unlabeled_recording_left_out_of_anova(self, write_dataset):
         spec = balanced_spec(per_group=2) + [("extra", "Unlabeled", synthetic_rr(300, seed=40))]
-        report = run_pipeline(write_dataset(spec), PipelineConfig())
+        report = run_pipeline(write_dataset(spec))
         assert [r.status for r in report.recordings] == ["ok"] * 7
         for a in report.anova:
             assert a.status == "ok"
@@ -319,15 +291,15 @@ class TestRunPipeline:
         lines = manifest.read_text().strip().splitlines()
         shuffled = tmp_path / "shuffled.csv"
         shuffled.write_text("\n".join([lines[0]] + lines[1:][::-1]) + "\n")
-        a = run_pipeline(manifest, PipelineConfig())
-        b = run_pipeline(shuffled, PipelineConfig())
+        a = run_pipeline(manifest)
+        b = run_pipeline(shuffled)
         assert a.to_json() == b.to_json()
         assert a.coefficients().tobytes() == b.coefficients().tobytes()
 
     def test_determinism(self, write_dataset):
         manifest = write_dataset([("r0", "Control", synthetic_rr(300, seed=8)),
                                   ("r1", "VT", synthetic_rr(300, seed=9))])
-        a, b = (run_pipeline(manifest, PipelineConfig()) for _ in range(2))
+        a, b = (run_pipeline(manifest) for _ in range(2))
         assert a.to_json() == b.to_json()
         assert a.coefficients().tobytes() == b.coefficients().tobytes()
 
@@ -342,7 +314,7 @@ class TestRunPipeline:
 
         monkeypatch.setattr(hrvwp.wavelet, "analysis_step", counted)
         manifest = write_dataset([("w0", "Control", synthetic_rr(300, seed=11))])
-        rec = run_pipeline(manifest, PipelineConfig()).recordings[0]
+        rec = run_pipeline(manifest).recordings[0]
         assert rec.status == "ok" and len(sizes) == 6
         assert sum(sizes) <= 2.5 * rec.n_analyzed
 
@@ -365,7 +337,9 @@ class TestRunPipeline:
         _, report = balanced_report
         coefficients = report.coefficients()
         payload = json.loads(report.to_json())
-        assert payload["tool"] == {"name": "hrvwp", "version": hrvwp.__version__, "schema": 7}
+        assert payload["tool"] == {"name": "hrvwp", "version": hrvwp.__version__, "schema": 8}
+        # schema 8: no echo of the analysis configuration
+        assert list(payload) == ["tool", "recordings", "anova"]
         # schema 5: a recording's identity is stored once, beside its features
         assert list(payload["recordings"][0])[:2] == ["subject_id", "group"]
         assert list(payload["recordings"][0]["features"]) == [
@@ -384,22 +358,28 @@ class TestRunPipeline:
     def test_schema_5_report_rejected(self, balanced_report):
         _, report = balanced_report
         payload = json.loads(report.to_json())
+        # schema 7 also echoed the analysis configuration
+        payload["tool"]["schema"] = 7
+        payload["config"] = {"rate_hz": 4.0, "wavelet_order": 4, "depth": 6,
+                             "lf_band_hz": [0.03125, 0.15625], "hf_band_hz": [0.15625, 0.40625]}
+        with pytest.raises(ValueError, match="report schema 7 is not readable, only schema 8"):
+            RunReport.from_json(json.dumps(payload), report.coefficients())
         # schema 6 also echoed the options mad_source and standardize_anova
         payload["tool"]["schema"] = 6
         payload["config"].update(mad_source="per-band", standardize_anova=False)
-        with pytest.raises(ValueError, match="report schema 6 is not readable, only schema 7"):
+        with pytest.raises(ValueError, match="report schema 6 is not readable, only schema 8"):
             RunReport.from_json(json.dumps(payload), report.coefficients())
         # schema 5 also held each band's values and significant positions in the JSON
         payload["tool"]["schema"] = 5
         for rec, stored in zip(report.recordings, payload["recordings"]):
             for band, data in zip(rec.bands, stored["bands"]):
                 data.update(values=band.values.tolist(), significant=band.significant.tolist())
-        with pytest.raises(ValueError, match="report schema 5 is not readable, only schema 7"):
+        with pytest.raises(ValueError, match="report schema 5 is not readable, only schema 8"):
             RunReport.from_json(json.dumps(payload), np.empty(0))
-        payload["tool"]["schema"] = 7
-        with pytest.raises(ValueError, match="PipelineConfig: unknown key 'mad_source'"):
+        payload["tool"]["schema"] = 8
+        with pytest.raises(ValueError, match="RunReport: unknown key 'config'"):
             RunReport.from_json(json.dumps(payload), report.coefficients())
-        del payload["config"]["mad_source"], payload["config"]["standardize_anova"]
+        del payload["config"]
         with pytest.raises(ValueError, match="BandReport: unknown key 'values'"):
             RunReport.from_json(json.dumps(payload), report.coefficients())
         del payload["recordings"][0]["bands"][0]["values"]
@@ -412,27 +392,28 @@ class TestRunPipeline:
          "BandReport: unknown key 'extra'"),
         (lambda d: d.pop("tool"), "RunReport: missing key 'tool'"),
         (lambda d: d.update(extra=1), "RunReport: unknown key 'extra'"),
-        (lambda d: d["config"].pop("depth"), "PipelineConfig: missing key 'depth'"),
+        (lambda d: d["recordings"][0]["features"].pop("r_e"), "FeatureVector: missing key 'r_e'"),
         (lambda d: d["recordings"][0].update(features=[]),
          "FeatureVector: expected a JSON object, got list"),
         (lambda d: d["recordings"][0].update(bands={}), "expected a JSON array, got dict"),
-        (lambda d: d.update(config=None), "PipelineConfig: expected a JSON object, got NoneType"),
+        (lambda d: d["recordings"][0]["bands"].__setitem__(0, None),
+         "BandReport: expected a JSON object, got NoneType"),
         (lambda d: d["anova"][0]["table"].update(rows="x"), "expected a JSON array, got str"),
         (lambda d: d["recordings"][0].update(n_intervals="12"),
          "RecordingReport: key 'n_intervals': expected int, got str"),
-        (lambda d: d["tool"].update(schema=7.0), "ToolInfo: key 'schema': expected int, got float"),
-        (lambda d: d["config"].update(rate_hz="x"),
-         "PipelineConfig: key 'rate_hz': expected float, got str"),
-        (lambda d: d["config"].update(rate_hz=None),
-         "PipelineConfig: key 'rate_hz': expected float, got NoneType"),
-        (lambda d: d["config"].update(depth=True),
-         "PipelineConfig: key 'depth': expected int, got bool"),
+        (lambda d: d["tool"].update(schema=8.0), "ToolInfo: key 'schema': expected int, got float"),
+        (lambda d: d["recordings"][0]["features"].update(std_lf="x"),
+         "FeatureVector: key 'std_lf': expected float, got str"),
+        (lambda d: d["recordings"][0]["bands"][0].update(h=None),
+         "BandReport: key 'h': expected float, got NoneType"),
+        (lambda d: d["recordings"][0].update(n_analyzed=True),
+         "RecordingReport: key 'n_analyzed': expected int, got bool"),
         (lambda d: d["recordings"][0]["bands"][0].update(lam=False),
          "BandReport: key 'lam': expected float, got bool"),
         (lambda d: d["recordings"][0].update(subject_id=7),
          "RecordingReport: key 'subject_id': expected str, got int"),
-        (lambda d: d["config"]["lf_band_hz"].__setitem__(0, "0.03"),
-         "PipelineConfig: key 'lf_band_hz': expected float, got str"),
+        (lambda d: d["anova"][0]["row_labels"].__setitem__(0, 1),
+         "AnovaReport: key 'row_labels': expected str, got int"),
         (lambda d: d["recordings"][0]["bands"][0]["leaves"].__setitem__(0, 1.0),
          "BandReport: key 'leaves': expected int, got float"),
         (lambda d: d["recordings"][0].update(group="Healthy"),
@@ -445,8 +426,8 @@ class TestRunPipeline:
          "BandReport: key 'n': expected int, got NoneType"),
         (lambda d: d["recordings"][0]["bands"][0].update(n=1.5),
          "BandReport: key 'n': expected int, got float"),
-        (lambda d: d["config"].update(depth=99),
-         "RunReport: key 'config': PipelineConfig: depth must be in [0, 24]"),
+        (lambda d: d["anova"][0]["table"]["rows"][0].update(source="error"),
+         "AnovaReport: key 'table': AnovaTable: table must hold sources"),
         (lambda d: d["recordings"][0].update(error="OSError: edited"),
          "RunReport: key 'recordings': RecordingReport: an ok recording has features and "
          "bands, a failed one neither"),
@@ -470,10 +451,11 @@ class TestRunPipeline:
     def test_int_accepted_for_float(self, balanced_report):
         _, report = balanced_report
         payload = json.loads(report.to_json())
-        payload["config"].update(rate_hz=4, lf_band_hz=[0, 0.15625])
-        config = RunReport.from_json(json.dumps(payload), report.coefficients()).config
-        assert config.rate_hz == 4.0
-        assert config.lf_band_hz == (0.0, 0.15625)
+        payload["recordings"][0]["bands"][0].update(h=2)
+        payload["anova"][0]["table"]["rows"][0].update(ss=0)
+        read = RunReport.from_json(json.dumps(payload), report.coefficients())
+        assert read.recordings[0].bands[0].h == 2.0
+        assert read.anova[0].table.rows[0].ss == 0.0
 
     @pytest.mark.parametrize("text", ["[]", "3", '"report"', "null"])
     def test_report_not_an_object(self, text):
@@ -585,7 +567,7 @@ class TestEmit:
     def test_all_failed_run_round_trips_with_an_empty_vector(self, write_dataset, tmp_path):
         manifest = write_dataset([("only", "Control", synthetic_rr(300, seed=12))])
         manifest.write_text("path,subject_id,group\ndata/missing.txt,gone,Control\n")
-        report = run_pipeline(manifest, PipelineConfig())
+        report = run_pipeline(manifest)
         assert [r.status for r in report.recordings] == ["failed"]
         out = tmp_path / "failed_out"
         emit_report(report, out)
@@ -634,7 +616,7 @@ class TestEmit:
         manifest.write_text(
             "path,subject_id,group\ndata/missing.txt,gone,Control\n"
         )
-        report = run_pipeline(manifest, PipelineConfig())
+        report = run_pipeline(manifest)
         out = tmp_path / "empty_out"
         emit_report(report, out)
         with open(out / "features.csv", newline="") as fh:
@@ -646,7 +628,7 @@ class TestEmit:
         out = tmp_path / "skip_out"
         emit_report(balanced_report[1], out)
         manifest = write_dataset([("a0", "Control", synthetic_rr(300, seed=13))])
-        report = run_pipeline(manifest, PipelineConfig())
+        report = run_pipeline(manifest)
         written = emit_report(report, out)
         assert not any("anova" in p.name for p in written)
         assert not list(out.glob("anova_*.csv"))
@@ -693,9 +675,11 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 0
         assert "6 ok" in captured.out
-        # the CLI's defaults are the reference configuration
+        # the CLI runs the reference configuration: depth-6 blocks, leaves 1-4 and 5-12
         report = RunReport.read(tmp_path / "cli_out")
-        assert report.config == PipelineConfig()
+        for rec in report.recordings:
+            assert rec.n_analyzed % 64 == 0
+            assert [b.leaves for b in rec.bands] == [(1, 2, 3, 4), tuple(range(5, 13))]
 
     def test_insufficient_design_exit_one(self, write_dataset, tmp_path, capsys):
         manifest = write_dataset([("one", "Control", synthetic_rr(300, seed=14))])
@@ -707,45 +691,3 @@ class TestCli:
         code = main(["--manifest", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
         assert code == 2
         assert "error" in capsys.readouterr().err
-
-    def test_bad_config_exit_two(self, write_dataset, tmp_path, capsys):
-        manifest = write_dataset([("c0", "Control", synthetic_rr(300, seed=15))])
-        code = main(["--manifest", str(manifest), "--out", str(tmp_path / "o2"),
-                     "--depth", "-3"])
-        assert code == 2
-
-    def test_infinite_rate_exit_two(self, write_dataset, tmp_path, capsys):
-        manifest = write_dataset([("c0", "Control", synthetic_rr(300, seed=15))])
-        code = main(["--manifest", str(manifest), "--out", str(tmp_path / "o5"),
-                     "--rate", "inf"])
-        assert code == 2
-        assert "rate_hz must be positive and finite" in capsys.readouterr().err
-
-    def test_huge_depth_exit_two_promptly(self, write_dataset, tmp_path, capsys):
-        # a typo for --depth 6 is a prompt usage error, not a scan over 2**60 leaves
-        manifest = write_dataset([("c0", "Control", synthetic_rr(300, seed=15))])
-        start = time.perf_counter()
-        code = main(["--manifest", str(manifest), "--out", str(tmp_path / "o4"),
-                     "--depth", "60"])
-        assert code == 2
-        assert time.perf_counter() - start < 5.0
-        assert "depth must be in [0, 24]" in capsys.readouterr().err
-
-    def test_band_without_whole_leaf_exit_two(self, write_dataset, tmp_path, capsys):
-        # at 8 Hz a depth-4 leaf spans 0.25 Hz, wider than the whole LF band
-        manifest = write_dataset([("r0", "Control", synthetic_rr(300, seed=17))])
-        code = main(["--manifest", str(manifest), "--out", str(tmp_path / "o3"),
-                     "--rate", "8", "--depth", "4"])
-        assert code == 2
-        assert "no level-4 node fits" in capsys.readouterr().err
-
-    def test_flag_overrides_reach_config(self, write_dataset, tmp_path):
-        manifest = write_dataset([("f0", "Control", synthetic_rr(400, seed=16))])
-        out = tmp_path / "cli_flags"
-        code = main(["--manifest", str(manifest), "--out", str(out),
-                     "--rate", "2", "--wavelet-order", "2", "--depth", "5"])
-        assert code == 1  # single recording: anova skipped
-        config = json.loads((out / "report.json").read_text())["config"]
-        assert config["rate_hz"] == 2.0
-        assert config["wavelet_order"] == 2
-        assert config["depth"] == 5

@@ -7,7 +7,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hrvwp import threshold_band
-from hrvwp.threshold import BandReport, compute_threshold, mad, noise_scale
+from hrvwp.threshold import MAD_NORMAL_CONSISTENCY, BandReport, mad
+
+
+def threshold(values):
+    """(lambda, h) of a one-leaf band holding values."""
+    band = threshold_band(np.asarray(values, dtype=float), leaf_ids=(0,))
+    return band.lam, band.h
 
 
 def sorted_median(values):
@@ -81,51 +87,51 @@ class TestMad:
 
 class TestNoiseScale:
     def test_constant_is_zero(self):
-        assert noise_scale(np.full(10, 4.2)) == 0.0
+        assert threshold(np.full(10, 4.2))[1] == 0.0
 
     def test_unit_mad_definition(self):
         values = np.array([0.6745, -0.6745] * 64)
-        assert noise_scale(values) == pytest.approx(1.0, rel=1e-12)
+        assert threshold(values)[1] == pytest.approx(1.0, rel=1e-12)
 
     def test_standard_normal_scale_is_one(self):
         x = np.random.default_rng(123).standard_normal(100_000)
-        assert noise_scale(x) == pytest.approx(1.0, rel=0.03)
+        assert threshold(x)[1] == pytest.approx(1.0, rel=0.03)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            noise_scale([])
+            threshold([])
 
 
 class TestComputeThreshold:
     def test_formula(self):
         rng = np.random.default_rng(2)
         coeffs = rng.standard_normal(300)
-        lam, h = compute_threshold(coeffs)
+        lam, h = threshold(coeffs)
         assert h == pytest.approx(mad_oracle(coeffs) / 0.6745, rel=1e-12)
         assert lam == pytest.approx(h * sqrt(2.0 * log(300)), rel=1e-12, abs=1e-12)
 
     def test_single_coefficient_gives_zero(self):
-        assert compute_threshold([5.0]) == (0.0, 0.0)
+        assert threshold([5.0]) == (0.0, 0.0)
 
     def test_unit_scale_n256(self):
         values = np.array([0.6745, -0.6745] * 128)
-        lam, h = compute_threshold(values)
+        lam, h = threshold(values)
         assert h == pytest.approx(1.0, rel=1e-12)
         assert lam == pytest.approx(3.3302, abs=1e-4)
 
     def test_constant_vector_gives_zero(self):
-        lam, _ = compute_threshold(np.full(64, 2.5))
+        lam, _ = threshold(np.full(64, 2.5))
         assert lam == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            compute_threshold([])
+            threshold([])
 
     def test_monotone_in_length(self):
         lams = []
         for n in (2, 8, 64, 1024):
             values = np.array([0.6745, -0.6745] * (n // 2))
-            lams.append(compute_threshold(values)[0])
+            lams.append(threshold(values)[0])
         assert all(a < b for a, b in zip(lams, lams[1:]))
 
 
@@ -215,16 +221,16 @@ class TestSplit:
     @given(scalable_lists, st.floats(min_value=1e-3, max_value=1e3, allow_nan=False))
     def test_scale_equivariance(self, values, scale):
         v = np.asarray(values)
-        lam, _ = compute_threshold(v)
+        lam, _ = threshold(v)
         base = split(v, lam)
-        lam_scaled, _ = compute_threshold(scale * v)
+        lam_scaled, _ = threshold(scale * v)
         scaled = split(scale * v, lam_scaled)
         assert lam_scaled == pytest.approx(scale * lam, rel=1e-9, abs=1e-12)
         assert np.array_equal(base.significant, scaled.significant)
 
     @given(finite_lists)
     def test_idempotent_on_background(self, values):
-        lam, _ = compute_threshold(np.asarray(values))
+        lam, _ = threshold(np.asarray(values))
         first = split(np.asarray(values), lam)
         again = split(first.background, lam)
         assert again.n_significant == 0
@@ -236,9 +242,9 @@ class TestThresholdBand:
         rng = np.random.default_rng(8)
         coeffs = rng.standard_normal(128)
         split = threshold_band(coeffs, leaf_ids=(0,), band="HF")
-        lam, h = compute_threshold(coeffs)
-        assert split.band == "HF"
-        assert (split.lam, split.h, split.n) == (lam, h, 128)
+        h = mad(coeffs) / MAD_NORMAL_CONSISTENCY
+        assert (split.band, split.lam, split.h, split.n) == ("HF", h * sqrt(2.0 * log(128)), h, 128)
+        assert split == BandReport(band="HF", lam=split.lam, h=h, leaves=(0,), values=coeffs)
 
     def test_empty_band_rejected(self):
         with pytest.raises(ValueError):
