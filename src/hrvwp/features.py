@@ -5,8 +5,6 @@ coefficients of the LF and HF bands; the energy ratio r_e = e_lf / e_hf summariz
 the sympatho-vagal balance of the diffuse component.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np

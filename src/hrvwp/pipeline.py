@@ -13,16 +13,13 @@ JSON plus a binary coefficient vector, which holds each band coefficient once;
 the feature and ANOVA tables are also written as CSV with 12 significant digits.
 """
 
-from __future__ import annotations
-
 import csv
-import functools
 import json
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 from types import NoneType, UnionType
-from typing import get_args, get_origin, get_type_hints
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -35,7 +32,7 @@ from .ingest import (
     rr_to_tachogram,
     truncate_to_block,
 )
-from .stats import AnovaTable, DegenerateDataError, FactorialData, anova_two_way
+from .stats import AnovaTable, DegenerateDataError, anova_two_way
 from .threshold import BandReport, threshold_band
 from .wavelet import band_nodes, daubechies_filters, wpt_leaves
 
@@ -61,8 +58,7 @@ __all__ = [
 MANIFEST_FIELDS = ("path", "subject_id", "group")
 COEFF_STAT_COLUMNS = ("STDLF", "MEANLF", "STDHF", "MEANHF")
 ENERGY_COLUMNS = ("E_LF", "E_HF", "R_E")
-FEATURE_COLUMNS = ("subject_id", "group", "std_lf", "mean_lf", "std_hf", "mean_hf",
-                   "e_lf", "e_hf", "r_e")
+FEATURE_COLUMNS = ("subject_id", "group", *(f.name for f in fields(FeatureVector)))
 CSV_FLOAT_DIGITS = 12
 # layout version of report.json, written as tool.schema and checked on reading
 REPORT_SCHEMA = 8
@@ -75,7 +71,9 @@ DEPTH = 6
 LF_LEAVES = tuple(band_nodes("LF", DEPTH, RATE_HZ))
 HF_LEAVES = tuple(band_nodes("HF", DEPTH, RATE_HZ))
 
-_FEATURE_BY_COLUMN = dict(zip(COEFF_STAT_COLUMNS + ENERGY_COLUMNS, FEATURE_COLUMNS[2:]))
+# the FeatureVector field each ANOVA column holds
+_FEATURE_BY_COLUMN = {"STDLF": "std_lf", "MEANLF": "mean_lf", "STDHF": "std_hf",
+                      "MEANHF": "mean_hf", "E_LF": "e_lf", "E_HF": "e_hf", "R_E": "r_e"}
 
 
 @dataclass(frozen=True)
@@ -194,8 +192,9 @@ def _encode(obj):
     """The JSON form of a report value: a dataclass becomes a dict of its fields.
 
     An Enum becomes its value and a tuple of dataclasses a list of dicts. A
-    scalar, or a tuple of scalars, goes to json whole. An ndarray field is left
-    out: a band's values go to coefficients.npy, and significant is derived.
+    scalar, or a tuple of scalars, goes to json whole. A field annotated
+    np.ndarray is left out: a band's values go to coefficients.npy, and
+    significant is derived.
     """
     if isinstance(obj, (str, int, float, NoneType)):
         return obj
@@ -204,12 +203,7 @@ def _encode(obj):
     if isinstance(obj, tuple):
         return [_encode(item) for item in obj] if obj and is_dataclass(obj[0]) else obj
     return {f.name: _encode(getattr(obj, f.name)) for f in fields(obj)
-            if not isinstance(getattr(obj, f.name), np.ndarray)}
-
-
-# evaluating a class's string annotations takes about 0.2 ms, and a report
-# holds thousands of dataclass instances
-_type_hints = functools.cache(get_type_hints)
+            if f.type is not np.ndarray}
 
 
 def _checked_object(tp, data) -> dict:
@@ -220,7 +214,7 @@ def _checked_object(tp, data) -> dict:
     """
     if not isinstance(data, dict):
         raise ValueError(f"{tp.__name__}: expected a JSON object, got {type(data).__name__}")
-    names = [f.name for f in fields(tp) if _type_hints(tp)[f.name] is not np.ndarray]
+    names = [f.name for f in fields(tp) if f.type is not np.ndarray]
     for key in data:
         if key not in names:
             raise ValueError(f"{tp.__name__}: unknown key {key!r}")
@@ -250,11 +244,10 @@ def _decode(tp, data, where: str = "report", take=None):
             raise ValueError(f"{where}: expected {tp.__name__}, got {type(data).__name__}")
         return data
     if is_dataclass(tp):
-        hints = _type_hints(tp)
         data = _checked_object(tp, data)
         kwargs = {f.name: take(_decode(int, data.get("n"), f"{tp.__name__}: key 'n'"))
-                  if hints[f.name] is np.ndarray else
-                  _decode(hints[f.name], data[f.name], f"{tp.__name__}: key {f.name!r}", take)
+                  if f.type is np.ndarray else
+                  _decode(f.type, data[f.name], f"{tp.__name__}: key {f.name!r}", take)
                   for f in fields(tp) if f.init}
         try:
             return tp(**kwargs)
@@ -370,7 +363,7 @@ def _anova_report(
         ]
     )
     try:
-        table = anova_two_way(FactorialData(grid))
+        table = anova_two_way(grid)
     except DegenerateDataError as exc:
         return AnovaReport(name, reason=str(exc))
     return AnovaReport(

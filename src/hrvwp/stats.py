@@ -1,6 +1,7 @@
 """Balanced two-way fixed-effects ANOVA with interaction, and the F tail.
 
-The decomposition follows the classic five-step recipe: sources, sums of
+The ANOVA takes its balanced (rows, columns, replicates) grid as a plain
+array and follows the classic five-step recipe: sources, sums of
 squares from cell/margin/grand means, degrees of freedom, mean squares
 (SS/df), and F ratios against the error mean square. Upper-tail F
 probabilities come from the regularized incomplete beta function, evaluated
@@ -8,15 +9,12 @@ by a continued fraction so the accuracy (~1e-10) comfortably dominates any
 reporting tolerance.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 from math import exp, lgamma, log, log1p
 
 import numpy as np
 
 __all__ = [
-    "FactorialData",
     "AnovaRow",
     "AnovaTable",
     "DegenerateDataError",
@@ -31,30 +29,6 @@ ANOVA_SOURCES = ("columns", "rows", "interaction", "error", "total")
 
 class DegenerateDataError(ValueError):
     """Zero error mean square: F ratios are undefined for this grid."""
-
-
-@dataclass(frozen=True, eq=False)
-class FactorialData:
-    """Balanced R x C x K grid of observations (rows, columns, replicates)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", arr)
-        if arr.ndim != 3:
-            raise ValueError("values must be a 3-d (rows, columns, replicates) array")
-        r, c, k = arr.shape
-        if r < 2 or c < 2:
-            raise ValueError("need at least 2 rows and 2 columns")
-        if k < 2:
-            raise ValueError("interaction needs at least 2 replicates per cell")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("all cells must be filled with finite values")
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return tuple(self.values.shape)
 
 
 @dataclass(frozen=True)
@@ -84,10 +58,22 @@ class AnovaTable:
         raise KeyError(source)
 
 
-def sum_of_squares(data: FactorialData) -> dict[str, tuple[float, int]]:
-    """SS and df per source from cell, margin and grand means."""
-    x = data.values
+def sum_of_squares(values) -> dict[str, tuple[float, int]]:
+    """SS and df per source from cell, margin and grand means.
+
+    values is a balanced (rows, columns, replicates) grid, or anything
+    np.asarray turns into one, with at least 2 of each and finite cells.
+    """
+    x = np.asarray(values, dtype=float)
+    if x.ndim != 3:
+        raise ValueError("values must be a 3-d (rows, columns, replicates) array")
     r, c, k = x.shape
+    if r < 2 or c < 2:
+        raise ValueError("need at least 2 rows and 2 columns")
+    if k < 2:
+        raise ValueError("interaction needs at least 2 replicates per cell")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("all cells must be filled with finite values")
     grand = x.mean()
     cell = x.mean(axis=2)
     row_means = x.mean(axis=(1, 2))
@@ -109,13 +95,13 @@ def sum_of_squares(data: FactorialData) -> dict[str, tuple[float, int]]:
     }
 
 
-def anova_two_way(data: FactorialData) -> AnovaTable:
-    """Balanced two-way fixed-effects ANOVA with interaction.
+def anova_two_way(values) -> AnovaTable:
+    """Balanced two-way fixed-effects ANOVA with interaction, on a sum_of_squares grid.
 
     Raises DegenerateDataError when the error mean square is zero (identical
     replicates everywhere), since no F ratio is defined then.
     """
-    decomp = sum_of_squares(data)
+    decomp = sum_of_squares(values)
     ms_error = decomp["error"][0] / decomp["error"][1]
     if ms_error == 0.0:
         raise DegenerateDataError("error mean square is zero; F is undefined")

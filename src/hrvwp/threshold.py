@@ -7,8 +7,6 @@ component; those above it are the significant changes. Values are kept as-is
 on both sides (this separates, it does not shrink or denoise).
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass, field
 from math import inf, log, sqrt
 

@@ -30,7 +30,7 @@ from hrvwp import (
 )
 from hrvwp.ingest import truncate_to_block
 from hrvwp.pipeline import DEPTH, HF_LEAVES, LF_LEAVES, RATE_HZ, WAVELET_ORDER
-from hrvwp.stats import FactorialData, anova_two_way, f_tail_probability
+from hrvwp.stats import anova_two_way, f_tail_probability
 from hrvwp.wavelet import node_frequency_range, wpt_reconstruct_nodes
 from conftest import balanced_spec, rr_text, synthetic_rr
 
@@ -226,7 +226,7 @@ class TestC07AnovaConsistency:
     def _table(self, name):
         ref = REFERENCE_ANOVA[name]
         grid = grid_with_prescribed_ss(ref["shape"], ref["ss"])
-        return ref, anova_two_way(FactorialData(grid))
+        return ref, anova_two_way(grid)
 
     def test_c07_prescribed_ss_recovered(self, table):
         ref, result = self._table(table)
@@ -260,7 +260,7 @@ def test_c07_companion_ms_from_unrounded_ss():
     ref = dict(REFERENCE_ANOVA["energy"]["ss"])
     ref["rows"] = REFERENCE_ANOVA["energy"]["ms"]["rows"] * 2
     grid = grid_with_prescribed_ss((3, 9, 3), ref)
-    result = anova_two_way(FactorialData(grid))
+    result = anova_two_way(grid)
     for source, ms in REFERENCE_ANOVA["energy"]["ms"].items():
         assert result[source].ms == pytest.approx(ms, abs=0.001)
 
@@ -271,7 +271,7 @@ def test_c08_brute_force_equivalence():
     rng = np.random.default_rng(88)
     for _ in range(50):
         grid = rng.standard_normal((3, 4, 3)) * rng.uniform(0.5, 20.0)
-        table = anova_two_way(FactorialData(grid))
+        table = anova_two_way(grid)
         oracle = fitted_means_ss(grid.tolist())
         for source, expected in oracle.items():
             assert table[source].ss == pytest.approx(expected, rel=1e-9, abs=1e-12)

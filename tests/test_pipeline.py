@@ -4,6 +4,7 @@ import json
 import re
 import tempfile
 import tracemalloc
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +15,13 @@ from hypothesis import strategies as st
 import hrvwp
 from hrvwp import RunReport, emit_report, run_pipeline
 from hrvwp.ingest import Group
+from hrvwp.features import FeatureVector
 from hrvwp.pipeline import (
     DEPTH, HF_LEAVES, LF_LEAVES, RATE_HZ, WAVELET_ORDER,
-    AnovaReport, RecordingReport, load_manifest, process_recording,
+    AnovaReport, BandReport, RecordingReport, ToolInfo, _checked_object, _encode,
+    load_manifest, process_recording,
 )
+from hrvwp.stats import AnovaRow, AnovaTable, anova_two_way
 from hrvwp.cli import main
 from conftest import balanced_spec, synthetic_rr
 
@@ -62,6 +66,29 @@ def balanced_report(tmp_path_factory):
     manifest = tmp / "manifest.csv"
     manifest.write_text("\n".join(lines) + "\n")
     return manifest, run_pipeline(manifest)
+
+
+def _report_dataclasses(tp, seen):
+    """Every dataclass reachable from annotation tp through field annotations."""
+    if dataclasses.is_dataclass(tp) and tp not in seen:
+        seen.add(tp)
+        for f in dataclasses.fields(tp):
+            assert not isinstance(f.type, str), f"{tp.__name__}.{f.name}: {f.type!r}"
+            _report_dataclasses(f.type, seen)
+    for arg in typing.get_args(tp):
+        _report_dataclasses(arg, seen)
+    return seen
+
+
+def _instances(value):
+    """Every dataclass instance within a report value, value itself included."""
+    if dataclasses.is_dataclass(value):
+        yield value
+        for f in dataclasses.fields(value):
+            yield from _instances(getattr(value, f.name))
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _instances(item)
 
 
 class TestConfig:
@@ -146,6 +173,24 @@ class TestRunPipeline:
         assert energy_table.column_labels == ("E_LF", "E_HF", "R_E")
         assert [r.df for r in energy_table.table.rows] == [2, 2, 4, 18, 26]
         assert report.all_ok
+
+    def test_anova_columns_hold_their_features(self, balanced_report):
+        # a two-way ANOVA is blind to column order, so only a column fed from
+        # the wrong feature shows; each grid is rebuilt here from its labels
+        _, report = balanced_report
+        feature = {"STDLF": "std_lf", "MEANLF": "mean_lf", "STDHF": "std_hf",
+                   "MEANHF": "mean_hf", "E_LF": "e_lf", "E_HF": "e_hf", "R_E": "r_e"}
+        for a in report.anova:
+            grid = [[[getattr(r.features, feature[col]) for r in report.recordings
+                      if r.group.value == group] for col in a.column_labels]
+                    for group in a.row_labels]
+            expected = anova_two_way(grid)
+            for row, want in zip(a.table.rows, expected.rows, strict=True):
+                assert row.ss == pytest.approx(want.ss, rel=1e-12)
+                assert (row.f is None) == (want.f is None)
+                if row.f is not None:
+                    assert row.f == pytest.approx(want.f, rel=1e-12)
+                    assert row.p == pytest.approx(want.p, rel=1e-12)
 
     def test_missing_file_isolated(self, write_dataset, tmp_path):
         manifest = write_dataset(
@@ -456,6 +501,26 @@ class TestRunPipeline:
         read = RunReport.from_json(json.dumps(payload), report.coefficients())
         assert read.recordings[0].bands[0].h == 2.0
         assert read.anova[0].table.rows[0].ss == 0.0
+
+    def test_json_keys_are_the_non_array_fields(self, balanced_report):
+        # the codec's one rule, by annotation: a field annotated np.ndarray is
+        # no JSON key, and every other field is one
+        classes = _report_dataclasses(RunReport, set())
+        assert classes == {RunReport, ToolInfo, RecordingReport, FeatureVector, BandReport,
+                           AnovaReport, AnovaTable, AnovaRow}
+        _, report = balanced_report
+        failed = RecordingReport("gone", Group.CONTROL, error="OSError: gone")
+        report = dataclasses.replace(report, recordings=(report.recordings[0], failed))
+        seen = set()
+        for obj in _instances(report):
+            tp, encoded = type(obj), _encode(obj)
+            seen.add(tp)
+            assert _checked_object(tp, encoded) is encoded
+            for f in dataclasses.fields(tp):
+                if f.name not in encoded:  # an array field, which is no key
+                    with pytest.raises(ValueError, match=f"unknown key '{f.name}'"):
+                        _checked_object(tp, {**encoded, f.name: None})
+        assert seen == classes
 
     @pytest.mark.parametrize("text", ["[]", "3", '"report"', "null"])
     def test_report_not_an_object(self, text):

@@ -10,9 +10,9 @@ from scipy.stats import f as f_dist
 
 from hrvwp.pipeline import _decode, _encode
 from hrvwp.stats import (
+    ANOVA_SOURCES,
     AnovaTable,
     DegenerateDataError,
-    FactorialData,
     anova_two_way,
     f_tail_probability,
     regularized_incomplete_beta,
@@ -52,29 +52,44 @@ def f_density(x, df1, df2):
     return exp(log_norm + (a - 1.0) * log(x) - (a + b) * log(1.0 + df1 * x / df2))
 
 
-class TestFactorialData:
+class TestGridChecks:
+    """sum_of_squares, and anova_two_way through it, take only a balanced finite 3-d grid."""
+
     def test_shape_and_validation(self):
-        data = FactorialData(np.zeros((3, 4, 3)) + np.arange(3)[:, None, None])
-        assert data.shape == (3, 4, 3)
-        with pytest.raises(ValueError, match="replicates"):
-            FactorialData(np.zeros((3, 4, 1)))
-        with pytest.raises(ValueError, match="3-d"):
-            FactorialData(np.zeros((3, 4)))
-        with pytest.raises(ValueError, match="2 rows"):
-            FactorialData(np.zeros((1, 4, 3)))
+        decomp = sum_of_squares(np.zeros((3, 4, 3)) + np.arange(3)[:, None, None])
+        assert [decomp[s][1] for s in ANOVA_SOURCES] == [3, 2, 6, 24, 35]
+        for entry in (sum_of_squares, anova_two_way):
+            with pytest.raises(ValueError, match="replicates"):
+                entry(np.zeros((3, 4, 1)))
+            with pytest.raises(ValueError, match="3-d"):
+                entry(np.zeros((3, 4)))
+            with pytest.raises(ValueError, match="2 rows"):
+                entry(np.zeros((1, 4, 3)))
+            with pytest.raises(ValueError, match="2 columns"):
+                entry(np.zeros((3, 1, 3)))
+
+    @pytest.mark.parametrize("entry", [sum_of_squares, anova_two_way])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_cell(self, entry, bad):
+        grid = np.random.default_rng(3).standard_normal((3, 4, 3))
+        grid[1, 2, 0] = bad
+        with pytest.raises(ValueError, match="finite values"):
+            entry(grid)
 
     def test_from_nested_lists(self):
-        data = FactorialData([[[1, 2], [3, 4]], [[5, 6], [7, 8]]])
-        assert data.shape == (2, 2, 2)
-        assert data.values.dtype == np.float64
-        with pytest.raises(ValueError):  # unequal cell sizes form no grid
-            FactorialData([[[1, 2], [3]], [[5, 6], [7, 8]]])
+        nested = [[[1, 2], [3, 4]], [[5, 6], [7, 8]]]
+        grid = np.array(nested, dtype=np.float64)
+        assert sum_of_squares(nested) == sum_of_squares(grid)
+        assert anova_two_way(nested) == anova_two_way(grid)
+        for entry in (sum_of_squares, anova_two_way):
+            with pytest.raises(ValueError):  # unequal cell sizes form no grid
+                entry([[[1, 2], [3]], [[5, 6], [7, 8]]])
 
 
 class TestAnova:
     def test_df_for_3x4x3(self):
         rng = np.random.default_rng(1)
-        table = anova_two_way(FactorialData(rng.standard_normal((3, 4, 3))))
+        table = anova_two_way(rng.standard_normal((3, 4, 3)))
         assert [row.df for row in table.rows] == [3, 2, 6, 24, 35]
         assert [row.source for row in table.rows] == [
             "columns", "rows", "interaction", "error", "total",
@@ -82,24 +97,24 @@ class TestAnova:
 
     def test_all_equal_values_degenerate(self):
         with pytest.raises(DegenerateDataError):
-            anova_two_way(FactorialData(np.full((3, 4, 3), 5.0)))
+            anova_two_way(np.full((3, 4, 3), 5.0))
 
     def test_hand_computed_2x2x2(self):
         cells = [[[0.0, 0.0], [1.0, 1.0]], [[1.0, 1.0], [2.0, 2.0]]]
-        decomp = sum_of_squares(FactorialData(cells))
+        decomp = sum_of_squares(cells)
         assert decomp["rows"][0] == pytest.approx(2.0, abs=1e-12)
         assert decomp["columns"][0] == pytest.approx(2.0, abs=1e-12)
         assert decomp["interaction"][0] == pytest.approx(0.0, abs=1e-12)
         assert decomp["error"][0] == pytest.approx(0.0, abs=1e-12)
         with pytest.raises(DegenerateDataError):
-            anova_two_way(FactorialData(cells))
+            anova_two_way(cells)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_fitted_means_oracle(self, seed):
         rng = np.random.default_rng(seed)
         shapes = [(2, 2, 2), (3, 3, 3), (2, 3, 2)]
         grid = rng.standard_normal(shapes[seed % len(shapes)])
-        decomp = sum_of_squares(FactorialData(grid))
+        decomp = sum_of_squares(grid)
         oracle = fitted_means_ss(grid.tolist())
         for source, expected in oracle.items():
             assert decomp[source][0] == pytest.approx(expected, rel=1e-9, abs=1e-12)
@@ -112,9 +127,9 @@ class TestAnova:
     )
     def test_shift_and_scale_behavior(self, seed, shift, scale):
         grid = np.random.default_rng(seed).standard_normal((3, 4, 3))
-        base = anova_two_way(FactorialData(grid))
-        shifted = anova_two_way(FactorialData(grid + shift))
-        scaled = anova_two_way(FactorialData(grid * scale))
+        base = anova_two_way(grid)
+        shifted = anova_two_way(grid + shift)
+        scaled = anova_two_way(grid * scale)
         for b, s, sc in zip(base.rows, shifted.rows, scaled.rows):
             assert s.ss == pytest.approx(b.ss, rel=1e-7, abs=1e-9)
             assert sc.ss == pytest.approx(scale ** 2 * b.ss, rel=1e-9)
@@ -126,7 +141,7 @@ class TestAnova:
     @pytest.mark.parametrize("seed", range(8))
     def test_additivity(self, seed):
         grid = np.random.default_rng(100 + seed).standard_normal((3, 4, 3))
-        decomp = sum_of_squares(FactorialData(grid))
+        decomp = sum_of_squares(grid)
         parts_ss = sum(decomp[s][0] for s in ("columns", "rows", "interaction", "error"))
         parts_df = sum(decomp[s][1] for s in ("columns", "rows", "interaction", "error"))
         assert parts_ss == pytest.approx(decomp["total"][0], rel=1e-9)
@@ -134,7 +149,7 @@ class TestAnova:
 
     def test_table_lookup_and_serialization(self):
         grid = np.random.default_rng(2).standard_normal((3, 4, 3))
-        table = anova_two_way(FactorialData(grid))
+        table = anova_two_way(grid)
         assert table["error"].ms == pytest.approx(table["error"].ss / 24)
         assert table["total"].ms is None and table["total"].f is None
         rebuilt = _decode(AnovaTable, json.loads(json.dumps(_encode(table))))
