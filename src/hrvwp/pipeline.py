@@ -1,13 +1,14 @@
 """Batch orchestration: manifest in, per-recording analysis, ANOVA, reports out.
 
 Each manifest row (path, subject_id, group) is processed independently, in
-the paper's one configuration (RATE_HZ, WAVELET_ORDER, DEPTH below): parse ->
-tachogram -> 4 Hz spline resample -> LF/HF leaves of a depth-6 db4 packet
-tree -> per-band threshold split -> features. Failures are recorded per
-recording without aborting the batch. Completed recordings feed two
-group-level ANOVA tables (coefficient statistics and band energies), run only
-when the design is balanced. Another configuration is a few calls of the
-ingest, wavelet and threshold functions, which take it as arguments.
+the paper's one configuration (the constants below, with the filter taps and
+band leaves derived once, at import): parse -> tachogram -> 4 Hz spline
+resample -> LF/HF leaves of a depth-6 db4 packet tree -> per-band threshold
+split -> features. Failures are recorded per recording without aborting the
+batch. Completed recordings feed two group-level ANOVA tables (coefficient
+statistics and band energies), run only when the design is balanced. Another
+configuration is a few calls of the ingest, wavelet and threshold functions,
+which take it as arguments.
 One codec over the dataclass fields serializes reports losslessly, to
 JSON plus a binary coefficient vector, which holds each band coefficient once;
 the feature and ANOVA tables are also written as CSV with 12 significant digits.
@@ -40,6 +41,9 @@ __all__ = [
     "RATE_HZ",
     "WAVELET_ORDER",
     "DEPTH",
+    "LF_BAND_HZ",
+    "HF_BAND_HZ",
+    "TAPS",
     "LF_LEAVES",
     "HF_LEAVES",
     "BandReport",
@@ -63,13 +67,17 @@ CSV_FLOAT_DIGITS = 12
 # layout version of report.json, written as tool.schema and checked on reading
 REPORT_SCHEMA = 8
 
-# the analysis: resampling rate, Daubechies order and packet depth, and the
-# depth-DEPTH leaves that lie inside the LF and HF bands (1-4 and 5-12)
+# the analysis: resampling rate, Daubechies order, packet depth and the LF and
+# HF band edges in Hz; from them the filter's low-pass taps and the
+# depth-DEPTH leaves inside each band (1-4 and 5-12: 12 sub-bands)
 RATE_HZ = 4.0
 WAVELET_ORDER = 4
 DEPTH = 6
-LF_LEAVES = tuple(band_nodes("LF", DEPTH, RATE_HZ))
-HF_LEAVES = tuple(band_nodes("HF", DEPTH, RATE_HZ))
+LF_BAND_HZ = (0.03125, 0.15625)
+HF_BAND_HZ = (0.15625, 0.40625)
+TAPS = daubechies_filters(WAVELET_ORDER)
+LF_LEAVES = tuple(band_nodes(LF_BAND_HZ, DEPTH, RATE_HZ))
+HF_LEAVES = tuple(band_nodes(HF_BAND_HZ, DEPTH, RATE_HZ))
 
 # the FeatureVector field each ANOVA column holds
 _FEATURE_BY_COLUMN = {"STDLF": "std_lf", "MEANLF": "mean_lf", "STDHF": "std_hf",
@@ -308,8 +316,7 @@ def process_recording(path, subject_id: str, group: Group) -> RecordingReport:
         n_resampled = len(signal)
         signal = truncate_to_block(signal, DEPTH)
 
-        bank = daubechies_filters(WAVELET_ORDER)
-        leaves = wpt_leaves(signal, DEPTH, bank, LF_LEAVES + HF_LEAVES)
+        leaves = wpt_leaves(signal, DEPTH, TAPS, LF_LEAVES + HF_LEAVES)
         bands = (
             threshold_band(leaves[:len(LF_LEAVES)].ravel(), LF_LEAVES, band="LF"),
             threshold_band(leaves[len(LF_LEAVES):].ravel(), HF_LEAVES, band="HF"),

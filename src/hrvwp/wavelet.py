@@ -1,4 +1,8 @@
-"""Daubechies filter banks and the frequency-ordered wavelet packet transform.
+"""Daubechies filters and the frequency-ordered wavelet packet transform.
+
+A filter is its low-pass taps: the high-pass taps of the orthonormal pair
+follow from them, and every transform function takes the low-pass taps as
+`taps`. Band edges, sampling rate and depth are the caller's arguments.
 
 The transform is periodized (circular extension), so a length-N signal yields
 exactly N/2**m coefficients per node at level m, the transform matrix is
@@ -17,14 +21,12 @@ this indexing, node (level, j) covers exactly [j, j+1] * rate / 2**(level+1) Hz.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, sqrt
 
 import numpy as np
 
 __all__ = [
-    "QuadFilterBank",
     "daubechies_filters",
     "analysis_step",
     "wpt_decompose",
@@ -32,68 +34,28 @@ __all__ = [
     "wpt_reconstruct_nodes",
     "node_frequency_range",
     "band_nodes",
-    "LF_BAND_HZ",
-    "HF_BAND_HZ",
 ]
 
 MAX_ORDER = 10
 # 2**24 samples are 48 days at 4 Hz; a full tree of that depth would need > 3 GB
 MAX_DEPTH = 24
 
-# Default band edges in Hz. On the depth-6 / 4 Hz leaf grid these select
-# leaves 1..4 (LF) and 5..12 (HF): 12 sub-bands in total.
-LF_BAND_HZ = (0.03125, 0.15625)
-HF_BAND_HZ = (0.15625, 0.40625)
 
-
-@dataclass(frozen=True, eq=False)
-class QuadFilterBank:
-    """Orthonormal two-channel filter bank.
-
-    dec_lo are the scaling (low-pass) taps, dec_hi the wavelet (high-pass)
-    taps related by dec_hi[k] = (-1)**k * dec_lo[L-1-k]. The analysis step
-    is a correlation, so for an orthogonal bank synthesis uses the same taps
-    (inverse = transpose).
-    """
-
-    dec_lo: np.ndarray
-    dec_hi: np.ndarray
-    order: int
-
-    def __post_init__(self):
-        for name in ("dec_lo", "dec_hi"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), float))
-        if len(self.dec_lo) != 2 * self.order:
-            raise ValueError("filter length must be 2 * order")
-
-
-def _qmf(lo: np.ndarray) -> np.ndarray:
-    n = len(lo)
-    return np.array([(-1) ** k * lo[n - 1 - k] for k in range(n)])
-
-
-def daubechies_filters(order: int) -> QuadFilterBank:
-    """Build the Daubechies filter bank with the given number of vanishing moments.
+def daubechies_filters(order: int) -> np.ndarray:
+    """Low-pass taps of the Daubechies wavelet with the given number of vanishing moments.
 
     Taps are generated by spectral factorization of the binomial half-band
     polynomial rather than copied from a table: roots of
     P(y) = sum_k C(order-1+k, k) y^k are mapped to z-plane roots via
     y = (2 - z - 1/z)/4, the roots inside the unit circle are kept (extremal
     phase), and the low-pass filter is (1+z)^order times those factors,
-    normalized to sum sqrt(2).
-
-    Each order is designed once; every call returns the same bank, whose taps
-    are read-only.
+    normalized to sum sqrt(2). Returns 2 * order read-only float64 taps.
     """
     if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
         raise ValueError("order must be an integer")
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
-    return _design_bank(int(order))
-
-
-@lru_cache(maxsize=MAX_ORDER)
-def _design_bank(order: int) -> QuadFilterBank:
+    order = int(order)
     if order == 1:
         lo = np.array([1.0, 1.0]) / sqrt(2.0)
     else:
@@ -111,24 +73,31 @@ def _design_bank(order: int) -> QuadFilterBank:
         # conjugate root pairs make h real up to rounding
         lo = h.real
         lo *= sqrt(2.0) / lo.sum()
-
-    bank = QuadFilterBank(dec_lo=lo, dec_hi=_qmf(lo), order=order)
-    for taps in (bank.dec_lo, bank.dec_hi):
-        taps.flags.writeable = False
-    return bank
+    lo.flags.writeable = False
+    return lo
 
 
-def _phase_taps(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Taps as [filter, j, phase]: tap 2j+phase of the low-pass (0) and high-pass (1) filter."""
-    return np.stack([lo, hi]).reshape(2, lo.size // 2, 2)
+def _phase_taps(lo) -> np.ndarray:
+    """Taps as [filter, j, phase]: tap 2j+phase of the low-pass (0) and high-pass (1) filter.
+
+    The high-pass is the quadrature mirror of the low-pass,
+    hi[k] = (-1)**k * lo[L-1-k]. The analysis step is a correlation, so for
+    an orthogonal pair synthesis uses the same taps (inverse = transpose).
+    """
+    lo = np.asarray(lo, dtype=float)
+    if lo.ndim != 1 or lo.size < 2 or lo.size % 2:
+        raise ValueError(f"taps of shape {lo.shape} are not 1-d of even length >= 2")
+    pair = np.stack([lo, lo[::-1]])
+    pair[1, 1::2] *= -1.0
+    return pair.reshape(2, lo.size // 2, 2)
 
 
-def analysis_step(signal: np.ndarray, bank: QuadFilterBank) -> np.ndarray:
+def analysis_step(signal: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """One periodized analysis step: approx[n] = sum_k lo[k] * x[(2n+k) mod N].
 
     Works along the last axis and returns shape (..., 2, N/2): [..., 0, :] is
     the approximation, [..., 1, :] the detail, so `approx, detail =
-    analysis_step(x, bank)` unpacks a 1-d result, and a tree level of shape
+    analysis_step(x, taps)` unpacks a 1-d result, and a tree level of shape
     (nodes, N) maps to (nodes, 2, N/2), whose reshape to (2*nodes, N/2) is
     the next level in natural order.
 
@@ -146,26 +115,26 @@ def analysis_step(signal: np.ndarray, bank: QuadFilterBank) -> np.ndarray:
     if n % 2 != 0:
         raise ValueError(f"signal length must be even, got {n}")
     half = n // 2
-    taps = _phase_taps(bank.dec_lo, bank.dec_hi)
-    ext = np.take(x, np.arange(n + 2 * taps.shape[1] - 2), axis=-1, mode="wrap")
+    blocks = _phase_taps(taps)
+    ext = np.take(x, np.arange(n + 2 * blocks.shape[1] - 2), axis=-1, mode="wrap")
     # phases[..., p, m] = ext[..., 2m + p]
     phases = ext.reshape(*ext.shape[:-1], -1, 2).swapaxes(-1, -2)
-    out = taps[:, 0] @ phases[..., :half]
-    for j in range(1, taps.shape[1]):
-        out += taps[:, j] @ phases[..., j:j + half]
+    out = blocks[:, 0] @ phases[..., :half]
+    for j in range(1, blocks.shape[1]):
+        out += blocks[:, j] @ phases[..., j:j + half]
     return out
 
 
-def _synthesize(pairs: np.ndarray, bank: QuadFilterBank) -> np.ndarray:
+def _synthesize(pairs: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Transpose of analysis_step: (..., 2, half) (approx, detail) pairs to (..., 2*half)."""
     half = pairs.shape[-1]
-    taps = _phase_taps(bank.dec_lo, bank.dec_hi).transpose(1, 2, 0)
-    lag = taps.shape[0] - 1
+    blocks = _phase_taps(taps).transpose(1, 2, 0)
+    lag = blocks.shape[0] - 1
     # ext[..., k] = pairs[..., (k - lag) mod half]
     ext = np.take(pairs, np.arange(-lag, half), axis=-1, mode="wrap")
-    phases = taps[0] @ ext[..., lag:]
-    for j in range(1, taps.shape[0]):
-        phases += taps[j] @ ext[..., lag - j:lag - j + half]
+    phases = blocks[0] @ ext[..., lag:]
+    for j in range(1, blocks.shape[0]):
+        phases += blocks[j] @ ext[..., lag - j:lag - j + half]
     return phases.swapaxes(-1, -2).reshape(*pairs.shape[:-2], 2 * half)
 
 
@@ -188,7 +157,7 @@ def _level_zero(signal: np.ndarray, depth: int) -> np.ndarray:
     return x.reshape(1, -1)
 
 
-def wpt_decompose(signal: np.ndarray, depth: int, bank: QuadFilterBank) -> list[np.ndarray]:
+def wpt_decompose(signal: np.ndarray, depth: int, taps: np.ndarray) -> list[np.ndarray]:
     """Decompose uniformly sampled signal values into a full packet tree of the given depth.
 
     Returns the levels 0..depth; levels[m] has shape (2**m, N/2**m) and row j
@@ -198,7 +167,7 @@ def wpt_decompose(signal: np.ndarray, depth: int, bank: QuadFilterBank) -> list[
     """
     natural = [_level_zero(signal, depth)]
     for _ in range(depth):
-        pairs = analysis_step(natural[-1], bank)
+        pairs = analysis_step(natural[-1], taps)
         natural.append(pairs.reshape(2 * pairs.shape[0], -1))
     return [level[_gray(np.arange(level.shape[0]))] for level in natural]
 
@@ -219,7 +188,7 @@ def _leaf_plan(depth: int, slots: tuple[int, ...]) -> tuple[list[np.ndarray], np
     return keep, np.array([row[p] for p in natural])
 
 
-def wpt_leaves(signal: np.ndarray, depth: int, bank: QuadFilterBank, slots) -> np.ndarray:
+def wpt_leaves(signal: np.ndarray, depth: int, taps: np.ndarray, slots) -> np.ndarray:
     """The depth-level leaves in frequency slots `slots`, as rows of one array in that order.
 
     Bitwise equal to wpt_decompose(...)[depth][slots], but each level splits
@@ -231,12 +200,12 @@ def wpt_leaves(signal: np.ndarray, depth: int, bank: QuadFilterBank, slots) -> n
         raise ValueError(f"slots must be a non-empty list of leaves in [0, {2 ** depth - 1}]")
     keep, order = _leaf_plan(depth, slots)
     for kept in keep:
-        pairs = analysis_step(rows, bank)
+        pairs = analysis_step(rows, taps)
         rows = pairs.reshape(2 * pairs.shape[0], -1)[kept]
     return rows[order]
 
 
-def wpt_reconstruct_nodes(leaves: np.ndarray, bank: QuadFilterBank, node_set) -> np.ndarray:
+def wpt_reconstruct_nodes(leaves: np.ndarray, taps: np.ndarray, node_set) -> np.ndarray:
     """Time-domain component carried by the selected leaves.
 
     leaves is the frequency-ordered (2**depth, L) last level of a tree, as
@@ -259,7 +228,7 @@ def wpt_reconstruct_nodes(leaves: np.ndarray, bank: QuadFilterBank, node_set) ->
     slots = np.array(sorted(selected), dtype=int)
     level[_gray(slots)] = leaves[slots]
     while level.shape[0] > 1:
-        level = _synthesize(level.reshape(level.shape[0] // 2, 2, -1), bank)
+        level = _synthesize(level.reshape(level.shape[0] // 2, 2, -1), taps)
     return level[0]
 
 
@@ -277,22 +246,12 @@ def node_frequency_range(level: int, index: int, rate_hz: float) -> tuple[float,
     return (index * width, (index + 1) * width)
 
 
-def band_nodes(
-    band: str,
-    level: int,
-    rate_hz: float,
-    band_hz: tuple[float, float] | None = None,
-) -> list[int]:
-    """Leaf indices at the given level whose ranges lie inside the band.
+def band_nodes(band_hz: tuple[float, float], level: int, rate_hz: float) -> list[int]:
+    """Leaf indices at the given level whose ranges lie inside the band (lo, hi) in Hz.
 
-    Band edges default to the LF/HF constants above; a custom (lo, hi) pair
-    in Hz can be supplied. Raises if no whole leaf fits inside the band.
+    Raises if no whole leaf fits inside the band.
     """
-    if band_hz is None:
-        band_hz = {"LF": LF_BAND_HZ, "HF": HF_BAND_HZ}.get(str(band).upper())
-        if band_hz is None:
-            raise ValueError(f"unknown band {band!r}; expected 'LF' or 'HF'")
-    lo, hi = float(band_hz[0]), float(band_hz[1])
+    lo, hi = map(float, band_hz)
     if not 0.0 <= lo < hi:
         raise ValueError(f"invalid band edges ({lo}, {hi})")
     if not 0 <= level <= MAX_DEPTH:

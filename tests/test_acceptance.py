@@ -155,21 +155,21 @@ def test_c01_node_frequency_map(index, f_lo, f_hi):
 
 @pytest.mark.parametrize("order", [1, 4], ids=["haar", "db4"])
 def test_c02_perfect_reconstruction_corpus(order):
-    bank = daubechies_filters(order)
+    taps = daubechies_filters(order)
     rng = np.random.default_rng(2024)
     for _ in range(100):
         x = rng.standard_normal(1024)
-        out = wpt_reconstruct_nodes(wpt_decompose(x, 6, bank)[-1], bank, range(64))
+        out = wpt_reconstruct_nodes(wpt_decompose(x, 6, taps)[-1], taps, range(64))
         assert np.max(np.abs(out - x)) < 1e-10 * np.max(np.abs(x))
 
 
 @pytest.mark.parametrize("order", [1, 4], ids=["haar", "db4"])
 def test_c03_parseval_every_level(order):
-    bank = daubechies_filters(order)
+    taps = daubechies_filters(order)
     rng = np.random.default_rng(2024)
     for _ in range(100):
         x = rng.standard_normal(1024)
-        levels = wpt_decompose(x, 6, bank)
+        levels = wpt_decompose(x, 6, taps)
         energy = float(np.dot(x, x))
         for level in range(1, 7):
             assert abs(np.sum(levels[level] ** 2) - energy) < 1e-9 * energy

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hrvwp import daubechies_filters, extract_features, threshold_band, wpt_decompose
 from hrvwp.features import FeatureError
+from hrvwp.pipeline import HF_BAND_HZ, LF_BAND_HZ
 from hrvwp.threshold import BandReport
 from hrvwp.wavelet import band_nodes
 
@@ -147,9 +148,9 @@ def naive_median(values):
 
 def naive_chain_energies(samples, rate_hz=4.0, depth=6, order=4):
     """Background-component band energies computed without the library."""
-    bank = daubechies_filters(order)
-    leaves = naive_packet_leaves(list(samples), depth,
-                                 list(bank.dec_lo), list(bank.dec_hi))
+    lo = list(daubechies_filters(order))
+    hi = [(-1) ** k * lo[len(lo) - 1 - k] for k in range(len(lo))]  # quadrature mirror
+    leaves = naive_packet_leaves(list(samples), depth, lo, hi)
     by_freq = naive_leaf_order(depth, rate_hz)
     width = rate_hz / 2 ** (depth + 1)
     energies = {}
@@ -172,8 +173,8 @@ class TestEndToEndOracle:
         samples = np.sin(2 * np.pi * 0.1 * t) + np.sin(2 * np.pi * 0.3 * t)
         levels = wpt_decompose(samples, 6, daubechies_filters(4))
         splits = {}
-        for band in ("LF", "HF"):
-            leaves = band_nodes(band, 6, 4.0)
+        for band, edges in (("LF", LF_BAND_HZ), ("HF", HF_BAND_HZ)):
+            leaves = band_nodes(edges, 6, 4.0)
             splits[band] = threshold_band(levels[6][leaves].ravel(), leaf_ids=leaves, band=band)
         feats = extract_features(splits["LF"], splits["HF"])
 
@@ -188,8 +189,8 @@ class TestEndToEndOracle:
         def run(sig):
             levels = wpt_decompose(sig, 6, daubechies_filters(4))
             splits = {}
-            for band in ("LF", "HF"):
-                leaves = band_nodes(band, 6, 4.0)
+            for band, edges in (("LF", LF_BAND_HZ), ("HF", HF_BAND_HZ)):
+                leaves = band_nodes(edges, 6, 4.0)
                 splits[band] = threshold_band(levels[6][leaves].ravel(), leaf_ids=leaves,
                                               band=band)
             return extract_features(splits["LF"], splits["HF"]), splits

@@ -17,11 +17,12 @@ from hrvwp import RunReport, emit_report, run_pipeline
 from hrvwp.ingest import Group
 from hrvwp.features import FeatureVector
 from hrvwp.pipeline import (
-    DEPTH, HF_LEAVES, LF_LEAVES, RATE_HZ, WAVELET_ORDER,
+    DEPTH, HF_BAND_HZ, HF_LEAVES, LF_BAND_HZ, LF_LEAVES, RATE_HZ, TAPS, WAVELET_ORDER,
     AnovaReport, BandReport, RecordingReport, ToolInfo, _checked_object, _encode,
     load_manifest, process_recording,
 )
 from hrvwp.stats import AnovaRow, AnovaTable, anova_two_way
+from hrvwp.wavelet import band_nodes, daubechies_filters
 from hrvwp.cli import main
 from conftest import balanced_spec, synthetic_rr
 
@@ -97,6 +98,10 @@ class TestConfig:
         assert (RATE_HZ, WAVELET_ORDER, DEPTH) == (4.0, 4, 6)
         assert LF_LEAVES == (1, 2, 3, 4)
         assert HF_LEAVES == tuple(range(5, 13))
+        assert tuple(band_nodes(LF_BAND_HZ, DEPTH, RATE_HZ)) == LF_LEAVES
+        assert tuple(band_nodes(HF_BAND_HZ, DEPTH, RATE_HZ)) == HF_LEAVES
+        assert np.array_equal(TAPS, daubechies_filters(4))
+        assert not TAPS.flags.writeable
 
 
 class TestManifest:
@@ -353,9 +358,9 @@ class TestRunPipeline:
         sizes = []
         step = hrvwp.wavelet.analysis_step
 
-        def counted(signal, bank):
+        def counted(signal, taps):
             sizes.append(np.size(signal))
-            return step(signal, bank)
+            return step(signal, taps)
 
         monkeypatch.setattr(hrvwp.wavelet, "analysis_step", counted)
         manifest = write_dataset([("w0", "Control", synthetic_rr(300, seed=11))])

@@ -5,16 +5,15 @@ from hypothesis import strategies as st
 
 from hrvwp import band_nodes, daubechies_filters, wpt_decompose
 from hrvwp.ingest import resample_cubic_spline, rr_to_tachogram, truncate_to_block
+from hrvwp.pipeline import HF_BAND_HZ, LF_BAND_HZ
 from hrvwp.wavelet import (
-    HF_BAND_HZ,
-    LF_BAND_HZ,
     MAX_DEPTH,
     analysis_step,
     node_frequency_range,
     wpt_leaves,
     wpt_reconstruct_nodes,
 )
-from hrvwp.wavelet import _gray
+from hrvwp.wavelet import _gray, _phase_taps
 
 SQRT2 = np.sqrt(2.0)
 
@@ -31,17 +30,23 @@ def circular_correlate_downsample(x, taps):
     return out
 
 
-def step_matrix(bank, n):
+def high_pass(taps):
+    """The high-pass taps the transform derives from the low-pass taps."""
+    return _phase_taps(taps)[1].ravel()
+
+
+def step_matrix(taps, n):
     """Explicit n x n matrix of one periodized analysis step: approx rows, then detail rows.
 
     Taps that wrap past the end of a node shorter than the filter add up on
     the same column.
     """
+    lo, hi = taps, high_pass(taps)
     a = np.zeros((n, n))
     for i in range(n // 2):
-        for k in range(len(bank.dec_lo)):
-            a[i, (2 * i + k) % n] += bank.dec_lo[k]
-            a[n // 2 + i, (2 * i + k) % n] += bank.dec_hi[k]
+        for k in range(len(lo)):
+            a[i, (2 * i + k) % n] += lo[k]
+            a[n // 2 + i, (2 * i + k) % n] += hi[k]
     return a
 
 
@@ -73,8 +78,8 @@ def tone(freq_hz, n=1024, rate_hz=4.0):
 class TestFilters:
     @pytest.mark.parametrize("order", range(1, 11))
     def test_invariants(self, order):
-        bank = daubechies_filters(order)
-        lo, hi = bank.dec_lo, bank.dec_hi
+        lo = daubechies_filters(order)
+        hi = high_pass(lo)
         assert len(lo) == len(hi) == 2 * order
         assert abs(lo.sum() - SQRT2) < 1e-12
         assert abs(hi.sum()) < 1e-12
@@ -88,15 +93,15 @@ class TestFilters:
 
     @pytest.mark.parametrize("order", range(1, 11))
     def test_vanishing_moments(self, order):
-        hi = daubechies_filters(order).dec_hi
+        hi = high_pass(daubechies_filters(order))
         k = np.arange(2 * order, dtype=float)
         for j in range(order):
             assert abs(np.dot(hi, k ** j)) < 1e-7 * (2 * order) ** j
 
     def test_haar(self):
-        bank = daubechies_filters(1)
-        assert np.allclose(bank.dec_lo, [1 / SQRT2, 1 / SQRT2])
-        assert np.allclose(bank.dec_hi, [1 / SQRT2, -1 / SQRT2])
+        lo = daubechies_filters(1)
+        assert np.allclose(lo, [1 / SQRT2, 1 / SQRT2])
+        assert np.allclose(high_pass(lo), [1 / SQRT2, -1 / SQRT2])
 
     @pytest.mark.parametrize("order", [0, 11, -1])
     def test_order_out_of_range(self, order):
@@ -110,23 +115,25 @@ class TestFilters:
     def test_deterministic_construction(self):
         a = daubechies_filters(7)
         b = daubechies_filters(7)
-        assert np.array_equal(a.dec_lo, b.dec_lo)
+        assert np.array_equal(a, b)
+        assert np.array_equal(daubechies_filters(np.int64(7)), a)
 
-    def test_bank_designed_once_per_order(self):
-        bank = daubechies_filters(4)
-        assert daubechies_filters(4) is bank
-        assert daubechies_filters(np.int64(4)) is bank
-        for taps in (bank.dec_lo, bank.dec_hi):
-            assert not taps.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                taps[0] = 0.0
+    def test_taps_read_only(self):
+        taps = daubechies_filters(4)
+        assert taps.dtype == np.float64 and taps.shape == (8,)
+        assert not taps.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            taps[0] = 0.0
 
-    def test_bank_length_validated(self):
-        from hrvwp.wavelet import QuadFilterBank
-
-        taps = daubechies_filters(2).dec_lo
-        with pytest.raises(ValueError, match="2 \\* order"):
-            QuadFilterBank(dec_lo=taps, dec_hi=taps, order=3)
+    def test_taps_shape_validated(self):
+        # odd, too short or 2-d taps are refused by name, not by a reshape error
+        for taps in (daubechies_filters(2)[:3], [0.5], [], np.ones((2, 4))):
+            with pytest.raises(ValueError, match="taps"):
+                analysis_step(np.ones(8), taps)
+            with pytest.raises(ValueError, match="taps"):
+                wpt_leaves(np.ones(8), 1, taps, [0])
+            with pytest.raises(ValueError, match="taps"):
+                wpt_reconstruct_nodes(np.ones((2, 4)), taps, [0])
 
 
 class TestAnalysisSynthesis:
@@ -144,11 +151,11 @@ class TestAnalysisSynthesis:
     def test_matches_direct_correlation_oracle(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(64)
-        bank = daubechies_filters(4)
-        approx, detail = analysis_step(x, bank)
-        assert np.allclose(approx, circular_correlate_downsample(x, bank.dec_lo),
+        taps = daubechies_filters(4)
+        approx, detail = analysis_step(x, taps)
+        assert np.allclose(approx, circular_correlate_downsample(x, taps),
                            rtol=1e-12, atol=1e-12)
-        assert np.allclose(detail, circular_correlate_downsample(x, bank.dec_hi),
+        assert np.allclose(detail, circular_correlate_downsample(x, high_pass(taps)),
                            rtol=1e-12, atol=1e-12)
         energy = np.dot(approx, approx) + np.dot(detail, detail)
         assert energy == pytest.approx(np.dot(x, x), rel=1e-10)
@@ -165,8 +172,8 @@ class TestAnalysisSynthesis:
     def test_db4_roundtrip_length_128_noise(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal(128)
-        bank = daubechies_filters(4)
-        out = wpt_reconstruct_nodes(wpt_decompose(x, 1, bank)[-1], bank, [0, 1])
+        taps = daubechies_filters(4)
+        out = wpt_reconstruct_nodes(wpt_decompose(x, 1, taps)[-1], taps, [0, 1])
         assert np.max(np.abs(out - x)) < 1e-10
 
     @settings(max_examples=40, deadline=None)
@@ -177,19 +184,19 @@ class TestAnalysisSynthesis:
     )
     def test_roundtrip_property(self, order, half, seed):
         x = np.random.default_rng(seed).standard_normal(2 * half)
-        bank = daubechies_filters(order)
-        out = wpt_reconstruct_nodes(wpt_decompose(x, 1, bank)[-1], bank, [0, 1])
+        taps = daubechies_filters(order)
+        out = wpt_reconstruct_nodes(wpt_decompose(x, 1, taps)[-1], taps, [0, 1])
         assert np.max(np.abs(out - x)) < 1e-10 * max(1.0, np.max(np.abs(x)))
 
 
 class TestPacketTree:
     def test_depth_zero_is_identity(self):
         sig = np.arange(8.0)
-        bank = daubechies_filters(2)
-        levels = wpt_decompose(sig, 0, bank)
+        taps = daubechies_filters(2)
+        levels = wpt_decompose(sig, 0, taps)
         assert len(levels) == 1
         assert np.array_equal(levels[0][0], sig)
-        assert np.array_equal(wpt_reconstruct_nodes(levels[-1], bank, [0]), sig)
+        assert np.array_equal(wpt_reconstruct_nodes(levels[-1], taps, [0]), sig)
 
     def test_levels_do_not_alias_the_signal(self):
         sig = np.arange(8.0)
@@ -209,7 +216,7 @@ class TestPacketTree:
             assert energy0 == pytest.approx(np.dot(sig, sig), rel=1e-12), order
         fitting = 0
         for level in range(MAX_DEPTH + 1):
-            for band in ("LF", "HF"):
+            for band in (LF_BAND_HZ, HF_BAND_HZ):
                 try:
                     leaves = band_nodes(band, level, 4.0)
                 except ValueError:  # no whole leaf of this level fits the band
@@ -236,13 +243,13 @@ class TestPacketTree:
     def test_matches_orthogonal_matrix_reference(self, order):
         # N = 64 at depth 6: the deepest levels are shorter than every filter
         # above order 1, so the circular extension wraps more than once
-        bank = daubechies_filters(order)
+        taps = daubechies_filters(order)
         x = np.random.default_rng(order).standard_normal(64)
-        levels = wpt_decompose(x, 6, bank)
+        levels = wpt_decompose(x, 6, taps)
         natural = [x]
         for level in range(1, 7):
             n = natural[0].size
-            step = step_matrix(bank, n)
+            step = step_matrix(taps, n)
             assert np.allclose(step @ step.T, np.eye(n), atol=1e-12)
             natural = [half for node in natural
                        for half in np.split(step @ node, 2)]
@@ -294,30 +301,30 @@ class TestPrunedLeaves:
     def test_equal_to_full_tree_leaves(self, order, depth, blocks, picks, seed):
         # slots in any order and with repeats; bitwise equal, not merely close
         slots = [int(p * 2 ** depth) for p in picks]
-        bank = daubechies_filters(order)
+        taps = daubechies_filters(order)
         x = np.random.default_rng(seed).standard_normal(blocks * 2 ** depth)
-        levels = wpt_decompose(x, depth, bank)
-        leaves = wpt_leaves(x, depth, bank, slots)
+        levels = wpt_decompose(x, depth, taps)
+        leaves = wpt_leaves(x, depth, taps, slots)
         assert leaves.shape == (len(slots), blocks)
         assert np.array_equal(leaves, levels[depth][slots])
 
     def test_band_leaves_of_the_reference_configuration(self):
         x = np.random.default_rng(3).standard_normal(1216 // 64 * 64)
-        bank = daubechies_filters(4)
-        slots = band_nodes("LF", 6, 4.0) + band_nodes("HF", 6, 4.0)
-        levels = wpt_decompose(x, 6, bank)
-        assert np.array_equal(wpt_leaves(x, 6, bank, slots), levels[6][slots])
-        assert np.array_equal(wpt_leaves(x, 1, bank, [1])[0], levels[1][1])
+        taps = daubechies_filters(4)
+        slots = band_nodes(LF_BAND_HZ, 6, 4.0) + band_nodes(HF_BAND_HZ, 6, 4.0)
+        levels = wpt_decompose(x, 6, taps)
+        assert np.array_equal(wpt_leaves(x, 6, taps, slots), levels[6][slots])
+        assert np.array_equal(wpt_leaves(x, 1, taps, [1])[0], levels[1][1])
 
     def test_deep_band_plans_match_the_full_tree(self):
         # LF+HF at depth 16 are 12 288 leaves: the plan maps each kept node to
         # its parent's row by lookup, so it takes milliseconds, not seconds
-        bank = daubechies_filters(2)
+        taps = daubechies_filters(2)
         for depth in (6, 9, 16):
-            slots = band_nodes("LF", depth, 4.0) + band_nodes("HF", depth, 4.0)
+            slots = band_nodes(LF_BAND_HZ, depth, 4.0) + band_nodes(HF_BAND_HZ, depth, 4.0)
             x = np.random.default_rng(depth).standard_normal(2 ** depth)
-            assert np.array_equal(wpt_leaves(x, depth, bank, slots),
-                                  wpt_decompose(x, depth, bank)[depth][slots])
+            assert np.array_equal(wpt_leaves(x, depth, taps, slots),
+                                  wpt_decompose(x, depth, taps)[depth][slots])
 
     def test_result_does_not_alias_the_signal(self):
         x = np.arange(8.0)
@@ -339,51 +346,51 @@ class TestPrunedLeaves:
 
 
 class TestReconstruction:
-    BANK = daubechies_filters(4)
+    TAPS = daubechies_filters(4)
 
     def _leaves(self, n=256, seed=1, depth=6):
         x = np.random.default_rng(seed).standard_normal(n)
-        return x, wpt_decompose(x, depth, self.BANK)[-1]
+        return x, wpt_decompose(x, depth, self.TAPS)[-1]
 
     def test_all_leaves_return_original(self):
         x, leaves = self._leaves()
-        out = wpt_reconstruct_nodes(leaves, self.BANK, range(64))
+        out = wpt_reconstruct_nodes(leaves, self.TAPS, range(64))
         assert np.max(np.abs(out - x)) < 1e-10 * np.max(np.abs(x))
 
     def test_empty_set_returns_zero(self):
         _, leaves = self._leaves()
-        assert np.array_equal(wpt_reconstruct_nodes(leaves, self.BANK, []), np.zeros(256))
+        assert np.array_equal(wpt_reconstruct_nodes(leaves, self.TAPS, []), np.zeros(256))
 
     def test_complementary_sets_sum_to_signal(self):
         x, leaves = self._leaves()
         rng = np.random.default_rng(9)
         subset = set(rng.choice(64, size=20, replace=False).tolist())
         rest = set(range(64)) - subset
-        total = (wpt_reconstruct_nodes(leaves, self.BANK, subset)
-                 + wpt_reconstruct_nodes(leaves, self.BANK, rest))
+        total = (wpt_reconstruct_nodes(leaves, self.TAPS, subset)
+                 + wpt_reconstruct_nodes(leaves, self.TAPS, rest))
         assert np.max(np.abs(total - x)) < 1e-10 * np.max(np.abs(x))
 
     def test_invalid_leaf_rejected(self):
         _, leaves = self._leaves()
         with pytest.raises(ValueError, match="out of range"):
-            wpt_reconstruct_nodes(leaves, self.BANK, [64])
+            wpt_reconstruct_nodes(leaves, self.TAPS, [64])
 
     @pytest.mark.parametrize("shape", [(256,), (0, 4), (3, 4), (48, 4), (2, 2, 4)])
     def test_leaves_not_a_level_rejected(self, shape):
         with pytest.raises(ValueError, match="power-of-two"):
-            wpt_reconstruct_nodes(np.ones(shape), self.BANK, [0])
+            wpt_reconstruct_nodes(np.ones(shape), self.TAPS, [0])
 
     def test_pruned_leaves_reconstruct(self):
         x = np.random.default_rng(4).standard_normal(256)
-        leaves = wpt_leaves(x, 6, self.BANK, range(64))
-        out = wpt_reconstruct_nodes(leaves, self.BANK, range(64))
+        leaves = wpt_leaves(x, 6, self.TAPS, range(64))
+        out = wpt_reconstruct_nodes(leaves, self.TAPS, range(64))
         assert np.max(np.abs(out - x)) < 1e-10 * np.max(np.abs(x))
 
     @pytest.mark.parametrize("order", [2, 7, 10])
     def test_full_tree_roundtrip_other_orders(self, order):
         x = np.random.default_rng(order).standard_normal(256)
-        bank = daubechies_filters(order)
-        out = wpt_reconstruct_nodes(wpt_decompose(x, 6, bank)[-1], bank, range(64))
+        taps = daubechies_filters(order)
+        out = wpt_reconstruct_nodes(wpt_decompose(x, 6, taps)[-1], taps, range(64))
         assert np.max(np.abs(out - x)) < 1e-10 * np.max(np.abs(x))
 
 
@@ -425,31 +432,27 @@ class TestFrequencyMapping:
 
 class TestBandNodes:
     def test_reference_configuration(self):
-        assert band_nodes("LF", 6, 4.0) == [1, 2, 3, 4]
-        assert band_nodes("HF", 6, 4.0) == [5, 6, 7, 8, 9, 10, 11, 12]
+        assert band_nodes(LF_BAND_HZ, 6, 4.0) == [1, 2, 3, 4]
+        assert band_nodes(HF_BAND_HZ, 6, 4.0) == [5, 6, 7, 8, 9, 10, 11, 12]
 
     def test_twelve_sub_bands_total(self):
-        assert len(band_nodes("LF", 6, 4.0)) + len(band_nodes("HF", 6, 4.0)) == 12
+        assert len(band_nodes(LF_BAND_HZ, 6, 4.0)) + len(band_nodes(HF_BAND_HZ, 6, 4.0)) == 12
 
     def test_no_node_fits_at_shallow_level(self):
         with pytest.raises(ValueError, match="no level-1 node"):
-            band_nodes("LF", 1, 4.0)
+            band_nodes(LF_BAND_HZ, 1, 4.0)
 
     def test_finer_level_selection(self):
-        assert band_nodes("LF", 7, 4.0) == list(range(2, 10))
+        assert band_nodes(LF_BAND_HZ, 7, 4.0) == list(range(2, 10))
 
     def test_custom_band(self):
-        assert band_nodes("LF", 6, 4.0, band_hz=(0.5, 1.0)) == list(range(16, 32))
+        assert band_nodes((0.5, 1.0), 6, 4.0) == list(range(16, 32))
 
     def test_band_ranges_lie_inside_band(self):
-        for band, (lo, hi) in (("LF", LF_BAND_HZ), ("HF", HF_BAND_HZ)):
-            for j in band_nodes(band, 6, 4.0):
+        for lo, hi in (LF_BAND_HZ, HF_BAND_HZ):
+            for j in band_nodes((lo, hi), 6, 4.0):
                 f_lo, f_hi = node_frequency_range(6, j, 4.0)
                 assert f_lo >= lo - 1e-12 and f_hi <= hi + 1e-12
-
-    def test_unknown_band_rejected(self):
-        with pytest.raises(ValueError, match="unknown band"):
-            band_nodes("VLF", 6, 4.0)
 
     @staticmethod
     def scan(level, rate_hz, lo, hi):
@@ -462,10 +465,10 @@ class TestBandNodes:
     def check_against_scan(self, level, rate_hz, edges):
         expected = self.scan(level, rate_hz, *edges)
         if expected:
-            assert band_nodes("LF", level, rate_hz, edges) == expected
+            assert band_nodes(edges, level, rate_hz) == expected
         else:
             with pytest.raises(ValueError, match=f"no level-{level} node fits"):
-                band_nodes("LF", level, rate_hz, edges)
+                band_nodes(edges, level, rate_hz)
 
     @pytest.mark.parametrize("level", range(13))
     def test_default_bands_match_scan(self, level):
@@ -495,11 +498,11 @@ class TestBandNodes:
                             self.check_against_scan(level, rate_hz, (lo, hi))
 
     def test_unbounded_band_above_the_grid(self):
-        assert band_nodes("HF", 3, 4.0, (1.0, float("inf"))) == [4, 5, 6, 7]
+        assert band_nodes((1.0, float("inf")), 3, 4.0) == [4, 5, 6, 7]
         with pytest.raises(ValueError, match="no level-3 node fits"):
-            band_nodes("HF", 3, 4.0, (1e300, float("inf")))
+            band_nodes((1e300, float("inf")), 3, 4.0)
 
     def test_level_above_max_depth_rejected(self):
-        assert band_nodes("LF", MAX_DEPTH, 4.0)[0] == 2 ** (MAX_DEPTH - 6)
+        assert band_nodes(LF_BAND_HZ, MAX_DEPTH, 4.0)[0] == 2 ** (MAX_DEPTH - 6)
         with pytest.raises(ValueError, match="level must be in"):
-            band_nodes("LF", MAX_DEPTH + 1, 4.0)
+            band_nodes(LF_BAND_HZ, MAX_DEPTH + 1, 4.0)
