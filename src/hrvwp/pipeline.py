@@ -9,8 +9,8 @@ batch. Completed recordings feed two group-level ANOVA tables (coefficient
 statistics and band energies), run only when the design is balanced. Another
 configuration is a few calls of the ingest, wavelet and threshold functions,
 which take it as arguments.
-One codec over the dataclass fields serializes reports losslessly, to
-JSON plus a binary coefficient vector, which holds each band coefficient once;
+A report is written, never read back: its dataclasses go field by field to
+JSON, except each band's values, which go once to a binary coefficient vector;
 the feature and ANOVA tables are also written as CSV with 12 significant digits.
 """
 
@@ -19,8 +19,7 @@ import json
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
-from types import NoneType, UnionType
-from typing import get_args, get_origin
+from types import NoneType
 
 import numpy as np
 
@@ -64,7 +63,7 @@ COEFF_STAT_COLUMNS = ("STDLF", "MEANLF", "STDHF", "MEANHF")
 ENERGY_COLUMNS = ("E_LF", "E_HF", "R_E")
 FEATURE_COLUMNS = ("subject_id", "group", *(f.name for f in fields(FeatureVector)))
 CSV_FLOAT_DIGITS = 12
-# layout version of report.json, written as tool.schema and checked on reading
+# layout version of report.json, written as tool.schema
 REPORT_SCHEMA = 8
 
 # the analysis: resampling rate, Daubechies order, packet depth and the LF and
@@ -132,7 +131,7 @@ class ToolInfo:
 
 @dataclass(frozen=True, kw_only=True)
 class RunReport:
-    """Full batch result: to_json() and coefficients() store it losslessly, from_json reads it."""
+    """Full batch result: to_json() holds every field but the band values, coefficients() those."""
 
     tool: ToolInfo = ToolInfo()
     recordings: tuple[RecordingReport, ...]
@@ -144,56 +143,11 @@ class RunReport:
     def coefficients(self) -> np.ndarray:  # every band's values, in report order
         return np.concatenate([np.empty(0), *(b.values for r in self.recordings for b in r.bands)])
 
-    @classmethod
-    def from_json(cls, text: str, coefficients: np.ndarray) -> "RunReport":
-        return cls._from_object(_report_object(text), coefficients)
-
-    @classmethod
-    def _from_object(cls, data: dict, coefficients: np.ndarray) -> "RunReport":
-        if not (isinstance(coefficients, np.ndarray) and coefficients.ndim == 1
-                and coefficients.dtype == np.float64):
-            raise ValueError("coefficients.npy must hold a 1-d float64 vector")
-        end = 0
-
-        def take(n: int) -> np.ndarray:  # the next band's n values
-            nonlocal end
-            if not 0 <= n <= coefficients.size - end:
-                raise ValueError(f"coefficients.npy holds no band of n={n} at {end}")
-            end += n
-            return coefficients[end - n:end]
-
-        report = _decode(cls, data, take=take)
-        if end != coefficients.size:
-            raise ValueError(f"coefficients.npy holds {coefficients.size} values, not {end}")
-        return report
-
-    @classmethod
-    def read(cls, out_dir) -> "RunReport":
-        """The report emit_report wrote under out_dir; the JSON's schema is checked first."""
-        data = _report_object(Path(out_dir, "report.json").read_text(encoding="utf-8"))
-        try:
-            coefficients = np.load(Path(out_dir, "coefficients.npy"), allow_pickle=False)
-        except ValueError as exc:
-            raise ValueError(f"coefficients.npy: {exc}") from None
-        return cls._from_object(data, coefficients)
-
     @property
     def all_ok(self) -> bool:
         return all(r.status == "ok" for r in self.recordings) and all(
             a.status == "ok" for a in self.anova
         )
-
-
-def _report_object(text: str) -> dict:
-    """The JSON object of a report.json, checked to be of the one readable schema."""
-    data = json.loads(text)
-    if isinstance(data, dict) and "tool" in data:  # before the keys, which older schemas differ in
-        schema = data["tool"].get("schema") if isinstance(data["tool"], dict) else None
-        if schema != REPORT_SCHEMA:
-            raise ValueError(f"report schema {schema} is not readable, only schema "
-                             f"{REPORT_SCHEMA}; a report without one has the older "
-                             "per-coefficient band layout")
-    return _checked_object(RunReport, data)
 
 
 def _encode(obj):
@@ -212,66 +166,6 @@ def _encode(obj):
         return [_encode(item) for item in obj] if obj and is_dataclass(obj[0]) else obj
     return {f.name: _encode(getattr(obj, f.name)) for f in fields(obj)
             if f.type is not np.ndarray}
-
-
-def _checked_object(tp, data) -> dict:
-    """data as the JSON object of dataclass tp: every init field present, no unknown key.
-
-    Derived (init=False) fields are known keys, which _decode skips and the class
-    recomputes; an ndarray field is no key (see _encode).
-    """
-    if not isinstance(data, dict):
-        raise ValueError(f"{tp.__name__}: expected a JSON object, got {type(data).__name__}")
-    names = [f.name for f in fields(tp) if f.type is not np.ndarray]
-    for key in data:
-        if key not in names:
-            raise ValueError(f"{tp.__name__}: unknown key {key!r}")
-    for f in fields(tp):
-        if f.init and f.name in names and f.name not in data:
-            raise ValueError(f"{tp.__name__}: missing key {f.name!r}")
-    return data
-
-
-# the JSON values each scalar annotation accepts: an int may stand for a
-# float, and a bool (an int subclass in Python) for neither
-_SCALAR_KINDS = {str: (str,), int: (int,), float: (int, float)}
-
-
-def _decode(tp, data, where: str = "report", take=None):
-    """Rebuild a value of annotated type tp from its _encode form.
-
-    where names the class and key the value belongs to, for error messages.
-    An ndarray field is take(n) instead, n being the object's stored n.
-    """
-    if isinstance(tp, UnionType):  # X | None
-        if data is None:
-            return None
-        (tp,) = (arg for arg in get_args(tp) if arg is not NoneType)
-    if tp in _SCALAR_KINDS:
-        if not isinstance(data, _SCALAR_KINDS[tp]) or isinstance(data, bool):
-            raise ValueError(f"{where}: expected {tp.__name__}, got {type(data).__name__}")
-        return data
-    if is_dataclass(tp):
-        data = _checked_object(tp, data)
-        kwargs = {f.name: take(_decode(int, data.get("n"), f"{tp.__name__}: key 'n'"))
-                  if f.type is np.ndarray else
-                  _decode(f.type, data[f.name], f"{tp.__name__}: key {f.name!r}", take)
-                  for f in fields(tp) if f.init}
-        try:
-            return tp(**kwargs)
-        except ValueError as exc:  # the class's own check
-            raise ValueError(f"{where}: {tp.__name__}: {exc}") from None
-    if get_origin(tp) is tuple:
-        if not isinstance(data, list):
-            raise ValueError(f"{where}: expected a JSON array, got {type(data).__name__}")
-        return tuple(_decode(get_args(tp)[0], x, where, take) for x in data)
-    if isinstance(tp, type) and issubclass(tp, Enum):
-        try:
-            return tp(data)
-        except ValueError:
-            raise ValueError(f"{where}: expected one of {[m.value for m in tp]}, "
-                             f"got {data!r}") from None
-    return data
 
 
 def load_manifest(path) -> list[tuple[str, str, Group]]:
@@ -425,9 +319,9 @@ def _anova_table_rows(table: AnovaTable):
 def emit_report(report: RunReport, out_dir=".") -> set[Path]:
     """Write report.json, coefficients.npy, features.csv and one CSV per ANOVA table.
 
-    Returns the set of files written. RunReport.read reads the first two back
-    exactly; CSV numbers carry 12 significant digits. A skipped table's CSV is
-    removed, so none is left over from an earlier run into out_dir.
+    Returns the set of files written. The first two hold the report at full
+    precision; CSV numbers carry 12 significant digits. A skipped table's CSV
+    is removed, so none is left over from an earlier run into out_dir.
     """
     out = Path(out_dir)
     try:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import f as f_dist
 
-from hrvwp.pipeline import _decode, _encode
+from hrvwp.pipeline import _encode
 from hrvwp.stats import (
     ANOVA_SOURCES,
     AnovaTable,
@@ -152,10 +152,21 @@ class TestAnova:
         table = anova_two_way(grid)
         assert table["error"].ms == pytest.approx(table["error"].ss / 24)
         assert table["total"].ms is None and table["total"].f is None
-        rebuilt = _decode(AnovaTable, json.loads(json.dumps(_encode(table))))
-        assert rebuilt == table
+        encoded = _encode(table)
+        assert list(encoded) == ["rows"]
+        assert [row["source"] for row in encoded["rows"]] == list(ANOVA_SOURCES)
+        assert encoded["rows"][4] == {"source": "total", "ss": table["total"].ss,
+                                      "df": table["total"].df, "ms": None, "f": None, "p": None}
+        assert json.loads(json.dumps(encoded)) == encoded
         for row in table.rows[:3]:
             assert 0.0 < row.p <= 1.0
+
+    def test_table_rows_must_be_in_source_order(self):
+        rows = anova_two_way(np.random.default_rng(3).standard_normal((3, 4, 3))).rows
+        with pytest.raises(ValueError, match="table must hold sources"):
+            AnovaTable(rows=rows[1::-1] + rows[2:])
+        with pytest.raises(ValueError, match="table must hold sources"):
+            AnovaTable(rows=rows[:4])
 
 
 class TestFTail:
