@@ -1,7 +1,5 @@
 """Command line front end for the batch pipeline."""
 
-from __future__ import annotations
-
 import argparse
 import sys
 

@@ -7,8 +7,6 @@ analysis needs a uniform sampling grid, so the tachogram is interpolated with
 a natural cubic spline and sampled at a fixed rate (the pipeline uses 4 Hz).
 """
 
-from __future__ import annotations
-
 import io
 import os
 import warnings

@@ -16,6 +16,7 @@ the feature and ANOVA tables are also written as CSV with 12 significant digits.
 
 import csv
 import json
+import os
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
@@ -320,36 +321,43 @@ def emit_report(report: RunReport, out_dir=".") -> set[Path]:
     """Write report.json, coefficients.npy, features.csv and one CSV per ANOVA table.
 
     Returns the set of files written. The first two hold the report at full
-    precision; CSV numbers carry 12 significant digits. A skipped table's CSV
-    is removed, so none is left over from an earlier run into out_dir.
+    precision; CSV numbers carry 12 significant digits. Every file is first
+    written under a temporary name in out_dir; only then are they renamed
+    into place, report.json last, so a failed or killed run leaves no new
+    report.json beside an earlier run's files and no truncated one. A skipped
+    table's CSV is removed, so none is left over from an earlier run into out_dir.
     """
     out = Path(out_dir)
+    staged: dict[Path, Path] = {}  # output file -> its temporary, in rename order
+
+    def stage(name: str) -> Path:
+        staged[out / name] = out / f".{name}.tmp"
+        return staged[out / name]
+
     try:
         out.mkdir(parents=True, exist_ok=True)
-        written: set[Path] = set()
-
-        path = out / "report.json"
-        path.write_text(report.to_json() + "\n", encoding="utf-8")
-        written.add(path)
-
-        path = out / "coefficients.npy"
-        np.save(path, report.coefficients(), allow_pickle=False)
-        written.add(path)
-
-        path = out / "features.csv"
-        _write_csv(path, FEATURE_COLUMNS, [
+        with open(stage("coefficients.npy"), "wb") as fh:
+            np.save(fh, report.coefficients(), allow_pickle=False)
+        _write_csv(stage("features.csv"), FEATURE_COLUMNS, [
             [r.subject_id, r.group.value, *(getattr(r.features, k) for k in FEATURE_COLUMNS[2:])]
             for r in report.recordings if r.features is not None
         ])
-        written.add(path)
-
+        skipped = []
         for a in report.anova:
-            path = out / f"anova_{a.name}.csv"
-            if a.status != "ok":
-                path.unlink(missing_ok=True)
-                continue
-            _write_csv(path, ["Source", "SS", "df", "MS", "F", "p"], _anova_table_rows(a.table))
-            written.add(path)
+            if a.status == "ok":
+                _write_csv(stage(f"anova_{a.name}.csv"), ["Source", "SS", "df", "MS", "F", "p"],
+                           _anova_table_rows(a.table))
+            else:
+                skipped.append(out / f"anova_{a.name}.csv")
+        stage("report.json").write_text(report.to_json() + "\n", encoding="utf-8")
+
+        for path in skipped:
+            path.unlink(missing_ok=True)
+        for path, temporary in staged.items():
+            os.replace(temporary, path)
     except OSError as exc:
         raise OSError(f"cannot write report under {out}: {exc}") from exc
-    return written
+    finally:
+        for temporary in staged.values():
+            temporary.unlink(missing_ok=True)
+    return set(staged)

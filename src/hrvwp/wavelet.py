@@ -5,20 +5,19 @@ follow from them, and every transform function takes the low-pass taps as
 `taps`. Band edges, sampling rate and depth are the caller's arguments.
 
 The transform is periodized (circular extension), so a length-N signal yields
-exactly N/2**m coefficients per node at level m, the transform matrix is
-orthogonal, and Parseval / perfect reconstruction hold to rounding error.
+exactly N/2**m coefficients per node at level m and the transform matrix is
+orthogonal: the leaves of every slot of a level keep the signal's energy.
 
 Node indexing: splitting the high-pass branch and downsampling mirrors the
 spectrum, so the raw filter-bank ("natural") order of the nodes is not
 monotone in frequency. Each level is computed from the level above in a
 single filter-bank step (Mallat's algorithm applied to every node at once),
-in natural order; that order stays internal. Every level a function returns
-is one array whose row j is node j in frequency order, its frequency slot;
-slot f is natural position f ^ (f >> 1) (binary-reflected Gray code). Under
-this indexing, node (level, j) covers exactly [j, j+1] * rate / 2**(level+1) Hz.
+in natural order; that order stays internal. wpt_leaves returns the leaves
+as rows of one array, addressed by frequency slot; slot f is natural position
+f ^ (f >> 1) (binary-reflected Gray code). Under this indexing, node
+(level, j) covers exactly [j, j+1] * rate / 2**(level+1) Hz, the intervals
+band_nodes selects from.
 """
-
-from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
@@ -29,15 +28,13 @@ import numpy as np
 __all__ = [
     "daubechies_filters",
     "analysis_step",
-    "wpt_decompose",
     "wpt_leaves",
-    "wpt_reconstruct_nodes",
-    "node_frequency_range",
     "band_nodes",
 ]
 
 MAX_ORDER = 10
-# 2**24 samples are 48 days at 4 Hz; a full tree of that depth would need > 3 GB
+# 2**24 samples are 48 days at 4 Hz: the cap on a resample grid's length and
+# on the level band_nodes takes
 MAX_DEPTH = 24
 
 
@@ -81,8 +78,7 @@ def _phase_taps(lo) -> np.ndarray:
     """Taps as [filter, j, phase]: tap 2j+phase of the low-pass (0) and high-pass (1) filter.
 
     The high-pass is the quadrature mirror of the low-pass,
-    hi[k] = (-1)**k * lo[L-1-k]. The analysis step is a correlation, so for
-    an orthogonal pair synthesis uses the same taps (inverse = transpose).
+    hi[k] = (-1)**k * lo[L-1-k].
     """
     lo = np.asarray(lo, dtype=float)
     if lo.ndim != 1 or lo.size < 2 or lo.size % 2:
@@ -125,51 +121,9 @@ def analysis_step(signal: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _synthesize(pairs: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Transpose of analysis_step: (..., 2, half) (approx, detail) pairs to (..., 2*half)."""
-    half = pairs.shape[-1]
-    blocks = _phase_taps(taps).transpose(1, 2, 0)
-    lag = blocks.shape[0] - 1
-    # ext[..., k] = pairs[..., (k - lag) mod half]
-    ext = np.take(pairs, np.arange(-lag, half), axis=-1, mode="wrap")
-    phases = blocks[0] @ ext[..., lag:]
-    for j in range(1, blocks.shape[0]):
-        phases += blocks[j] @ ext[..., lag - j:lag - j + half]
-    return phases.swapaxes(-1, -2).reshape(*pairs.shape[:-2], 2 * half)
-
-
 def _gray(freq_index):
     """Natural (filter-path) position of the node(s) in frequency slot(s) freq_index."""
     return freq_index ^ (freq_index >> 1)
-
-
-def _level_zero(signal: np.ndarray, depth: int) -> np.ndarray:
-    """signal as the one-row level 0 of a depth-level tree, checked to split that deep."""
-    x = np.asarray(signal, dtype=float)
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    block = 2 ** depth
-    if x.ndim != 1 or x.size == 0 or x.size % block != 0:
-        raise ValueError(
-            f"signal of shape {x.shape} is not 1-d with a length that is a "
-            f"positive multiple of 2**{depth}"
-        )
-    return x.reshape(1, -1)
-
-
-def wpt_decompose(signal: np.ndarray, depth: int, taps: np.ndarray) -> list[np.ndarray]:
-    """Decompose uniformly sampled signal values into a full packet tree of the given depth.
-
-    Returns the levels 0..depth; levels[m] has shape (2**m, N/2**m) and row j
-    is node (m, j), in frequency order. Every node is split: one analysis_step
-    call per level turns natural row i into rows 2i (approx) and 2i+1 (detail)
-    of the next level, and each level is put in frequency order once, at the end.
-    """
-    natural = [_level_zero(signal, depth)]
-    for _ in range(depth):
-        pairs = analysis_step(natural[-1], taps)
-        natural.append(pairs.reshape(2 * pairs.shape[0], -1))
-    return [level[_gray(np.arange(level.shape[0]))] for level in natural]
 
 
 @lru_cache(maxsize=64)
@@ -191,59 +145,27 @@ def _leaf_plan(depth: int, slots: tuple[int, ...]) -> tuple[list[np.ndarray], np
 def wpt_leaves(signal: np.ndarray, depth: int, taps: np.ndarray, slots) -> np.ndarray:
     """The depth-level leaves in frequency slots `slots`, as rows of one array in that order.
 
-    Bitwise equal to wpt_decompose(...)[depth][slots], but each level splits
-    only the ancestors of the requested leaves, in one analysis_step call per
-    level. For leaves 1-12 at depth 6 that is 2.47 N input samples, not 6 N.
+    Each level splits only the ancestors of the requested leaves, in one
+    analysis_step call per level: for leaves 1-12 at depth 6 that is 2.47 N
+    input samples, not the 6 N of splitting every node. A leaf's values do
+    not depend on which other slots are requested.
     """
-    rows, slots = _level_zero(signal, depth), tuple(slots)
+    x, slots = np.asarray(signal, dtype=float), tuple(slots)
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    if x.ndim != 1 or x.size == 0 or x.size % 2 ** depth != 0:
+        raise ValueError(
+            f"signal of shape {x.shape} is not 1-d with a length that is a "
+            f"positive multiple of 2**{depth}"
+        )
     if not slots or not all(0 <= f < 2 ** depth for f in slots):
         raise ValueError(f"slots must be a non-empty list of leaves in [0, {2 ** depth - 1}]")
     keep, order = _leaf_plan(depth, slots)
+    rows = x.reshape(1, -1)
     for kept in keep:
         pairs = analysis_step(rows, taps)
         rows = pairs.reshape(2 * pairs.shape[0], -1)[kept]
     return rows[order]
-
-
-def wpt_reconstruct_nodes(leaves: np.ndarray, taps: np.ndarray, node_set) -> np.ndarray:
-    """Time-domain component carried by the selected leaves.
-
-    leaves is the frequency-ordered (2**depth, L) last level of a tree, as
-    wpt_decompose(...)[-1] returns it. All leaves outside node_set are zeroed
-    before synthesis, so selecting all leaves returns the original signal and
-    complementary selections add up to it (the transform is linear and
-    orthogonal).
-    """
-    leaves = np.asarray(leaves, dtype=float)
-    n_leaves = leaves.shape[0] if leaves.ndim == 2 else 0
-    if n_leaves < 1 or n_leaves & (n_leaves - 1):
-        raise ValueError(
-            f"leaves of shape {leaves.shape} are not a 2-d level with a power-of-two row count"
-        )
-    selected = set(int(j) for j in node_set)
-    for j in selected:
-        if not 0 <= j < n_leaves:
-            raise ValueError(f"leaf index {j} out of range [0, {n_leaves - 1}]")
-    level = np.zeros_like(leaves)
-    slots = np.array(sorted(selected), dtype=int)
-    level[_gray(slots)] = leaves[slots]
-    while level.shape[0] > 1:
-        level = _synthesize(level.reshape(level.shape[0] // 2, 2, -1), taps)
-    return level[0]
-
-
-def node_frequency_range(level: int, index: int, rate_hz: float) -> tuple[float, float]:
-    """Frequency interval [f_lo, f_hi] in Hz covered by node (level, index)."""
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    if not 0 <= index < 2 ** level:
-        raise ValueError(
-            f"index must be in [0, {2 ** level - 1}] at level {level}, got {index}"
-        )
-    if not 0.0 < rate_hz < np.inf:
-        raise ValueError(f"rate_hz must be positive and finite, got {rate_hz}")
-    width = rate_hz / 2 ** (level + 1)
-    return (index * width, (index + 1) * width)
 
 
 def band_nodes(band_hz: tuple[float, float], level: int, rate_hz: float) -> list[int]:

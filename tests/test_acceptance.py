@@ -20,18 +20,19 @@ import numpy as np
 import pytest
 
 from hrvwp import (
+    band_nodes,
     daubechies_filters,
     emit_report,
     extract_features,
     run_pipeline,
     threshold_band,
-    wpt_decompose,
+    wpt_leaves,
 )
 from hrvwp.ingest import truncate_to_block
-from hrvwp.pipeline import DEPTH, HF_LEAVES, LF_LEAVES, RATE_HZ, WAVELET_ORDER
+from hrvwp.pipeline import DEPTH, HF_LEAVES, LF_LEAVES, RATE_HZ, TAPS
 from hrvwp.stats import anova_two_way, f_tail_probability
-from hrvwp.wavelet import node_frequency_range, wpt_reconstruct_nodes
 from conftest import balanced_spec, rr_text, synthetic_rr
+from test_wavelet import full_level, packet_matrix
 
 # 14 printed rows of the depth-6 / 4 Hz node-frequency reference table
 REFERENCE_NODE_RANGES = [
@@ -138,27 +139,32 @@ def grid_with_prescribed_ss(shape, ss):
 
 
 def analyze_samples(samples):
-    """Post-ingest chain on raw samples: decompose, threshold, features."""
+    """Post-ingest chain on raw samples, as process_recording runs it: leaves, threshold, features."""
     signal = truncate_to_block(np.asarray(samples, float), DEPTH)
-    levels = wpt_decompose(signal, DEPTH, daubechies_filters(WAVELET_ORDER))
-    splits = {}
-    for band, leaves in (("LF", LF_LEAVES), ("HF", HF_LEAVES)):
-        splits[band] = threshold_band(levels[-1][list(leaves)].ravel(), leaf_ids=leaves, band=band)
+    leaves = wpt_leaves(signal, DEPTH, TAPS, LF_LEAVES + HF_LEAVES)
+    splits = {
+        "LF": threshold_band(leaves[:len(LF_LEAVES)].ravel(), leaf_ids=LF_LEAVES, band="LF"),
+        "HF": threshold_band(leaves[len(LF_LEAVES):].ravel(), leaf_ids=HF_LEAVES, band="HF"),
+    }
     return extract_features(splits["LF"], splits["HF"]), splits
 
 
 @pytest.mark.parametrize("index,f_lo,f_hi", REFERENCE_NODE_RANGES)
 def test_c01_node_frequency_map(index, f_lo, f_hi):
-    assert node_frequency_range(6, index, 4.0) == (f_lo, f_hi)
+    # the printed interval of a leaf holds that leaf and no other
+    assert band_nodes((f_lo, f_hi), 6, 4.0) == [index]
 
 
 @pytest.mark.parametrize("order", [1, 4], ids=["haar", "db4"])
 def test_c02_perfect_reconstruction_corpus(order):
+    # the depth-6 transform of 1024 samples is an orthogonal map Q, so Q.T inverts it
     taps = daubechies_filters(order)
+    q = packet_matrix(taps, 1024, 6)
+    assert np.allclose(q @ q.T, np.eye(1024), rtol=0, atol=1e-12)
     rng = np.random.default_rng(2024)
     for _ in range(100):
         x = rng.standard_normal(1024)
-        out = wpt_reconstruct_nodes(wpt_decompose(x, 6, taps)[-1], taps, range(64))
+        out = q.T @ full_level(x, 6, taps).ravel()
         assert np.max(np.abs(out - x)) < 1e-10 * np.max(np.abs(x))
 
 
@@ -168,18 +174,16 @@ def test_c03_parseval_every_level(order):
     rng = np.random.default_rng(2024)
     for _ in range(100):
         x = rng.standard_normal(1024)
-        levels = wpt_decompose(x, 6, taps)
         energy = float(np.dot(x, x))
         for level in range(1, 7):
-            assert abs(np.sum(levels[level] ** 2) - energy) < 1e-9 * energy
+            assert abs(np.sum(full_level(x, level, taps) ** 2) - energy) < 1e-9 * energy
 
 
 @pytest.mark.parametrize("slot", [1, 5, 9, 20, 40, 63])
 def test_c04_frequency_ordering(slot):
     freq = (slot + 0.5) * 4.0 / 2 ** 7
     samples = np.sin(2 * np.pi * freq * np.arange(1024) / 4.0)
-    levels = wpt_decompose(samples, 6, daubechies_filters(4))
-    energies = [float(np.dot(n, n)) for n in levels[-1]]
+    energies = [float(np.dot(n, n)) for n in full_level(samples, 6, daubechies_filters(4))]
     assert int(np.argmax(energies)) == slot
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hrvwp import daubechies_filters, extract_features, threshold_band, wpt_decompose
+from hrvwp import daubechies_filters, extract_features, threshold_band, wpt_leaves
 from hrvwp.features import FeatureError
 from hrvwp.pipeline import HF_BAND_HZ, LF_BAND_HZ
 from hrvwp.threshold import BandReport
@@ -146,6 +146,14 @@ def naive_median(values):
     return v[mid] if len(v) % 2 else 0.5 * (v[mid - 1] + v[mid])
 
 
+def band_splits(samples):
+    """The LF and HF splits of samples, computed as process_recording computes them."""
+    lf, hf = band_nodes(LF_BAND_HZ, 6, 4.0), band_nodes(HF_BAND_HZ, 6, 4.0)
+    leaves = wpt_leaves(samples, 6, daubechies_filters(4), lf + hf)
+    return {"LF": threshold_band(leaves[:len(lf)].ravel(), leaf_ids=lf, band="LF"),
+            "HF": threshold_band(leaves[len(lf):].ravel(), leaf_ids=hf, band="HF")}
+
+
 def naive_chain_energies(samples, rate_hz=4.0, depth=6, order=4):
     """Background-component band energies computed without the library."""
     lo = list(daubechies_filters(order))
@@ -171,11 +179,7 @@ class TestEndToEndOracle:
     def test_two_tone_band_energies_match_naive_chain(self):
         t = np.arange(1024) / 4.0
         samples = np.sin(2 * np.pi * 0.1 * t) + np.sin(2 * np.pi * 0.3 * t)
-        levels = wpt_decompose(samples, 6, daubechies_filters(4))
-        splits = {}
-        for band, edges in (("LF", LF_BAND_HZ), ("HF", HF_BAND_HZ)):
-            leaves = band_nodes(edges, 6, 4.0)
-            splits[band] = threshold_band(levels[6][leaves].ravel(), leaf_ids=leaves, band=band)
+        splits = band_splits(samples)
         feats = extract_features(splits["LF"], splits["HF"])
 
         expected = naive_chain_energies(samples)
@@ -187,12 +191,7 @@ class TestEndToEndOracle:
         samples = rng.standard_normal(512) * 40.0 + 800.0
 
         def run(sig):
-            levels = wpt_decompose(sig, 6, daubechies_filters(4))
-            splits = {}
-            for band, edges in (("LF", LF_BAND_HZ), ("HF", HF_BAND_HZ)):
-                leaves = band_nodes(edges, 6, 4.0)
-                splits[band] = threshold_band(levels[6][leaves].ravel(), leaf_ids=leaves,
-                                              band=band)
+            splits = band_splits(sig)
             return extract_features(splits["LF"], splits["HF"]), splits
 
         base, base_splits = run(samples)

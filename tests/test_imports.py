@@ -68,23 +68,6 @@ def test_readme_library_use_runs(tmp_path, monkeypatch):
     assert features.e_lf > 0.0 and features.e_hf > 0.0
 
 
-def test_readme_whole_tree_runs(tmp_path, monkeypatch):
-    # the second block of the section goes on from the first one's signal and bands
-    section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
-    blocks = re.findall(r"```python\n(.*?)```", section.split("\n## ", 1)[0], re.DOTALL)
-    assert len(blocks) == 2
-    samples = 800.0 + 40.0 * np.sin(2 * np.pi * 0.1 * np.arange(1024) / 4.0)
-    np.savetxt(tmp_path / "tachogram.txt", samples)
-    monkeypatch.chdir(tmp_path)
-    namespace = {}
-    for code in blocks:
-        exec(compile(code, "README.md", "exec"), namespace)
-    signal, levels = namespace["signal"], namespace["levels"]
-    assert len(levels) == 7 and levels[6].shape == (64, 16)
-    assert namespace["same_leaves"] is True
-    assert np.max(np.abs(namespace["restored"] - signal)) < 1e-10 * np.max(np.abs(signal))
-
-
 def test_readme_band_table_runs(write_dataset, tmp_path, monkeypatch, capsys):
     # the block reads the output directory "results" under the working directory
     section = README.read_text(encoding="utf-8").split("### Outputs", 1)[1].split("\n## ", 1)[0]

@@ -532,6 +532,29 @@ class TestEmit:
         assert not any("anova" in p.name for p in written)
         assert not list(out.glob("anova_*.csv"))
 
+    @pytest.mark.parametrize("failing", ["coefficients", "report.json"])
+    def test_failed_write_leaves_the_earlier_run(self, balanced_report, write_dataset,
+                                                 tmp_path, monkeypatch, failing):
+        # the new run's files go in under temporary names and are renamed only
+        # once all are written, so a failure while writing the first of them or
+        # the last one (report.json, after the CSVs) leaves the earlier run's
+        # files byte for byte, its ANOVA CSVs included, and no temporary file
+        out = tmp_path / "out"
+        emit_report(balanced_report[1], out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        report = run_pipeline(write_dataset([("a0", "Control", synthetic_rr(300, seed=13))]))
+
+        def fail(*args, **kwargs):
+            raise OSError("no space left")
+
+        if failing == "coefficients":
+            monkeypatch.setattr(np, "save", fail)
+        else:
+            monkeypatch.setattr(RunReport, "to_json", fail)
+        with pytest.raises(OSError, match="cannot write report .*no space left"):
+            emit_report(report, out)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_unwritable_output_dir(self, balanced_report, tmp_path):
         _, report = balanced_report
         blocker = tmp_path / "blocked"

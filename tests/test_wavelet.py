@@ -3,16 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrvwp import band_nodes, daubechies_filters, wpt_decompose
+from hrvwp import band_nodes, daubechies_filters, wpt_leaves
 from hrvwp.ingest import resample_cubic_spline, rr_to_tachogram, truncate_to_block
 from hrvwp.pipeline import HF_BAND_HZ, LF_BAND_HZ
-from hrvwp.wavelet import (
-    MAX_DEPTH,
-    analysis_step,
-    node_frequency_range,
-    wpt_leaves,
-    wpt_reconstruct_nodes,
-)
+from hrvwp.wavelet import MAX_DEPTH, analysis_step
 from hrvwp.wavelet import _gray, _phase_taps
 
 SQRT2 = np.sqrt(2.0)
@@ -69,6 +63,16 @@ def mirrored_leaf_intervals(depth, rate_hz):
                 nxt.append((2 * j + 1, mid, hi, True))
         nodes = nxt
     return {j: (lo, hi) for j, lo, hi, _ in nodes}
+
+
+def full_level(x, level, taps):
+    """Every node of the level, row j in frequency slot j: the leaves of all slots."""
+    return wpt_leaves(x, level, taps, range(2 ** level))
+
+
+def packet_matrix(taps, n, depth):
+    """The transform as an n x n matrix: column i holds the raveled level of basis vector i."""
+    return np.column_stack([full_level(e, depth, taps).ravel() for e in np.eye(n)])
 
 
 def tone(freq_hz, n=1024, rate_hz=4.0):
@@ -132,8 +136,6 @@ class TestFilters:
                 analysis_step(np.ones(8), taps)
             with pytest.raises(ValueError, match="taps"):
                 wpt_leaves(np.ones(8), 1, taps, [0])
-            with pytest.raises(ValueError, match="taps"):
-                wpt_reconstruct_nodes(np.ones((2, 4)), taps, [0])
 
 
 class TestAnalysisSynthesis:
@@ -165,15 +167,16 @@ class TestAnalysisSynthesis:
             analysis_step(np.ones(5), daubechies_filters(2))
 
     def test_haar_synthesis_inverts_example(self):
-        leaves = np.array([[SQRT2, SQRT2], [0.0, 0.0]])
-        out = wpt_reconstruct_nodes(leaves, daubechies_filters(1), [0, 1])
+        # the transform is orthogonal, so its transpose is the synthesis
+        leaves = np.array([SQRT2, SQRT2, 0.0, 0.0])
+        out = packet_matrix(daubechies_filters(1), 4, 1).T @ leaves
         assert np.allclose(out, np.ones(4))
 
     def test_db4_roundtrip_length_128_noise(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal(128)
         taps = daubechies_filters(4)
-        out = wpt_reconstruct_nodes(wpt_decompose(x, 1, taps)[-1], taps, [0, 1])
+        out = packet_matrix(taps, 128, 1).T @ full_level(x, 1, taps).ravel()
         assert np.max(np.abs(out - x)) < 1e-10
 
     @settings(max_examples=40, deadline=None)
@@ -185,23 +188,21 @@ class TestAnalysisSynthesis:
     def test_roundtrip_property(self, order, half, seed):
         x = np.random.default_rng(seed).standard_normal(2 * half)
         taps = daubechies_filters(order)
-        out = wpt_reconstruct_nodes(wpt_decompose(x, 1, taps)[-1], taps, [0, 1])
+        q = packet_matrix(taps, 2 * half, 1)
+        assert np.allclose(q @ q.T, np.eye(2 * half), rtol=0, atol=1e-12)
+        out = q.T @ full_level(x, 1, taps).ravel()
         assert np.max(np.abs(out - x)) < 1e-10 * max(1.0, np.max(np.abs(x)))
 
 
 class TestPacketTree:
     def test_depth_zero_is_identity(self):
         sig = np.arange(8.0)
-        taps = daubechies_filters(2)
-        levels = wpt_decompose(sig, 0, taps)
-        assert len(levels) == 1
-        assert np.array_equal(levels[0][0], sig)
-        assert np.array_equal(wpt_reconstruct_nodes(levels[-1], taps, [0]), sig)
+        assert np.array_equal(full_level(sig, 0, daubechies_filters(2)), sig[None])
 
     def test_levels_do_not_alias_the_signal(self):
         sig = np.arange(8.0)
-        levels = wpt_decompose(sig, 0, daubechies_filters(1))
-        levels[0][0, 0] = -1.0
+        level = full_level(sig, 0, daubechies_filters(1))
+        level[0, 0] = -1.0
         assert sig[0] == 0.0
 
     def test_constant_signal_maps_to_lowest_leaf(self):
@@ -209,7 +210,7 @@ class TestPacketTree:
         # reaches a band feature, so no mean removal is needed
         sig = np.full(256, 3.0)
         for order in range(1, 11):
-            leaves = wpt_decompose(sig, 6, daubechies_filters(order))[6]
+            leaves = full_level(sig, 6, daubechies_filters(order))
             for j in range(1, 64):
                 assert np.max(np.abs(leaves[j])) <= 1e-9, (order, j)
             energy0 = float(np.dot(leaves[0], leaves[0]))
@@ -227,17 +228,16 @@ class TestPacketTree:
 
     def test_sinusoid_017hz_lands_in_leaf_5(self):
         sig = tone(0.17)
-        levels = wpt_decompose(sig, 6, daubechies_filters(4))
-        energies = [float(np.dot(n, n)) for n in levels[-1]]
+        energies = [float(np.dot(n, n)) for n in full_level(sig, 6, daubechies_filters(4))]
         assert int(np.argmax(energies)) == 5
 
     def test_parseval_every_level(self):
         rng = np.random.default_rng(5)
         sig = rng.standard_normal(512)
-        levels = wpt_decompose(sig, 6, daubechies_filters(4))
         reference = float(np.dot(sig, sig))
         for level in range(7):
-            assert np.sum(levels[level] ** 2) == pytest.approx(reference, rel=1e-9)
+            nodes = full_level(sig, level, daubechies_filters(4))
+            assert np.sum(nodes ** 2) == pytest.approx(reference, rel=1e-9)
 
     @pytest.mark.parametrize("order", range(1, 11))
     def test_matches_orthogonal_matrix_reference(self, order):
@@ -245,7 +245,6 @@ class TestPacketTree:
         # above order 1, so the circular extension wraps more than once
         taps = daubechies_filters(order)
         x = np.random.default_rng(order).standard_normal(64)
-        levels = wpt_decompose(x, 6, taps)
         natural = [x]
         for level in range(1, 7):
             n = natural[0].size
@@ -253,8 +252,9 @@ class TestPacketTree:
             assert np.allclose(step @ step.T, np.eye(n), atol=1e-12)
             natural = [half for node in natural
                        for half in np.split(step @ node, 2)]
+            nodes = full_level(x, level, taps)
             for j in range(2 ** level):
-                assert np.allclose(levels[level][j], natural[_gray(j)],
+                assert np.allclose(nodes[j], natural[_gray(j)],
                                    rtol=0, atol=1e-12)
 
     @settings(max_examples=50, deadline=None)
@@ -267,16 +267,14 @@ class TestPacketTree:
         # 60 beats of at least 300 ms span 18 s, so 4 Hz gives >= 64 samples
         times, values = rr_to_tachogram(np.array(rr))
         signal = truncate_to_block(resample_cubic_spline(times, values, 4.0), depth)
-        levels = wpt_decompose(signal, depth, daubechies_filters(order))
-        leaf_energy = sum(float(np.dot(n, n)) for n in levels[-1])
+        leaves = full_level(signal, depth, daubechies_filters(order))
+        leaf_energy = sum(float(np.dot(n, n)) for n in leaves)
         assert leaf_energy == pytest.approx(float(np.dot(signal, signal)), rel=1e-9)
 
     def test_level_lengths_partition_signal(self):
         sig = np.random.default_rng(0).standard_normal(128)
-        levels = wpt_decompose(sig, 4, daubechies_filters(3))
-        assert len(levels) == 5
         for level in range(5):
-            nodes = levels[level]
+            nodes = full_level(sig, level, daubechies_filters(3))
             assert len(nodes) == 2 ** level
             assert sum(len(n) for n in nodes) == 128
             assert all(len(n) == 128 // 2 ** level for n in nodes)
@@ -285,7 +283,7 @@ class TestPacketTree:
         # a 2-d array of 128 values is not read as one 128-sample signal
         for sig in (np.ones(96), np.ones((2, 64))):
             with pytest.raises(ValueError, match="multiple"):
-                wpt_decompose(sig, 6, daubechies_filters(2))
+                full_level(sig, 6, daubechies_filters(2))
 
 
 class TestPrunedLeaves:
@@ -303,28 +301,27 @@ class TestPrunedLeaves:
         slots = [int(p * 2 ** depth) for p in picks]
         taps = daubechies_filters(order)
         x = np.random.default_rng(seed).standard_normal(blocks * 2 ** depth)
-        levels = wpt_decompose(x, depth, taps)
         leaves = wpt_leaves(x, depth, taps, slots)
         assert leaves.shape == (len(slots), blocks)
-        assert np.array_equal(leaves, levels[depth][slots])
+        assert np.array_equal(leaves, full_level(x, depth, taps)[slots])
 
     def test_band_leaves_of_the_reference_configuration(self):
         x = np.random.default_rng(3).standard_normal(1216 // 64 * 64)
         taps = daubechies_filters(4)
         slots = band_nodes(LF_BAND_HZ, 6, 4.0) + band_nodes(HF_BAND_HZ, 6, 4.0)
-        levels = wpt_decompose(x, 6, taps)
-        assert np.array_equal(wpt_leaves(x, 6, taps, slots), levels[6][slots])
-        assert np.array_equal(wpt_leaves(x, 1, taps, [1])[0], levels[1][1])
+        assert np.array_equal(wpt_leaves(x, 6, taps, slots), full_level(x, 6, taps)[slots])
+        assert np.array_equal(wpt_leaves(x, 1, taps, [1])[0], full_level(x, 1, taps)[1])
 
     def test_deep_band_plans_match_the_full_tree(self):
-        # LF+HF at depth 16 are 12 288 leaves: the plan maps each kept node to
-        # its parent's row by lookup, so it takes milliseconds, not seconds
+        # LF+HF at depth 16 are 12 288 leaves (all 65 536 for the full level):
+        # the plan maps each kept node to its parent's row by lookup, so it
+        # takes milliseconds, not seconds
         taps = daubechies_filters(2)
         for depth in (6, 9, 16):
             slots = band_nodes(LF_BAND_HZ, depth, 4.0) + band_nodes(HF_BAND_HZ, depth, 4.0)
             x = np.random.default_rng(depth).standard_normal(2 ** depth)
             assert np.array_equal(wpt_leaves(x, depth, taps, slots),
-                                  wpt_decompose(x, depth, taps)[depth][slots])
+                                  full_level(x, depth, taps)[slots])
 
     def test_result_does_not_alias_the_signal(self):
         x = np.arange(8.0)
@@ -346,51 +343,47 @@ class TestPrunedLeaves:
 
 
 class TestReconstruction:
+    """The depth-6 transform is an orthogonal map Q, so Q.T inverts it."""
+
     TAPS = daubechies_filters(4)
+    Q = packet_matrix(TAPS, 256, 6)
 
     def _leaves(self, n=256, seed=1, depth=6):
         x = np.random.default_rng(seed).standard_normal(n)
-        return x, wpt_decompose(x, depth, self.TAPS)[-1]
+        return x, full_level(x, depth, self.TAPS)
 
     def test_all_leaves_return_original(self):
         x, leaves = self._leaves()
-        out = wpt_reconstruct_nodes(leaves, self.TAPS, range(64))
+        assert np.allclose(self.Q @ self.Q.T, np.eye(256), rtol=0, atol=1e-12)
+        out = self.Q.T @ leaves.ravel()
         assert np.max(np.abs(out - x)) < 1e-10 * np.max(np.abs(x))
 
-    def test_empty_set_returns_zero(self):
-        _, leaves = self._leaves()
-        assert np.array_equal(wpt_reconstruct_nodes(leaves, self.TAPS, []), np.zeros(256))
-
     def test_complementary_sets_sum_to_signal(self):
+        # the components of complementary leaf sets are orthogonal and add up to the signal
         x, leaves = self._leaves()
-        rng = np.random.default_rng(9)
-        subset = set(rng.choice(64, size=20, replace=False).tolist())
-        rest = set(range(64)) - subset
-        total = (wpt_reconstruct_nodes(leaves, self.TAPS, subset)
-                 + wpt_reconstruct_nodes(leaves, self.TAPS, rest))
-        assert np.max(np.abs(total - x)) < 1e-10 * np.max(np.abs(x))
-
-    def test_invalid_leaf_rejected(self):
-        _, leaves = self._leaves()
-        with pytest.raises(ValueError, match="out of range"):
-            wpt_reconstruct_nodes(leaves, self.TAPS, [64])
-
-    @pytest.mark.parametrize("shape", [(256,), (0, 4), (3, 4), (48, 4), (2, 2, 4)])
-    def test_leaves_not_a_level_rejected(self, shape):
-        with pytest.raises(ValueError, match="power-of-two"):
-            wpt_reconstruct_nodes(np.ones(shape), self.TAPS, [0])
+        subset = np.zeros(64, dtype=bool)
+        subset[np.random.default_rng(9).choice(64, size=20, replace=False)] = True
+        part = self.Q.T @ np.where(subset[:, None], leaves, 0.0).ravel()
+        rest = self.Q.T @ np.where(subset[:, None], 0.0, leaves).ravel()
+        assert abs(np.dot(part, rest)) < 1e-10 * np.dot(x, x)
+        assert np.max(np.abs(part + rest - x)) < 1e-10 * np.max(np.abs(x))
 
     def test_pruned_leaves_reconstruct(self):
+        # the pruned call, asked for every slot in shuffled order, is the same map
         x = np.random.default_rng(4).standard_normal(256)
-        leaves = wpt_leaves(x, 6, self.TAPS, range(64))
-        out = wpt_reconstruct_nodes(leaves, self.TAPS, range(64))
+        slots = np.random.default_rng(5).permutation(64)
+        leaves = np.empty((64, 4))
+        leaves[slots] = wpt_leaves(x, 6, self.TAPS, slots.tolist())
+        out = self.Q.T @ leaves.ravel()
         assert np.max(np.abs(out - x)) < 1e-10 * np.max(np.abs(x))
 
     @pytest.mark.parametrize("order", [2, 7, 10])
     def test_full_tree_roundtrip_other_orders(self, order):
         x = np.random.default_rng(order).standard_normal(256)
         taps = daubechies_filters(order)
-        out = wpt_reconstruct_nodes(wpt_decompose(x, 6, taps)[-1], taps, range(64))
+        q = packet_matrix(taps, 256, 6)
+        assert np.allclose(q @ q.T, np.eye(256), rtol=0, atol=1e-12)
+        out = q.T @ full_level(x, 6, taps).ravel()
         assert np.max(np.abs(out - x)) < 1e-10 * np.max(np.abs(x))
 
 
@@ -400,33 +393,26 @@ class TestFrequencyMapping:
         [(0, (0.0, 0.03125)), (5, (0.15625, 0.1875)), (63, (1.96875, 2.0))],
     )
     def test_depth6_rows(self, index, expected):
-        assert node_frequency_range(6, index, 4.0) == expected
+        assert band_nodes(expected, 6, 4.0) == [index]
 
     def test_leaves_tile_nyquist_interval(self):
+        # the whole interval holds every leaf, and each leaf's slice only that leaf
         for level in (1, 3, 6):
-            edges = [node_frequency_range(level, j, 4.0) for j in range(2 ** level)]
-            assert edges[0][0] == 0.0
-            assert edges[-1][1] == 2.0
-            for (a, b), (c, _) in zip(edges, edges[1:]):
-                assert b == c and a < b
-
-    def test_bad_index(self):
-        with pytest.raises(ValueError):
-            node_frequency_range(6, 64, 4.0)
-        with pytest.raises(ValueError):
-            node_frequency_range(6, -1, 4.0)
+            assert band_nodes((0.0, 2.0), level, 4.0) == list(range(2 ** level))
+            width = 4.0 / 2 ** (level + 1)
+            for j in range(2 ** level):
+                assert band_nodes((j * width, (j + 1) * width), level, 4.0) == [j]
 
     def test_gray_mapping_matches_mirroring_oracle(self):
         for depth in (1, 2, 3, 6):
             oracle = mirrored_leaf_intervals(depth, 4.0)
             for slot in range(2 ** depth):
-                assert oracle[_gray(slot)] == node_frequency_range(depth, slot, 4.0)
+                assert band_nodes(oracle[_gray(slot)], depth, 4.0) == [slot]
 
     @pytest.mark.parametrize("slot", [0, 1, 5, 9, 31, 62])
     def test_tone_at_slot_center_maximizes_that_leaf(self, slot):
         freq = (slot + 0.5) * 4.0 / 2 ** 7
-        levels = wpt_decompose(tone(freq), 6, daubechies_filters(4))
-        energies = [float(np.dot(n, n)) for n in levels[-1]]
+        energies = [float(np.dot(n, n)) for n in full_level(tone(freq), 6, daubechies_filters(4))]
         assert int(np.argmax(energies)) == slot
 
 
@@ -449,18 +435,17 @@ class TestBandNodes:
         assert band_nodes((0.5, 1.0), 6, 4.0) == list(range(16, 32))
 
     def test_band_ranges_lie_inside_band(self):
+        width = 4.0 / 2 ** 7
         for lo, hi in (LF_BAND_HZ, HF_BAND_HZ):
             for j in band_nodes((lo, hi), 6, 4.0):
-                f_lo, f_hi = node_frequency_range(6, j, 4.0)
-                assert f_lo >= lo - 1e-12 and f_hi <= hi + 1e-12
+                assert j * width >= lo - 1e-12 and (j + 1) * width <= hi + 1e-12
 
     @staticmethod
     def scan(level, rate_hz, lo, hi):
         """Every leaf whose range lies inside [lo, hi], by testing each one."""
-        eps = 1e-12 * max(rate_hz, 1.0)
-        ranges = (node_frequency_range(level, j, rate_hz) for j in range(2 ** level))
-        return [j for j, (f_lo, f_hi) in enumerate(ranges)
-                if f_lo >= lo - eps and f_hi <= hi + eps]
+        eps, width = 1e-12 * max(rate_hz, 1.0), rate_hz / 2 ** (level + 1)
+        return [j for j in range(2 ** level)
+                if j * width >= lo - eps and (j + 1) * width <= hi + eps]
 
     def check_against_scan(self, level, rate_hz, edges):
         expected = self.scan(level, rate_hz, *edges)
