@@ -17,7 +17,7 @@ the feature and ANOVA tables are also written as CSV with 12 significant digits.
 import csv
 import json
 import os
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import astuple, dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 from types import NoneType
@@ -78,10 +78,6 @@ HF_BAND_HZ = (0.15625, 0.40625)
 TAPS = daubechies_filters(WAVELET_ORDER)
 LF_LEAVES = tuple(band_nodes(LF_BAND_HZ, DEPTH, RATE_HZ))
 HF_LEAVES = tuple(band_nodes(HF_BAND_HZ, DEPTH, RATE_HZ))
-
-# the FeatureVector field each ANOVA column holds
-_FEATURE_BY_COLUMN = {"STDLF": "std_lf", "MEANLF": "mean_lf", "STDHF": "std_hf",
-                      "MEANHF": "mean_hf", "E_LF": "e_lf", "E_HF": "e_hf", "R_E": "r_e"}
 
 
 @dataclass(frozen=True)
@@ -170,28 +166,32 @@ def _encode(obj):
 
 
 def load_manifest(path) -> list[tuple[str, str, Group]]:
-    """Read a UTF-8 CSV manifest with header path,subject_id,group.
+    """Read a UTF-8 CSV manifest with the exact header path,subject_id,group.
 
     Relative recording paths are resolved against the manifest's directory.
+    Malformed CSV raises ValueError naming the line, as a bad row does.
     """
     manifest_path = Path(path)
     with open(manifest_path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != list(MANIFEST_FIELDS):
-            raise ValueError(
-                f"manifest must start with header {','.join(MANIFEST_FIELDS)}"
-            )
-        rows = []
-        for lineno, record in enumerate(reader, start=2):
-            if any(record.get(key) is None for key in MANIFEST_FIELDS) or None in record:
-                raise ValueError(f"manifest row {lineno}: expected 3 columns")
-            raw = Path(record["path"].strip())
-            resolved = raw if raw.is_absolute() else manifest_path.parent / raw
-            try:
-                group = Group.from_string(record["group"])
-            except ValueError as exc:
-                raise ValueError(f"manifest row {lineno}: {exc}") from None
-            rows.append((str(resolved), record["subject_id"].strip(), group))
+        try:
+            if reader.fieldnames != list(MANIFEST_FIELDS):
+                raise ValueError(
+                    f"manifest must start with header {','.join(MANIFEST_FIELDS)}"
+                )
+            rows = []
+            for lineno, record in enumerate(reader, start=2):
+                if any(record.get(key) is None for key in MANIFEST_FIELDS) or None in record:
+                    raise ValueError(f"manifest row {lineno}: expected 3 columns")
+                raw = Path(record["path"].strip())
+                resolved = raw if raw.is_absolute() else manifest_path.parent / raw
+                try:
+                    group = Group.from_string(record["group"])
+                except ValueError as exc:
+                    raise ValueError(f"manifest row {lineno}: {exc}") from None
+                rows.append((str(resolved), record["subject_id"].strip(), group))
+        except csv.Error as exc:
+            raise ValueError(f"manifest line {reader.reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"manifest {manifest_path} lists no recordings")
     return rows
@@ -231,50 +231,51 @@ def process_recording(path, subject_id: str, group: Group) -> RecordingReport:
                                error=f"{type(exc).__name__}: {exc}")
 
 
-def _anova_report(
-    name: str,
-    columns: tuple[str, ...],
-    completed: list[RecordingReport],
-) -> AnovaReport:
-    """Assemble a balanced groups x columns grid and run the ANOVA."""
+def _anova_reports(completed: list[RecordingReport]) -> tuple[AnovaReport, AnovaReport]:
+    """Both ANOVA tables, as column slices of one balanced groups x features x subjects grid.
+
+    The design is checked once, and a failed check skips both tables with its
+    reason. A group's replicates keep the order of completed, which run_pipeline
+    sorts by subject_id, so the result does not depend on manifest order.
+    """
     by_group: dict[Group, list[RecordingReport]] = {}
     for rec in completed:
         by_group.setdefault(rec.group, []).append(rec)
 
     # unlabeled recordings are analyzed but form no row
     groups = [g for g in (Group.CONTROL, Group.VT, Group.VF) if g in by_group]
+    counts = [len(by_group[g]) for g in groups]
     if len(groups) < 2:
-        return AnovaReport(name, reason="insufficient design: needs >= 2 labeled groups")
-    counts = {g: len(by_group[g]) for g in groups}
-    if len(set(counts.values())) != 1:
-        detail = ", ".join(f"{g.value}={n}" for g, n in counts.items())
-        return AnovaReport(name, reason=f"unbalanced design: {detail}")
-    k = counts[groups[0]]
-    if k < 2:
-        return AnovaReport(name, reason="insufficient design: needs >= 2 subjects per group")
+        reason = "insufficient design: needs >= 2 labeled groups"
+    elif len(set(counts)) != 1:
+        reason = "unbalanced design: " + ", ".join(
+            f"{g.value}={n}" for g, n in zip(groups, counts))
+    elif counts[0] < 2:
+        reason = "insufficient design: needs >= 2 subjects per group"
+    else:
+        reason = None
+    # FeatureVector field order: the coefficient statistics, then the energies
+    split = len(COEFF_STAT_COLUMNS)
+    tables = (("coefficient_stats", COEFF_STAT_COLUMNS, slice(None, split)),
+              ("energy", ENERGY_COLUMNS, slice(split, None)))
+    if reason is not None:
+        return tuple(AnovaReport(name, reason=reason) for name, _, _ in tables)
 
-    # replicate order fixed by subject_id so the result is manifest-order independent
-    grid = np.array(
-        [
-            [
-                [getattr(r.features, _FEATURE_BY_COLUMN[col]) for r in
-                 sorted(by_group[g], key=lambda r: r.subject_id)]
-                for col in columns
-            ]
-            for g in groups
-        ]
-    )
-    try:
-        table = anova_two_way(grid)
-    except DegenerateDataError as exc:
-        return AnovaReport(name, reason=str(exc))
-    return AnovaReport(
-        name,
-        row_labels=tuple(g.value for g in groups),
-        column_labels=columns,
-        replicates=k,
-        table=table,
-    )
+    grid = np.array([[astuple(r.features) for r in by_group[g]] for g in groups])
+    grid = grid.transpose(0, 2, 1)  # (groups, features, subjects)
+    reports = []
+    for name, columns, part in tables:
+        try:
+            reports.append(AnovaReport(
+                name,
+                row_labels=tuple(g.value for g in groups),
+                column_labels=columns,
+                replicates=counts[0],
+                table=anova_two_way(np.ascontiguousarray(grid[:, part])),
+            ))
+        except DegenerateDataError as exc:
+            reports.append(AnovaReport(name, reason=str(exc)))
+    return tuple(reports)
 
 
 def run_pipeline(manifest) -> RunReport:
@@ -291,11 +292,7 @@ def run_pipeline(manifest) -> RunReport:
             key=lambda r: r.subject_id,
         )
     )
-    completed = [r for r in recordings if r.status == "ok"]
-    anova = (
-        _anova_report("coefficient_stats", COEFF_STAT_COLUMNS, completed),
-        _anova_report("energy", ENERGY_COLUMNS, completed),
-    )
+    anova = _anova_reports([r for r in recordings if r.status == "ok"])
     return RunReport(recordings=recordings, anova=anova)
 
 
@@ -311,10 +308,6 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
-
-
-def _anova_table_rows(table: AnovaTable):
-    return [(r.source.capitalize(), r.ss, r.df, r.ms, r.f, r.p) for r in table.rows]
 
 
 def emit_report(report: RunReport, out_dir=".") -> set[Path]:
@@ -346,7 +339,8 @@ def emit_report(report: RunReport, out_dir=".") -> set[Path]:
         for a in report.anova:
             if a.status == "ok":
                 _write_csv(stage(f"anova_{a.name}.csv"), ["Source", "SS", "df", "MS", "F", "p"],
-                           _anova_table_rows(a.table))
+                           [(r.source.capitalize(), r.ss, r.df, r.ms, r.f, r.p)
+                            for r in a.table.rows])
             else:
                 skipped.append(out / f"anova_{a.name}.csv")
         stage("report.json").write_text(report.to_json() + "\n", encoding="utf-8")

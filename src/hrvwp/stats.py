@@ -4,9 +4,9 @@ The ANOVA takes its balanced (rows, columns, replicates) grid as a plain
 array and follows the classic five-step recipe: sources, sums of
 squares from cell/margin/grand means, degrees of freedom, mean squares
 (SS/df), and F ratios against the error mean square. Upper-tail F
-probabilities come from the regularized incomplete beta function, evaluated
-by a continued fraction so the accuracy (~1e-10) comfortably dominates any
-reporting tolerance.
+probabilities come from f_tail_probability, the regularized incomplete beta
+function evaluated by a continued fraction, so the accuracy (~1e-10)
+comfortably dominates any reporting tolerance.
 """
 
 from dataclasses import dataclass
@@ -21,7 +21,6 @@ __all__ = [
     "anova_two_way",
     "sum_of_squares",
     "f_tail_probability",
-    "regularized_incomplete_beta",
 ]
 
 ANOVA_SOURCES = ("columns", "rows", "interaction", "error", "total")
@@ -102,24 +101,19 @@ def anova_two_way(values) -> AnovaTable:
     replicates everywhere), since no F ratio is defined then.
     """
     decomp = sum_of_squares(values)
-    ms_error = decomp["error"][0] / decomp["error"][1]
+    ss_error, df_error = decomp["error"]
+    ms_error = ss_error / df_error
     if ms_error == 0.0:
         raise DegenerateDataError("error mean square is zero; F is undefined")
 
     rows = []
-    for source in ANOVA_SOURCES:
+    for source in ("columns", "rows", "interaction"):
         ss, df = decomp[source]
-        if source == "total":
-            rows.append(AnovaRow(source, ss, df))
-        elif source == "error":
-            rows.append(AnovaRow(source, ss, df, ms=ss / df))
-        else:
-            ms = ss / df
-            f = ms / ms_error
-            rows.append(
-                AnovaRow(source, ss, df, ms=ms, f=f,
-                         p=f_tail_probability(f, df, decomp["error"][1]))
-            )
+        ms = ss / df
+        f = ms / ms_error
+        rows.append(AnovaRow(source, ss, df, ms=ms, f=f, p=f_tail_probability(f, df, df_error)))
+    rows.append(AnovaRow("error", ss_error, df_error, ms=ms_error))
+    rows.append(AnovaRow("total", *decomp["total"]))
     return AnovaTable(rows=tuple(rows))
 
 
@@ -152,29 +146,22 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     raise ArithmeticError("incomplete beta continued fraction did not converge")
 
 
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b), switching to the symmetric form where the fraction converges fast."""
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError("a and b must be positive")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("x must lie in [0, 1]")
+def f_tail_probability(f: float, df1: int, df2: int) -> float:
+    """Upper-tail probability Pr(F_{df1, df2} > f); decreasing in f, 1 at f = 0.
+
+    Computed as the regularized incomplete beta I_x(a, b) with
+    x = df2 / (df2 + df1 * f), a = df2/2 and b = df1/2, switching to the
+    symmetric form 1 - I_{1-x}(b, a) where that fraction converges faster.
+    """
+    if int(df1) != df1 or int(df2) != df2 or df1 < 1 or df2 < 1:
+        raise ValueError("degrees of freedom must be integers >= 1")
+    if not f >= 0.0:  # NaN included
+        raise ValueError("f must be non-negative")
+    x = df2 / (df2 + df1 * float(f))
+    a, b = df2 / 2.0, df1 / 2.0
     if x == 0.0 or x == 1.0:
         return float(x)
     front = exp(lgamma(a + b) - lgamma(a) - lgamma(b) + a * log(x) + b * log1p(-x))
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_continued_fraction(a, b, x) / a
     return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
-
-
-def f_tail_probability(f: float, df1: int, df2: int) -> float:
-    """Upper-tail probability Pr(F_{df1, df2} > f).
-
-    Computed as I_x(df2/2, df1/2) with x = df2 / (df2 + df1 * f); decreasing
-    in f, equal to 1 at f = 0.
-    """
-    if int(df1) != df1 or int(df2) != df2 or df1 < 1 or df2 < 1:
-        raise ValueError("degrees of freedom must be integers >= 1")
-    if f < 0.0:
-        raise ValueError("f must be non-negative")
-    x = df2 / (df2 + df1 * float(f))
-    return regularized_incomplete_beta(df2 / 2.0, df1 / 2.0, x)

@@ -26,6 +26,14 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_module_entry_point_runs():
+    # python -m hrvwp runs the same parser as the console script
+    out = subprocess.run([sys.executable, "-m", "hrvwp", "--help"], cwd=SRC,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0
+    assert "--manifest" in out.stdout and "--out" in out.stdout
+
+
 def test_public_names_are_the_readme_list():
     readme = README.read_text(encoding="utf-8")
     listed = re.search(r"`hrvwp` exports these names: (.*?)\.\n", readme, re.DOTALL)

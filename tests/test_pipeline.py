@@ -118,6 +118,20 @@ class TestManifest:
         with pytest.raises(ValueError, match="header"):
             load_manifest(bad)
 
+    def test_spaced_header_rejected(self, tmp_path):
+        # csv keeps the spaces in the keys, so every row would miss its columns
+        bad = tmp_path / "m.csv"
+        bad.write_text("path, subject_id, group\nx.txt,a,Control\n")
+        with pytest.raises(ValueError, match="header"):
+            load_manifest(bad)
+
+    def test_malformed_csv_is_an_error_line(self, tmp_path, capsys):
+        # a field past csv's 131072-character limit is malformed CSV, not a crash
+        bad = tmp_path / "m.csv"
+        bad.write_text(f"path,subject_id,group\n{'x' * 200_000}.txt,a,Control\n")
+        assert main(["--manifest", str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: manifest line 2: field larger")
+
     def test_empty_manifest(self, tmp_path):
         empty = tmp_path / "m.csv"
         empty.write_text("path,subject_id,group\n")
@@ -185,6 +199,20 @@ class TestRunPipeline:
         assert energy_table.column_labels == ("E_LF", "E_HF", "R_E")
         assert [r.df for r in energy_table.table.rows] == [2, 2, 4, 18, 26]
         assert report.all_ok
+
+    def test_identical_replicates_skip_both_tables(self, write_dataset, tmp_path):
+        # two copies of one file per group: each cell mean is exact, so the
+        # error mean square is exactly 0 and no F ratio is defined
+        manifest = write_dataset([(f"{g.lower()}{i}", g, synthetic_rr(300, seed=k))
+                                  for k, g in enumerate(("Control", "VT", "VF"))
+                                  for i in range(2)])
+        report = run_pipeline(manifest)
+        assert not report.all_ok
+        assert [(a.status, a.reason) for a in report.anova] == [
+            ("skipped", "error mean square is zero; F is undefined")] * 2
+        out = tmp_path / "out"
+        assert main(["--manifest", str(manifest), "--out", str(out)]) == 1
+        assert (out / "report.json").exists() and not list(out.glob("anova_*.csv"))
 
     def test_anova_columns_hold_their_features(self, balanced_report):
         # a two-way ANOVA is blind to column order, so only a column fed from

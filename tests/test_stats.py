@@ -15,7 +15,6 @@ from hrvwp.stats import (
     DegenerateDataError,
     anova_two_way,
     f_tail_probability,
-    regularized_incomplete_beta,
     sum_of_squares,
 )
 
@@ -201,17 +200,16 @@ class TestFTail:
             f_tail_probability(1.0, 3, -2)
         with pytest.raises(ValueError):
             f_tail_probability(-0.5, 3, 10)
-
-    def test_beta_symmetry(self):
-        for a, b, x in [(2.0, 5.0, 0.3), (12.0, 0.5, 0.9), (27.0, 8.0, 0.77)]:
-            assert regularized_incomplete_beta(a, b, x) == pytest.approx(
-                1.0 - regularized_incomplete_beta(b, a, 1.0 - x), abs=1e-12
-            )
-
-    def test_beta_edges(self):
-        assert regularized_incomplete_beta(3.0, 4.0, 0.0) == 0.0
-        assert regularized_incomplete_beta(3.0, 4.0, 1.0) == 1.0
         with pytest.raises(ValueError):
-            regularized_incomplete_beta(0.0, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            regularized_incomplete_beta(1.0, 1.0, 1.5)
+            f_tail_probability(np.nan, 3, 10)
+
+    # Pr(F(d1, d2) > f) = Pr(F(d2, d1) < 1/f); at each point one side takes the
+    # direct continued fraction and the other its symmetric form
+    @pytest.mark.parametrize("f,df1,df2", [(0.4, 10, 4), (2.5, 1, 24), (0.9, 54, 16)])
+    def test_reciprocal_symmetry(self, f, df1, df2):
+        assert f_tail_probability(f, df1, df2) == pytest.approx(
+            1.0 - f_tail_probability(1.0 / f, df2, df1), abs=1e-12
+        )
+
+    def test_infinite_f_has_zero_tail(self):
+        assert f_tail_probability(np.inf, 3, 24) == 0.0
