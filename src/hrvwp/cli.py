@@ -50,7 +50,3 @@ def main(argv=None) -> int:
             print(f"anova {a.name}: skipped ({a.reason})")
     print(f"wrote {len(written)} file(s) to {args.out}")
     return 0 if report.all_ok else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

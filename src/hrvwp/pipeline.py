@@ -168,30 +168,38 @@ def _encode(obj):
 def load_manifest(path) -> list[tuple[str, str, Group]]:
     """Read a UTF-8 CSV manifest with the exact header path,subject_id,group.
 
-    Relative recording paths are resolved against the manifest's directory.
-    Malformed CSV raises ValueError naming the line, as a bad row does.
+    Blank lines are skipped, and relative recording paths are resolved against
+    the manifest's directory. Malformed CSV, a row that is not 3 columns, an
+    unknown group or a repeated subject_id raises ValueError naming the
+    physical line the row ends on.
     """
     manifest_path = Path(path)
+    rows, subjects = [], set()
     with open(manifest_path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         try:
-            if reader.fieldnames != list(MANIFEST_FIELDS):
+            if next(reader, None) != list(MANIFEST_FIELDS):
                 raise ValueError(
                     f"manifest must start with header {','.join(MANIFEST_FIELDS)}"
                 )
-            rows = []
-            for lineno, record in enumerate(reader, start=2):
-                if any(record.get(key) is None for key in MANIFEST_FIELDS) or None in record:
-                    raise ValueError(f"manifest row {lineno}: expected 3 columns")
-                raw = Path(record["path"].strip())
-                resolved = raw if raw.is_absolute() else manifest_path.parent / raw
+            for record in reader:
+                if not record:
+                    continue
+                where = f"manifest line {reader.line_num}"
+                if len(record) != len(MANIFEST_FIELDS):
+                    raise ValueError(f"{where}: expected 3 columns")
+                raw, subject, label = record
                 try:
-                    group = Group.from_string(record["group"])
+                    group = Group.from_string(label)
                 except ValueError as exc:
-                    raise ValueError(f"manifest row {lineno}: {exc}") from None
-                rows.append((str(resolved), record["subject_id"].strip(), group))
+                    raise ValueError(f"{where}: {exc}") from None
+                subject = subject.strip()
+                if subject in subjects:
+                    raise ValueError(f"{where}: subject_id {subject!r} is not unique")
+                subjects.add(subject)
+                rows.append((str(manifest_path.parent / raw.strip()), subject, group))
         except csv.Error as exc:
-            raise ValueError(f"manifest line {reader.reader.line_num}: {exc}") from None
+            raise ValueError(f"manifest line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"manifest {manifest_path} lists no recordings")
     return rows
@@ -281,10 +289,6 @@ def _anova_reports(completed: list[RecordingReport]) -> tuple[AnovaReport, Anova
 def run_pipeline(manifest) -> RunReport:
     """Process every manifest row, then run the two group-level ANOVA tables."""
     rows = load_manifest(manifest)
-    ids = [subject for _, subject, _ in rows]
-    if len(set(ids)) != len(ids):
-        raise ValueError("manifest subject_id values must be unique")
-
     recordings = tuple(
         sorted(
             (process_recording(path, subject, group)

@@ -50,12 +50,6 @@ class AnovaTable:
         if tuple(r.source for r in self.rows) != ANOVA_SOURCES:
             raise ValueError(f"table must hold sources {ANOVA_SOURCES} in order")
 
-    def __getitem__(self, source: str) -> AnovaRow:
-        for row in self.rows:
-            if row.source == source:
-                return row
-        raise KeyError(source)
-
 
 def sum_of_squares(values) -> dict[str, tuple[float, int]]:
     """SS and df per source from cell, margin and grand means.

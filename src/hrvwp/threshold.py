@@ -23,7 +23,7 @@ __all__ = [
 MAD_NORMAL_CONSISTENCY = 0.6745
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False)  # equality is identity: values is an array
 class BandReport:
     """One band's coefficients split at threshold lam, as the report stores it.
 
@@ -65,13 +65,6 @@ class BandReport:
         )
         for name, value in derived.items():
             object.__setattr__(self, name, value)
-
-    def __eq__(self, other):
-        if not isinstance(other, BandReport):
-            return NotImplemented
-        return (self.band, self.lam, self.h, self.leaves) == (
-            other.band, other.lam, other.h, other.leaves
-        ) and np.array_equal(self.values, other.values)
 
     @property
     def background(self) -> np.ndarray:

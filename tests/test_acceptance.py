@@ -229,7 +229,7 @@ class TestC07AnovaConsistency:
     def _table(self, name):
         ref = REFERENCE_ANOVA[name]
         grid = grid_with_prescribed_ss(ref["shape"], ref["ss"])
-        return ref, anova_two_way(grid)
+        return ref, {row.source: row for row in anova_two_way(grid).rows}
 
     def test_c07_prescribed_ss_recovered(self, table):
         ref, result = self._table(table)
@@ -263,7 +263,7 @@ def test_c07_companion_ms_from_unrounded_ss():
     ref = dict(REFERENCE_ANOVA["energy"]["ss"])
     ref["rows"] = REFERENCE_ANOVA["energy"]["ms"]["rows"] * 2
     grid = grid_with_prescribed_ss((3, 9, 3), ref)
-    result = anova_two_way(grid)
+    result = {row.source: row for row in anova_two_way(grid).rows}
     for source, ms in REFERENCE_ANOVA["energy"]["ms"].items():
         assert result[source].ms == pytest.approx(ms, abs=0.001)
 
@@ -274,7 +274,7 @@ def test_c08_brute_force_equivalence():
     rng = np.random.default_rng(88)
     for _ in range(50):
         grid = rng.standard_normal((3, 4, 3)) * rng.uniform(0.5, 20.0)
-        table = anova_two_way(grid)
+        table = {row.source: row for row in anova_two_way(grid).rows}
         oracle = fitted_means_ss(grid.tolist())
         for source, expected in oracle.items():
             assert table[source].ss == pytest.approx(expected, rel=1e-9, abs=1e-12)

@@ -144,12 +144,27 @@ class TestManifest:
         assert path.endswith("data/s0.txt")
         assert subject == "s0"
 
+    def test_absolute_paths_kept(self, tmp_path):
+        recording = tmp_path / "elsewhere" / "x.txt"
+        (tmp_path / "sub").mkdir()
+        manifest = tmp_path / "sub" / "m.csv"
+        manifest.write_text(f"path,subject_id,group\n{recording},a,Control\n")
+        ((path, _, _),) = load_manifest(manifest)
+        assert path == str(recording)
+
     def test_duplicate_subjects_rejected(self, tmp_path, write_dataset):
         manifest = write_dataset([("s0", "Control", synthetic_rr(200, seed=1))])
         text = manifest.read_text()
         manifest.write_text(text + text.splitlines()[1] + "\n")
         with pytest.raises(ValueError, match="unique"):
             run_pipeline(manifest)
+
+    def test_repeated_subject_reports_line(self, tmp_path):
+        # ids are compared after stripping, as they are stored
+        bad = tmp_path / "m.csv"
+        bad.write_text("path,subject_id,group\nx.txt,a,Control\ny.txt,b,VT\nz.txt, a ,VF\n")
+        with pytest.raises(ValueError, match=r"^manifest line 4: subject_id 'a' is not unique$"):
+            load_manifest(bad)
 
     @pytest.mark.parametrize("pair", [("a b", "a_b"), ("A", "a")], ids=["punctuation", "case"])
     def test_ids_alike_after_case_or_punctuation_both_run(self, write_dataset, tmp_path, pair):
@@ -165,14 +180,34 @@ class TestManifest:
     def test_short_row_reports_line(self, tmp_path):
         bad = tmp_path / "m.csv"
         bad.write_text("path,subject_id,group\nx.txt,a,Control\ny.txt,b\n")
-        with pytest.raises(ValueError, match="row 3"):
+        with pytest.raises(ValueError, match="line 3"):
+            load_manifest(bad)
+
+    def test_long_row_reports_line(self, tmp_path):
+        bad = tmp_path / "m.csv"
+        bad.write_text("path,subject_id,group\nx.txt,a,Control\ny.txt,b,VT,extra\n")
+        with pytest.raises(ValueError, match="^manifest line 3: expected 3 columns$"):
             load_manifest(bad)
 
     def test_unknown_group_reports_line(self, tmp_path):
         bad = tmp_path / "m.csv"
         bad.write_text("path,subject_id,group\nx.txt,a,Healthy\n")
-        with pytest.raises(ValueError, match="row 2.*unknown group"):
+        with pytest.raises(ValueError, match="line 2.*unknown group"):
             load_manifest(bad)
+
+    def test_line_after_a_quoted_line_break_reports_its_line(self, tmp_path):
+        # the quoted path spans lines 2-3, so the bad row is line 4, not record 3
+        bad = tmp_path / "m.csv"
+        bad.write_text('path,subject_id,group\n"a\nb.txt",s1,Control\nx.txt,s2,Healthy\n')
+        with pytest.raises(ValueError, match="^manifest line 4: unknown group 'Healthy'"):
+            load_manifest(bad)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("path,subject_id,group\n\nx.txt,a,Control\n\n\ny.txt,b,VT\n\n")
+        rows = load_manifest(manifest)
+        assert rows == [(str(tmp_path / "x.txt"), "a", Group.CONTROL),
+                        (str(tmp_path / "y.txt"), "b", Group.VT)]
 
 
 class TestRunPipeline:

@@ -149,13 +149,14 @@ class TestAnova:
     def test_table_lookup_and_serialization(self):
         grid = np.random.default_rng(2).standard_normal((3, 4, 3))
         table = anova_two_way(grid)
-        assert table["error"].ms == pytest.approx(table["error"].ss / 24)
-        assert table["total"].ms is None and table["total"].f is None
+        by_source = {r.source: r for r in table.rows}
+        assert by_source["error"].ms == pytest.approx(by_source["error"].ss / 24)
+        assert by_source["total"].ms is None and by_source["total"].f is None
         encoded = _encode(table)
         assert list(encoded) == ["rows"]
         assert [row["source"] for row in encoded["rows"]] == list(ANOVA_SOURCES)
-        assert encoded["rows"][4] == {"source": "total", "ss": table["total"].ss,
-                                      "df": table["total"].df, "ms": None, "f": None, "p": None}
+        assert encoded["rows"][4] == {"source": "total", "ss": by_source["total"].ss,
+                                      "df": by_source["total"].df, "ms": None, "f": None, "p": None}
         assert json.loads(json.dumps(encoded)) == encoded
         for row in table.rows[:3]:
             assert 0.0 < row.p <= 1.0
