@@ -130,7 +130,7 @@ class ToolInfo:
 class RunReport:
     """Full batch result: to_json() holds every field but the band values, coefficients() those."""
 
-    tool: ToolInfo = ToolInfo()
+    tool: ToolInfo = field(default=ToolInfo(), init=False)
     recordings: tuple[RecordingReport, ...]
     anova: tuple[AnovaReport, ...]
 
@@ -170,8 +170,9 @@ def load_manifest(path) -> list[tuple[str, str, Group]]:
 
     Blank lines are skipped, and relative recording paths are resolved against
     the manifest's directory. Malformed CSV, a row that is not 3 columns, an
-    unknown group or a repeated subject_id raises ValueError naming the
-    physical line the row ends on.
+    empty path or subject_id (after stripping), an unknown group or a
+    repeated subject_id raises ValueError naming the physical line the row
+    ends on.
     """
     manifest_path = Path(path)
     rows, subjects = [], set()
@@ -189,15 +190,19 @@ def load_manifest(path) -> list[tuple[str, str, Group]]:
                 if len(record) != len(MANIFEST_FIELDS):
                     raise ValueError(f"{where}: expected 3 columns")
                 raw, subject, label = record
+                raw, subject = raw.strip(), subject.strip()
+                if not raw:
+                    raise ValueError(f"{where}: empty path")
+                if not subject:
+                    raise ValueError(f"{where}: empty subject_id")
                 try:
                     group = Group.from_string(label)
                 except ValueError as exc:
                     raise ValueError(f"{where}: {exc}") from None
-                subject = subject.strip()
                 if subject in subjects:
                     raise ValueError(f"{where}: subject_id {subject!r} is not unique")
                 subjects.add(subject)
-                rows.append((str(manifest_path.parent / raw.strip()), subject, group))
+                rows.append((str(manifest_path.parent / raw), subject, group))
         except csv.Error as exc:
             raise ValueError(f"manifest line {reader.line_num}: {exc}") from None
     if not rows:

@@ -1,12 +1,13 @@
 """Balanced two-way fixed-effects ANOVA with interaction, and the F tail.
 
-The ANOVA takes its balanced (rows, columns, replicates) grid as a plain
-array and follows the classic five-step recipe: sources, sums of
-squares from cell/margin/grand means, degrees of freedom, mean squares
-(SS/df), and F ratios against the error mean square. Upper-tail F
-probabilities come from f_tail_probability, the regularized incomplete beta
-function evaluated by a continued fraction, so the accuracy (~1e-10)
-comfortably dominates any reporting tolerance.
+anova_two_way is the one ANOVA function. It takes its balanced (rows,
+columns, replicates) grid as a plain array, checks it once, takes the
+grand, cell and margin means once, and builds every table row from them:
+sum of squares, degrees of freedom, mean square (SS/df) and the F ratio
+against the error mean square. Upper-tail F probabilities come from
+f_tail_probability, the regularized incomplete beta function evaluated by a
+continued fraction, so the accuracy (~1e-10) comfortably dominates any
+reporting tolerance.
 """
 
 from dataclasses import dataclass
@@ -19,7 +20,6 @@ __all__ = [
     "AnovaTable",
     "DegenerateDataError",
     "anova_two_way",
-    "sum_of_squares",
     "f_tail_probability",
 ]
 
@@ -51,11 +51,13 @@ class AnovaTable:
             raise ValueError(f"table must hold sources {ANOVA_SOURCES} in order")
 
 
-def sum_of_squares(values) -> dict[str, tuple[float, int]]:
-    """SS and df per source from cell, margin and grand means.
+def anova_two_way(values) -> AnovaTable:
+    """Balanced two-way fixed-effects ANOVA with interaction.
 
     values is a balanced (rows, columns, replicates) grid, or anything
     np.asarray turns into one, with at least 2 of each and finite cells.
+    Raises DegenerateDataError when the error mean square is zero (identical
+    replicates everywhere), since no F ratio is defined then.
     """
     x = np.asarray(values, dtype=float)
     if x.ndim != 3:
@@ -71,43 +73,25 @@ def sum_of_squares(values) -> dict[str, tuple[float, int]]:
     cell = x.mean(axis=2)
     row_means = x.mean(axis=(1, 2))
     col_means = x.mean(axis=(0, 2))
-
-    ss_rows = c * k * float(np.sum((row_means - grand) ** 2))
-    ss_cols = r * k * float(np.sum((col_means - grand) ** 2))
     inter = cell - row_means[:, None] - col_means[None, :] + grand
-    ss_inter = k * float(np.sum(inter ** 2))
-    ss_err = float(np.sum((x - cell[:, :, None]) ** 2))
-    ss_total = float(np.sum((x - grand) ** 2))
 
-    return {
-        "columns": (ss_cols, c - 1),
-        "rows": (ss_rows, r - 1),
-        "interaction": (ss_inter, (r - 1) * (c - 1)),
-        "error": (ss_err, r * c * (k - 1)),
-        "total": (ss_total, r * c * k - 1),
-    }
-
-
-def anova_two_way(values) -> AnovaTable:
-    """Balanced two-way fixed-effects ANOVA with interaction, on a sum_of_squares grid.
-
-    Raises DegenerateDataError when the error mean square is zero (identical
-    replicates everywhere), since no F ratio is defined then.
-    """
-    decomp = sum_of_squares(values)
-    ss_error, df_error = decomp["error"]
+    ss_error = float(np.sum((x - cell[:, :, None]) ** 2))
+    df_error = r * c * (k - 1)
     ms_error = ss_error / df_error
     if ms_error == 0.0:
         raise DegenerateDataError("error mean square is zero; F is undefined")
 
     rows = []
-    for source in ("columns", "rows", "interaction"):
-        ss, df = decomp[source]
+    for source, ss, df in (
+        ("columns", r * k * float(np.sum((col_means - grand) ** 2)), c - 1),
+        ("rows", c * k * float(np.sum((row_means - grand) ** 2)), r - 1),
+        ("interaction", k * float(np.sum(inter ** 2)), (r - 1) * (c - 1)),
+    ):
         ms = ss / df
         f = ms / ms_error
         rows.append(AnovaRow(source, ss, df, ms=ms, f=f, p=f_tail_probability(f, df, df_error)))
     rows.append(AnovaRow("error", ss_error, df_error, ms=ms_error))
-    rows.append(AnovaRow("total", *decomp["total"]))
+    rows.append(AnovaRow("total", float(np.sum((x - grand) ** 2)), r * c * k - 1))
     return AnovaTable(rows=tuple(rows))
 
 

@@ -11,12 +11,13 @@ orthogonal: the leaves of every slot of a level keep the signal's energy.
 Node indexing: splitting the high-pass branch and downsampling mirrors the
 spectrum, so the raw filter-bank ("natural") order of the nodes is not
 monotone in frequency. Each level is computed from the level above in a
-single filter-bank step (Mallat's algorithm applied to every node at once),
-in natural order; that order stays internal. wpt_leaves returns the leaves
-as rows of one array, addressed by frequency slot; slot f is natural position
-f ^ (f >> 1) (binary-reflected Gray code). Under this indexing, node
-(level, j) covers exactly [j, j+1] * rate / 2**(level+1) Hz, the intervals
-band_nodes selects from.
+single filter-bank step (Mallat's algorithm), in natural order; that order
+stays internal. The step splits only the nodes held at the level above,
+and a level holds only the ancestors of the requested leaves, not every
+node. wpt_leaves returns the leaves as rows of one array, addressed by
+frequency slot; slot f is natural position f ^ (f >> 1) (binary-reflected
+Gray code). Under this indexing, node (level, j) covers exactly
+[j, j+1] * rate / 2**(level+1) Hz, the intervals band_nodes selects from.
 """
 
 from bisect import bisect_left, bisect_right

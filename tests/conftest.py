@@ -1,20 +1,28 @@
-import numpy as np
+import importlib.util
+from pathlib import Path
+
 import pytest
 
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
-def synthetic_rr(n=300, seed=0, base_ms=800.0, lf_amp=40.0, hf_amp=25.0, noise=5.0):
-    """RR series (ms) with LF and HF modulation at the usual band centers."""
-    rng = np.random.default_rng(seed)
-    rr = np.empty(n)
-    t = 0.0
-    for k in range(n):
-        v = (base_ms
-             + lf_amp * np.sin(2 * np.pi * 0.1 * t)
-             + hf_amp * np.sin(2 * np.pi * 0.3 * t)
-             + rng.normal(0.0, noise))
-        rr[k] = v
-        t += v / 1000.0
-    return rr
+
+def load_script(name):
+    """The module scripts/<name>.py, loaded by file path (scripts/ is no package)."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_dataset_rr = load_script("make_synthetic_dataset").synthetic_rr
+
+
+def synthetic_rr(n=300, seed=0, base_ms=800.0, lf_amp=40.0, hf_amp=25.0, noise_ms=5.0):
+    """RR series (ms) with LF and HF modulation at the usual band centers.
+
+    The dataset script's generator, with defaults for tests.
+    """
+    return _dataset_rr(n, seed, base_ms, lf_amp, hf_amp, noise_ms)
 
 
 def rr_text(rr):

@@ -189,6 +189,17 @@ class TestManifest:
         with pytest.raises(ValueError, match="^manifest line 3: expected 3 columns$"):
             load_manifest(bad)
 
+    @pytest.mark.parametrize("rows,message", [
+        # an empty path would resolve to the manifest's directory
+        (" ,a,Control\ny.txt,b,VT\n", "manifest line 2: empty path"),
+        ("x.txt,a,Control\ny.txt,  ,VT\n", "manifest line 3: empty subject_id"),
+    ], ids=["path", "subject_id"])
+    def test_empty_field_reports_line(self, tmp_path, rows, message):
+        bad = tmp_path / "m.csv"
+        bad.write_text("path,subject_id,group\n" + rows)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_manifest(bad)
+
     def test_unknown_group_reports_line(self, tmp_path):
         bad = tmp_path / "m.csv"
         bad.write_text("path,subject_id,group\nx.txt,a,Healthy\n")
@@ -453,6 +464,8 @@ class TestRunPipeline:
         _, report = balanced_report
         payload = json.loads(report.to_json())
         assert payload["tool"] == {"name": "hrvwp", "version": hrvwp.__version__, "schema": 8}
+        with pytest.raises(TypeError):  # the label always names the layout written
+            RunReport(tool=ToolInfo(schema=7), recordings=(), anova=())
         # schema 8: no echo of the analysis configuration
         assert list(payload) == ["tool", "recordings", "anova"]
         # schema 5: a recording's identity is stored once, beside its features

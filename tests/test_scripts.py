@@ -1,16 +1,6 @@
-import importlib.util
-from pathlib import Path
-
 from hrvwp import run_pipeline
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-
-
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_script
 
 
 def test_make_synthetic_dataset_writes_a_runnable_manifest(tmp_path, monkeypatch, capsys):

@@ -15,7 +15,6 @@ from hrvwp.stats import (
     DegenerateDataError,
     anova_two_way,
     f_tail_probability,
-    sum_of_squares,
 )
 
 
@@ -52,37 +51,31 @@ def f_density(x, df1, df2):
 
 
 class TestGridChecks:
-    """sum_of_squares, and anova_two_way through it, take only a balanced finite 3-d grid."""
+    """anova_two_way takes only a balanced finite 3-d grid."""
 
     def test_shape_and_validation(self):
-        decomp = sum_of_squares(np.zeros((3, 4, 3)) + np.arange(3)[:, None, None])
-        assert [decomp[s][1] for s in ANOVA_SOURCES] == [3, 2, 6, 24, 35]
-        for entry in (sum_of_squares, anova_two_way):
-            with pytest.raises(ValueError, match="replicates"):
-                entry(np.zeros((3, 4, 1)))
-            with pytest.raises(ValueError, match="3-d"):
-                entry(np.zeros((3, 4)))
-            with pytest.raises(ValueError, match="2 rows"):
-                entry(np.zeros((1, 4, 3)))
-            with pytest.raises(ValueError, match="2 columns"):
-                entry(np.zeros((3, 1, 3)))
+        with pytest.raises(ValueError, match="replicates"):
+            anova_two_way(np.zeros((3, 4, 1)))
+        with pytest.raises(ValueError, match="3-d"):
+            anova_two_way(np.zeros((3, 4)))
+        with pytest.raises(ValueError, match="2 rows"):
+            anova_two_way(np.zeros((1, 4, 3)))
+        with pytest.raises(ValueError, match="2 columns"):
+            anova_two_way(np.zeros((3, 1, 3)))
 
-    @pytest.mark.parametrize("entry", [sum_of_squares, anova_two_way])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_cell(self, entry, bad):
+    def test_non_finite_cell(self, bad):
         grid = np.random.default_rng(3).standard_normal((3, 4, 3))
         grid[1, 2, 0] = bad
         with pytest.raises(ValueError, match="finite values"):
-            entry(grid)
+            anova_two_way(grid)
 
     def test_from_nested_lists(self):
         nested = [[[1, 2], [3, 4]], [[5, 6], [7, 8]]]
         grid = np.array(nested, dtype=np.float64)
-        assert sum_of_squares(nested) == sum_of_squares(grid)
         assert anova_two_way(nested) == anova_two_way(grid)
-        for entry in (sum_of_squares, anova_two_way):
-            with pytest.raises(ValueError):  # unequal cell sizes form no grid
-                entry([[[1, 2], [3]], [[5, 6], [7, 8]]])
+        with pytest.raises(ValueError):  # unequal cell sizes form no grid
+            anova_two_way([[[1, 2], [3]], [[5, 6], [7, 8]]])
 
 
 class TestAnova:
@@ -99,24 +92,28 @@ class TestAnova:
             anova_two_way(np.full((3, 4, 3), 5.0))
 
     def test_hand_computed_2x2x2(self):
-        cells = [[[0.0, 0.0], [1.0, 1.0]], [[1.0, 1.0], [2.0, 2.0]]]
-        decomp = sum_of_squares(cells)
-        assert decomp["rows"][0] == pytest.approx(2.0, abs=1e-12)
-        assert decomp["columns"][0] == pytest.approx(2.0, abs=1e-12)
-        assert decomp["interaction"][0] == pytest.approx(0.0, abs=1e-12)
-        assert decomp["error"][0] == pytest.approx(0.0, abs=1e-12)
+        cells = [[[0.0, 1.0], [1.0, 2.0]], [[1.0, 2.0], [2.0, 3.0]]]
+        by_source = {r.source: r for r in anova_two_way(cells).rows}
+        expected = {"columns": (2.0, 1), "rows": (2.0, 1), "interaction": (0.0, 1),
+                    "error": (2.0, 4), "total": (6.0, 7)}
+        for source, (ss, df) in expected.items():
+            assert by_source[source].ss == pytest.approx(ss, abs=1e-12)
+            assert by_source[source].df == df
+        assert by_source["columns"].f == pytest.approx(4.0)  # MS 2 over error MS 0.5
+        assert by_source["columns"].p == pytest.approx(f_dist.sf(4.0, 1, 4), abs=1e-12)
+        # identical replicates leave no error mean square
         with pytest.raises(DegenerateDataError):
-            anova_two_way(cells)
+            anova_two_way([[[0.0, 0.0], [1.0, 1.0]], [[1.0, 1.0], [2.0, 2.0]]])
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_fitted_means_oracle(self, seed):
         rng = np.random.default_rng(seed)
         shapes = [(2, 2, 2), (3, 3, 3), (2, 3, 2)]
         grid = rng.standard_normal(shapes[seed % len(shapes)])
-        decomp = sum_of_squares(grid)
+        ss = {r.source: r.ss for r in anova_two_way(grid).rows}
         oracle = fitted_means_ss(grid.tolist())
         for source, expected in oracle.items():
-            assert decomp[source][0] == pytest.approx(expected, rel=1e-9, abs=1e-12)
+            assert ss[source] == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -140,11 +137,9 @@ class TestAnova:
     @pytest.mark.parametrize("seed", range(8))
     def test_additivity(self, seed):
         grid = np.random.default_rng(100 + seed).standard_normal((3, 4, 3))
-        decomp = sum_of_squares(grid)
-        parts_ss = sum(decomp[s][0] for s in ("columns", "rows", "interaction", "error"))
-        parts_df = sum(decomp[s][1] for s in ("columns", "rows", "interaction", "error"))
-        assert parts_ss == pytest.approx(decomp["total"][0], rel=1e-9)
-        assert parts_df == decomp["total"][1]
+        *parts, total = anova_two_way(grid).rows
+        assert sum(r.ss for r in parts) == pytest.approx(total.ss, rel=1e-9)
+        assert sum(r.df for r in parts) == total.df
 
     def test_table_lookup_and_serialization(self):
         grid = np.random.default_rng(2).standard_normal((3, 4, 3))
