@@ -172,7 +172,7 @@ def load_manifest(path) -> list[tuple[str, str, Group]]:
     the manifest's directory. Malformed CSV, a row that is not 3 columns, an
     empty path or subject_id (after stripping), an unknown group or a
     repeated subject_id raises ValueError naming the physical line the row
-    ends on.
+    ends on; bytes that are not UTF-8 raise ValueError naming the file.
     """
     manifest_path = Path(path)
     rows, subjects = [], set()
@@ -205,9 +205,18 @@ def load_manifest(path) -> list[tuple[str, str, Group]]:
                 rows.append((str(manifest_path.parent / raw), subject, group))
         except csv.Error as exc:
             raise ValueError(f"manifest line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            raise ValueError(f"manifest {manifest_path} is not UTF-8 text") from None
     if not rows:
         raise ValueError(f"manifest {manifest_path} lists no recordings")
     return rows
+
+
+def _bands(signal: np.ndarray) -> tuple[BandReport, BandReport]:
+    """The LF and HF bands of a block-length signal, each band thresholded on its own."""
+    leaves = wpt_leaves(signal, DEPTH, TAPS, LF_LEAVES + HF_LEAVES)
+    return (threshold_band(leaves[:len(LF_LEAVES)].ravel(), LF_LEAVES, band="LF"),
+            threshold_band(leaves[len(LF_LEAVES):].ravel(), HF_LEAVES, band="HF"))
 
 
 def process_recording(path, subject_id: str, group: Group) -> RecordingReport:
@@ -224,12 +233,7 @@ def process_recording(path, subject_id: str, group: Group) -> RecordingReport:
         n_resampled = len(signal)
         signal = truncate_to_block(signal, DEPTH)
 
-        leaves = wpt_leaves(signal, DEPTH, TAPS, LF_LEAVES + HF_LEAVES)
-        bands = (
-            threshold_band(leaves[:len(LF_LEAVES)].ravel(), LF_LEAVES, band="LF"),
-            threshold_band(leaves[len(LF_LEAVES):].ravel(), HF_LEAVES, band="HF"),
-        )
-
+        bands = _bands(signal)
         return RecordingReport(
             subject_id=subject_id,
             group=group,
@@ -323,11 +327,10 @@ def emit_report(report: RunReport, out_dir=".") -> set[Path]:
     """Write report.json, coefficients.npy, features.csv and one CSV per ANOVA table.
 
     Returns the set of files written. The first two hold the report at full
-    precision; CSV numbers carry 12 significant digits. Every file is first
-    written under a temporary name in out_dir; only then are they renamed
-    into place, report.json last, so a failed or killed run leaves no new
-    report.json beside an earlier run's files and no truncated one. A skipped
-    table's CSV is removed, so none is left over from an earlier run into out_dir.
+    precision; CSV numbers carry 12 significant digits. Every file is written
+    under a temporary name in out_dir, and all are then renamed into place,
+    the data files first and report.json last. Only then is a skipped table's
+    CSV, left by an earlier run, removed: no report.json lists a missing table.
     """
     out = Path(out_dir)
     staged: dict[Path, Path] = {}  # output file -> its temporary, in rename order
@@ -341,23 +344,21 @@ def emit_report(report: RunReport, out_dir=".") -> set[Path]:
         with open(stage("coefficients.npy"), "wb") as fh:
             np.save(fh, report.coefficients(), allow_pickle=False)
         _write_csv(stage("features.csv"), FEATURE_COLUMNS, [
-            [r.subject_id, r.group.value, *(getattr(r.features, k) for k in FEATURE_COLUMNS[2:])]
+            [r.subject_id, r.group.value, *astuple(r.features)]
             for r in report.recordings if r.features is not None
         ])
-        skipped = []
         for a in report.anova:
             if a.status == "ok":
                 _write_csv(stage(f"anova_{a.name}.csv"), ["Source", "SS", "df", "MS", "F", "p"],
                            [(r.source.capitalize(), r.ss, r.df, r.ms, r.f, r.p)
                             for r in a.table.rows])
-            else:
-                skipped.append(out / f"anova_{a.name}.csv")
         stage("report.json").write_text(report.to_json() + "\n", encoding="utf-8")
 
-        for path in skipped:
-            path.unlink(missing_ok=True)
         for path, temporary in staged.items():
             os.replace(temporary, path)
+        for a in report.anova:
+            if a.status != "ok":
+                (out / f"anova_{a.name}.csv").unlink(missing_ok=True)
     except OSError as exc:
         raise OSError(f"cannot write report under {out}: {exc}") from exc
     finally:

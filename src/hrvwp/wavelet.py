@@ -54,23 +54,20 @@ def daubechies_filters(order: int) -> np.ndarray:
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
     order = int(order)
-    if order == 1:
-        lo = np.array([1.0, 1.0]) / sqrt(2.0)
-    else:
-        poly = [comb(order - 1 + k, k) for k in range(order - 1, -1, -1)]
-        h = np.array([1.0 + 0.0j])
-        for _ in range(order):
-            h = np.convolve(h, [1.0, 1.0])
-        for y in np.roots(poly):
-            b = 2.0 - 4.0 * y
-            disc = np.sqrt(b * b - 4.0 + 0.0j)
-            z = (b + disc) / 2.0
-            if abs(z) >= 1.0:
-                z = (b - disc) / 2.0
-            h = np.convolve(h, [1.0, -z])
-        # conjugate root pairs make h real up to rounding
-        lo = h.real
-        lo *= sqrt(2.0) / lo.sum()
+    poly = [comb(order - 1 + k, k) for k in range(order - 1, -1, -1)]
+    h = np.array([1.0 + 0.0j])
+    for _ in range(order):
+        h = np.convolve(h, [1.0, 1.0])
+    for y in np.roots(poly):  # none for Haar (order 1): P(y) = 1
+        b = 2.0 - 4.0 * y
+        disc = np.sqrt(b * b - 4.0 + 0.0j)
+        z = (b + disc) / 2.0
+        if abs(z) >= 1.0:
+            z = (b - disc) / 2.0
+        h = np.convolve(h, [1.0, -z])
+    # conjugate root pairs make h real up to rounding
+    lo = h.real
+    lo *= sqrt(2.0) / lo.sum()
     lo.flags.writeable = False
     return lo
 

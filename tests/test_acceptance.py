@@ -26,10 +26,9 @@ from hrvwp import (
     extract_features,
     run_pipeline,
     threshold_band,
-    wpt_leaves,
 )
 from hrvwp.ingest import truncate_to_block
-from hrvwp.pipeline import DEPTH, HF_LEAVES, LF_LEAVES, RATE_HZ, TAPS
+from hrvwp.pipeline import DEPTH, RATE_HZ, _bands
 from hrvwp.stats import anova_two_way, f_tail_probability
 from conftest import balanced_spec, rr_text, synthetic_rr
 from test_wavelet import full_level, packet_matrix
@@ -136,17 +135,6 @@ def grid_with_prescribed_ss(shape, ss):
     noise[0], noise[1] = 1.0, -1.0
     grid += sqrt(ss["error"] / (r * c * np.sum(noise ** 2))) * noise[None, None, :]
     return grid
-
-
-def analyze_samples(samples):
-    """Post-ingest chain on raw samples, as process_recording runs it: leaves, threshold, features."""
-    signal = truncate_to_block(np.asarray(samples, float), DEPTH)
-    leaves = wpt_leaves(signal, DEPTH, TAPS, LF_LEAVES + HF_LEAVES)
-    splits = {
-        "LF": threshold_band(leaves[:len(LF_LEAVES)].ravel(), leaf_ids=LF_LEAVES, band="LF"),
-        "HF": threshold_band(leaves[len(LF_LEAVES):].ravel(), leaf_ids=HF_LEAVES, band="HF"),
-    }
-    return extract_features(splits["LF"], splits["HF"]), splits
 
 
 @pytest.mark.parametrize("index,f_lo,f_hi", REFERENCE_NODE_RANGES)
@@ -303,16 +291,16 @@ def test_c09_determinism_and_scale_law(tmp_path):
     from hrvwp.ingest import resample_cubic_spline, rr_to_tachogram
 
     times, values = rr_to_tachogram(rr)
-    signal = resample_cubic_spline(times, values, RATE_HZ)
-    base_feats, base_splits = analyze_samples(signal)
-    scaled_feats, scaled_splits = analyze_samples(2.0 * signal)
+    signal = truncate_to_block(resample_cubic_spline(times, values, RATE_HZ), DEPTH)
+    base_bands, scaled_bands = _bands(signal), _bands(2.0 * signal)
+    base_feats, scaled_feats = extract_features(*base_bands), extract_features(*scaled_bands)
 
     assert scaled_feats.e_lf == pytest.approx(4.0 * base_feats.e_lf, rel=1e-9)
     assert scaled_feats.e_hf == pytest.approx(4.0 * base_feats.e_hf, rel=1e-9)
     assert scaled_feats.r_e == pytest.approx(base_feats.r_e, rel=1e-9)
-    for band in ("LF", "HF"):
-        assert base_splits[band].n_background == scaled_splits[band].n_background
-        assert base_splits[band].n_significant == scaled_splits[band].n_significant
+    for base, scaled in zip(base_bands, scaled_bands):
+        assert base.n_background == scaled.n_background
+        assert base.n_significant == scaled.n_significant
 
 
 def test_c10_smoke_batch_emits_well_formed_report(write_dataset, tmp_path):

@@ -6,15 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hrvwp import daubechies_filters, extract_features, threshold_band, wpt_leaves
+from hrvwp import daubechies_filters, extract_features
 from hrvwp.features import FeatureError
-from hrvwp.pipeline import HF_BAND_HZ, LF_BAND_HZ
-from hrvwp.threshold import BandReport
-from hrvwp.wavelet import band_nodes
-
-
-def split(values, lam, band=""):
-    return BandReport(band=band, lam=lam, h=0.0, leaves=(0,), values=values)
+from hrvwp.pipeline import _bands
+from test_threshold import mad_oracle, split
+from test_wavelet import circular_correlate_downsample, high_pass, mirrored_leaf_intervals
 
 
 def split_all_background(values, band=""):
@@ -101,77 +97,20 @@ class TestExtractFeatures:
         assert a == b
 
 
-# --- independent loop-based implementation of the whole analysis chain ---
-
-
-def naive_analysis(x, taps):
-    n = len(x)
-    out = []
-    for i in range(n // 2):
-        acc = 0.0
-        for k, c in enumerate(taps):
-            acc += c * x[(2 * i + k) % n]
-        out.append(acc)
-    return out
-
-
-def naive_packet_leaves(x, depth, lo, hi):
-    nodes = [list(x)]
-    for _ in range(depth):
-        nodes = [half for node in nodes
-                 for half in (naive_analysis(node, lo), naive_analysis(node, hi))]
-    return nodes
-
-
-def naive_leaf_order(depth, rate_hz):
-    """Natural leaf positions sorted by true frequency, via mirroring recursion."""
-    nodes = [(0, 0.0, rate_hz / 2.0, False)]
-    for _ in range(depth):
-        nxt = []
-        for j, lo, hi, mirrored in nodes:
-            mid = 0.5 * (lo + hi)
-            if mirrored:
-                nxt.append((2 * j, mid, hi, True))
-                nxt.append((2 * j + 1, lo, mid, False))
-            else:
-                nxt.append((2 * j, lo, mid, False))
-                nxt.append((2 * j + 1, mid, hi, True))
-        nodes = nxt
-    return [j for j, _, _, _ in sorted(nodes, key=lambda r: r[1])]
-
-
-def naive_median(values):
-    v = sorted(values)
-    mid = len(v) // 2
-    return v[mid] if len(v) % 2 else 0.5 * (v[mid - 1] + v[mid])
-
-
-def band_splits(samples):
-    """The LF and HF splits of samples, computed as process_recording computes them."""
-    lf, hf = band_nodes(LF_BAND_HZ, 6, 4.0), band_nodes(HF_BAND_HZ, 6, 4.0)
-    leaves = wpt_leaves(samples, 6, daubechies_filters(4), lf + hf)
-    return {"LF": threshold_band(leaves[:len(lf)].ravel(), leaf_ids=lf, band="LF"),
-            "HF": threshold_band(leaves[len(lf):].ravel(), leaf_ids=hf, band="HF")}
-
-
 def naive_chain_energies(samples, rate_hz=4.0, depth=6, order=4):
-    """Background-component band energies computed without the library."""
-    lo = list(daubechies_filters(order))
-    hi = [(-1) ** k * lo[len(lo) - 1 - k] for k in range(len(lo))]  # quadrature mirror
-    leaves = naive_packet_leaves(list(samples), depth, lo, hi)
-    by_freq = naive_leaf_order(depth, rate_hz)
-    width = rate_hz / 2 ** (depth + 1)
+    """Background-component band energies from the loop references of the other test modules."""
+    lo = daubechies_filters(order)
+    nodes = [np.asarray(samples, dtype=float)]
+    for _ in range(depth):
+        nodes = [circular_correlate_downsample(node, taps)
+                 for node in nodes for taps in (lo, high_pass(lo))]
+    intervals = mirrored_leaf_intervals(depth, rate_hz)
     energies = {}
-    for band, (lo, hi) in (("LF", (0.03125, 0.15625)), ("HF", (0.15625, 0.40625))):
-        coeffs = []
-        for slot, natural in enumerate(by_freq):
-            if slot * width >= lo - 1e-12 and (slot + 1) * width <= hi + 1e-12:
-                coeffs.extend(leaves[natural])
-        center = naive_median(coeffs)
-        h = naive_median([abs(c - center) for c in coeffs]) / 0.6745
-        lam = h * sqrt(2.0 * log(len(coeffs)))
-        background = [c for c in coeffs if abs(c) <= lam]
-        energies[band] = sum(c * c for c in background)
+    for band, (f_lo, f_hi) in (("LF", (0.03125, 0.15625)), ("HF", (0.15625, 0.40625))):
+        coeffs = [c for j, (a, b) in intervals.items()
+                  if a >= f_lo - 1e-12 and b <= f_hi + 1e-12 for c in nodes[j]]
+        lam = mad_oracle(coeffs) / 0.6745 * sqrt(2.0 * log(len(coeffs)))
+        energies[band] = sum(c * c for c in coeffs if abs(c) <= lam)
     return energies
 
 
@@ -179,25 +118,8 @@ class TestEndToEndOracle:
     def test_two_tone_band_energies_match_naive_chain(self):
         t = np.arange(1024) / 4.0
         samples = np.sin(2 * np.pi * 0.1 * t) + np.sin(2 * np.pi * 0.3 * t)
-        splits = band_splits(samples)
-        feats = extract_features(splits["LF"], splits["HF"])
+        feats = extract_features(*_bands(samples))
 
         expected = naive_chain_energies(samples)
         assert feats.e_lf == pytest.approx(expected["LF"], rel=1e-9)
         assert feats.e_hf == pytest.approx(expected["HF"], rel=1e-9)
-
-    def test_amplitude_scaling_law(self):
-        rng = np.random.default_rng(12)
-        samples = rng.standard_normal(512) * 40.0 + 800.0
-
-        def run(sig):
-            splits = band_splits(sig)
-            return extract_features(splits["LF"], splits["HF"]), splits
-
-        base, base_splits = run(samples)
-        big, big_splits = run(3.0 * samples)
-        assert big.e_lf == pytest.approx(9.0 * base.e_lf, rel=1e-9)
-        assert big.e_hf == pytest.approx(9.0 * base.e_hf, rel=1e-9)
-        assert big.r_e == pytest.approx(base.r_e, rel=1e-9)
-        for band in ("LF", "HF"):
-            assert base_splits[band].n_significant == big_splits[band].n_significant

@@ -132,6 +132,13 @@ class TestManifest:
         assert main(["--manifest", str(bad), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: manifest line 2: field larger")
 
+    def test_non_utf8_manifest_names_the_file(self, tmp_path, capsys):
+        # no line is claimed: a decode error's byte position is within a read chunk
+        bad = tmp_path / "m.csv"
+        bad.write_bytes(b"path,subject_id,group\nx.txt,\xff,Control\n")
+        assert main(["--manifest", str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: manifest {bad} is not UTF-8 text\n"
+
     def test_empty_manifest(self, tmp_path):
         empty = tmp_path / "m.csv"
         empty.write_text("path,subject_id,group\n")
@@ -608,13 +615,14 @@ class TestEmit:
         assert not any("anova" in p.name for p in written)
         assert not list(out.glob("anova_*.csv"))
 
-    @pytest.mark.parametrize("failing", ["coefficients", "report.json"])
+    @pytest.mark.parametrize("failing", ["coefficients", "report.json", "rename"])
     def test_failed_write_leaves_the_earlier_run(self, balanced_report, write_dataset,
                                                  tmp_path, monkeypatch, failing):
         # the new run's files go in under temporary names and are renamed only
-        # once all are written, so a failure while writing the first of them or
-        # the last one (report.json, after the CSVs) leaves the earlier run's
-        # files byte for byte, its ANOVA CSVs included, and no temporary file
+        # once all are written, so a failure while writing the first of them,
+        # the last one (report.json, after the CSVs) or at the first rename
+        # leaves the earlier run's files byte for byte, its ANOVA CSVs (which
+        # this skipped run would remove) included, and no temporary file
         out = tmp_path / "out"
         emit_report(balanced_report[1], out)
         before = {p.name: p.read_bytes() for p in out.iterdir()}
@@ -625,6 +633,8 @@ class TestEmit:
 
         if failing == "coefficients":
             monkeypatch.setattr(np, "save", fail)
+        elif failing == "rename":
+            monkeypatch.setattr("hrvwp.pipeline.os.replace", fail)
         else:
             monkeypatch.setattr(RunReport, "to_json", fail)
         with pytest.raises(OSError, match="cannot write report .*no space left"):

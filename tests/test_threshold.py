@@ -84,56 +84,6 @@ class TestMad:
         assert mad(y) == pytest.approx(abs(a) * mad(x), rel=1e-9, abs=tol)
 
 
-class TestNoiseScale:
-    def test_constant_is_zero(self):
-        assert threshold(np.full(10, 4.2))[1] == 0.0
-
-    def test_unit_mad_definition(self):
-        values = np.array([0.6745, -0.6745] * 64)
-        assert threshold(values)[1] == pytest.approx(1.0, rel=1e-12)
-
-    def test_standard_normal_scale_is_one(self):
-        x = np.random.default_rng(123).standard_normal(100_000)
-        assert threshold(x)[1] == pytest.approx(1.0, rel=0.03)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            threshold([])
-
-
-class TestComputeThreshold:
-    def test_formula(self):
-        rng = np.random.default_rng(2)
-        coeffs = rng.standard_normal(300)
-        lam, h = threshold(coeffs)
-        assert h == pytest.approx(mad_oracle(coeffs) / 0.6745, rel=1e-12)
-        assert lam == pytest.approx(h * sqrt(2.0 * log(300)), rel=1e-12, abs=1e-12)
-
-    def test_single_coefficient_gives_zero(self):
-        assert threshold([5.0]) == (0.0, 0.0)
-
-    def test_unit_scale_n256(self):
-        values = np.array([0.6745, -0.6745] * 128)
-        lam, h = threshold(values)
-        assert h == pytest.approx(1.0, rel=1e-12)
-        assert lam == pytest.approx(3.3302, abs=1e-4)
-
-    def test_constant_vector_gives_zero(self):
-        lam, _ = threshold(np.full(64, 2.5))
-        assert lam == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            threshold([])
-
-    def test_monotone_in_length(self):
-        lams = []
-        for n in (2, 8, 64, 1024):
-            values = np.array([0.6745, -0.6745] * (n // 2))
-            lams.append(threshold(values)[0])
-        assert all(a < b for a, b in zip(lams, lams[1:]))
-
-
 def split(values, lam, leaves=(0,), band=""):
     return BandReport(band=band, lam=lam, h=0.0, leaves=leaves, values=values)
 
@@ -236,6 +186,36 @@ class TestThresholdBand:
         h = mad(coeffs) / MAD_NORMAL_CONSISTENCY
         assert (split.band, split.lam, split.h, split.n) == ("HF", h * sqrt(2.0 * log(128)), h, 128)
         assert split.leaves == (0,) and np.array_equal(split.values, coeffs)
+
+    def test_formula(self):
+        rng = np.random.default_rng(2)
+        coeffs = rng.standard_normal(300)
+        lam, h = threshold(coeffs)
+        assert h == pytest.approx(mad_oracle(coeffs) / 0.6745, rel=1e-12)
+        assert lam == pytest.approx(h * sqrt(2.0 * log(300)), rel=1e-12, abs=1e-12)
+
+    def test_standard_normal_scale_is_one(self):
+        x = np.random.default_rng(123).standard_normal(100_000)
+        assert threshold(x)[1] == pytest.approx(1.0, rel=0.03)
+
+    def test_single_coefficient_gives_zero(self):
+        assert threshold([5.0]) == (0.0, 0.0)
+
+    def test_unit_scale_n256(self):
+        values = np.array([0.6745, -0.6745] * 128)
+        lam, h = threshold(values)
+        assert h == pytest.approx(1.0, rel=1e-12)
+        assert lam == pytest.approx(3.3302, abs=1e-4)
+
+    def test_constant_vector_gives_zero(self):
+        assert threshold(np.full(64, 2.5)) == (0.0, 0.0)
+
+    def test_monotone_in_length(self):
+        lams = []
+        for n in (2, 8, 64, 1024):
+            values = np.array([0.6745, -0.6745] * (n // 2))
+            lams.append(threshold(values)[0])
+        assert all(a < b for a, b in zip(lams, lams[1:]))
 
     def test_empty_band_rejected(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from hrvwp import band_nodes, daubechies_filters, wpt_leaves
 from hrvwp.ingest import resample_cubic_spline, rr_to_tachogram, truncate_to_block
 from hrvwp.pipeline import HF_BAND_HZ, LF_BAND_HZ
 from hrvwp.wavelet import MAX_DEPTH, analysis_step
-from hrvwp.wavelet import _gray, _phase_taps
+from hrvwp.wavelet import _gray
 
 SQRT2 = np.sqrt(2.0)
 
@@ -25,8 +25,8 @@ def circular_correlate_downsample(x, taps):
 
 
 def high_pass(taps):
-    """The high-pass taps the transform derives from the low-pass taps."""
-    return _phase_taps(taps)[1].ravel()
+    """The quadrature mirror of the low-pass taps: hi[k] = (-1)**k * lo[L-1-k]."""
+    return np.asarray(taps)[::-1] * (-1.0) ** np.arange(len(taps))
 
 
 def step_matrix(taps, n):
@@ -88,8 +88,6 @@ class TestFilters:
         assert abs(lo.sum() - SQRT2) < 1e-12
         assert abs(hi.sum()) < 1e-12
         assert abs(np.dot(lo, lo) - 1.0) < 1e-12
-        # quadrature mirror relation
-        assert np.allclose(hi, [(-1) ** k * lo[2 * order - 1 - k] for k in range(2 * order)])
         # orthogonality to even shifts
         for shift in range(1, order):
             assert abs(np.dot(lo[2 * shift:], lo[: -2 * shift])) < 1e-12
@@ -103,9 +101,10 @@ class TestFilters:
             assert abs(np.dot(hi, k ** j)) < 1e-7 * (2 * order) ** j
 
     def test_haar(self):
+        # no roots to factor: the taps are sqrt(2)/2, correctly rounded
         lo = daubechies_filters(1)
-        assert np.allclose(lo, [1 / SQRT2, 1 / SQRT2])
-        assert np.allclose(high_pass(lo), [1 / SQRT2, -1 / SQRT2])
+        assert lo.tolist() == [SQRT2 / 2, SQRT2 / 2]
+        assert high_pass(lo).tolist() == [SQRT2 / 2, -SQRT2 / 2]
 
     @pytest.mark.parametrize("order", [0, 11, -1])
     def test_order_out_of_range(self, order):
