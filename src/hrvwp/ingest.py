@@ -233,7 +233,7 @@ def truncate_to_block(samples: np.ndarray, depth: int) -> np.ndarray:
         raise ValueError("depth must be >= 0")
     block = 2 ** depth
     keep = (len(samples) // block) * block
-    if keep < block or keep < 2:
+    if keep < 2:
         raise ValueError(
             f"signal of {len(samples)} samples too short for depth {depth} "
             f"(needs at least {max(block, 2)})"

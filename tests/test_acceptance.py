@@ -186,10 +186,6 @@ def test_c05_threshold_law():
         expected_h = mad_value / 0.6745
         assert h == pytest.approx(expected_h, rel=1e-12)
         assert lam == pytest.approx(expected_h * sqrt(2.0 * log(n)), rel=1e-12)
-    band = threshold_band(np.array([0.6745, -0.6745] * 128), leaf_ids=(0,))
-    lam, h = band.lam, band.h
-    assert h == pytest.approx(1.0, rel=1e-12)
-    assert lam == pytest.approx(3.3302, abs=1e-4)
 
 
 @pytest.mark.parametrize("f,df1,df2,expected,tol", REFERENCE_F_TAIL_POINTS)

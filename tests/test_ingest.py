@@ -401,6 +401,14 @@ class TestResample:
         sig = resample_cubic_spline(np.array([0.0, 1.1]), np.array([1.0, 2.0]), 4.0)
         assert (len(sig) - 1) / 4.0 <= 1.1 + 1e-12
 
+    def test_last_knot_a_rounding_error_off_the_grid_is_kept(self):
+        # span * rate is 14.999999999999998 here, not 15: the grid still ends
+        # on the last beat, so the last sample is that beat's value
+        times, values = rr_to_tachogram(np.array([1100.0, 650.0, 1000.0, 1100.0, 1000.0]))
+        sig = resample_cubic_spline(times, values, 4.0)
+        assert len(sig) == 16
+        assert sig[-1] == 1000.0
+
     def test_nonzero_start_time(self):
         # the grid starts at the first beat, so on these collinear knots the
         # first sample is the first beat's value, not an extrapolation to t = 0

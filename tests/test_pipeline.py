@@ -570,6 +570,10 @@ class TestEmit:
         assert frows[0][:3] == ["subject_id", "group", "std_lf"]
         assert [row[:2] for row in frows[1:]] == sorted(
             [subject, group] for subject, group, _ in balanced_spec())
+        # CSV numbers carry the 12 significant digits the README promises
+        coeff = next(a for a in report.anova if a.name == "coefficient_stats")
+        assert rows[1][1] == f"{coeff.table.rows[0].ss:.12g}"
+        assert frows[1][2] == f"{report.recordings[0].features.std_lf:.12g}"
 
     def test_json_outputs(self, balanced_report, tmp_path):
         # report.json is the one JSON output, and it holds the features and
