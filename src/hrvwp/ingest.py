@@ -138,43 +138,40 @@ def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np
     """Solve off[i-1] x[i-1] + diag[i] x[i] + off[i] x[i+1] = rhs[i] by cyclic reduction.
 
     The matrix is symmetric tridiagonal (off has one entry fewer than diag).
-    Each odd-indexed equation absorbs its even neighbours, which leaves a
-    symmetric tridiagonal system in the odd unknowns of half the size; once
-    that is solved, every even unknown follows from its own equation. Stable
-    without pivoting for diagonally dominant systems.
+    Works along the last axis, so a stack of systems of one size is solved
+    at once. Each odd-indexed equation absorbs its even neighbours, which
+    leaves a symmetric tridiagonal system in the odd unknowns of half the
+    size; once that is solved, every even unknown follows from its own
+    equation. Stable without pivoting for diagonally dominant systems.
     """
-    if diag.size == 1:
+    if diag.shape[-1] == 1:
         return rhs / diag
-    if diag.size % 2 == 0:
+    if diag.shape[-1] % 2 == 0:
         # a trailing x = 0 equation gives every odd equation a right neighbour
-        padded = _solve_tridiagonal(np.append(diag, 1.0), np.append(off, 0.0),
-                                    np.append(rhs, 0.0))
-        return padded[:-1]
-    left = off[::2] / diag[:-1:2]
-    right = off[1::2] / diag[2::2]
+        zero = np.zeros(diag.shape[:-1] + (1,))
+        padded = _solve_tridiagonal(np.concatenate((diag, zero + 1.0), axis=-1),
+                                    np.concatenate((off, zero), axis=-1),
+                                    np.concatenate((rhs, zero), axis=-1))
+        return padded[..., :-1]
+    left = off[..., ::2] / diag[..., :-1:2]
+    right = off[..., 1::2] / diag[..., 2::2]
     odd = _solve_tridiagonal(
-        diag[1::2] - left * off[::2] - right * off[1::2],
-        -right[:-1] * off[2::2],
-        rhs[1::2] - left * rhs[:-1:2] - right * rhs[2::2],
+        diag[..., 1::2] - left * off[..., ::2] - right * off[..., 1::2],
+        -right[..., :-1] * off[..., 2::2],
+        rhs[..., 1::2] - left * rhs[..., :-1:2] - right * rhs[..., 2::2],
     )
-    around = np.concatenate(([0.0], odd, [0.0]))
-    couple = np.concatenate(([0.0], off, [0.0]))
-    x = np.empty(diag.size)
-    x[1::2] = odd
-    x[::2] = (rhs[::2] - couple[::2] * around[:-1] - couple[1::2] * around[1:]) / diag[::2]
+    x = np.empty(diag.shape)
+    x[..., 1::2] = odd
+    even = rhs[..., ::2].copy()
+    even[..., 1:] -= off[..., 1::2] * odd  # left neighbours; the first has none
+    even[..., :-1] -= off[..., ::2] * odd  # right neighbours; the last has none
+    np.divide(even, diag[..., ::2], out=x[..., ::2])
     return x
 
 
-def resample_cubic_spline(
-    times_s: np.ndarray, values: np.ndarray, rate_hz: float
-) -> np.ndarray:
-    """Resample irregular (time, value) points to a uniform grid.
-
-    Fits a natural cubic spline (zero second derivative at both ends) through
-    all points and returns its values at t0, t0 + 1/rate, ... up to the last
-    knot, where t0 is the first input time. No extrapolation: the output ends
-    at the last input time. A grid of over 2**MAX_DEPTH samples is a ValueError.
-    """
+@np.errstate(over="ignore", invalid="ignore")  # spline_samples refuses a non-finite spline
+def spline_knots(times_s: np.ndarray, values: np.ndarray, rate_hz: float) -> tuple:
+    """resample_cubic_spline's checks, then (t, v, h, slope, grid length); nothing grid-sized."""
     t = np.asarray(times_s, dtype=float)
     v = np.asarray(values, dtype=float)
     if t.ndim != 1 or t.size != v.size:
@@ -199,15 +196,40 @@ def resample_cubic_spline(
         raise ValueError(
             f"rate {rate_hz} Hz yields {count} sample(s) over a {span:.3f} s span"
         )
+    return t, v, h, np.diff(v) / h, count
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a row's overflow stays in its row
+def spline_moments(splines) -> np.ndarray:
+    """The second derivatives m of every spline_knots result, from one stacked solve.
+
+    Row r holds m of splines[r] (m[0] = m[-1] = 0), then zeros. The systems
+    are padded at the end with x = 0 equations up to the longest, which
+    leave each system's unknowns as it alone gives them, bit for bit.
+    """
+    width = max(max(t.size for t, *_ in splines) - 2, 1)
+    moments = np.zeros((len(splines), width + 2))  # first: the workspace after it frees as one block
+    diag = np.ones((len(splines), width))
+    off, rhs = np.zeros((len(splines), width - 1)), np.zeros((len(splines), width))
+    for row, (t, _, h, slope, _) in enumerate(splines):
+        n = t.size - 2
+        np.add(h[:-1], h[1:], out=diag[row, :n])
+        diag[row, :n] *= 2.0
+        off[row, :max(n - 1, 0)] = h[1:-1]
+        np.subtract(slope[1:], slope[:-1], out=rhs[row, :n])
+        rhs[row, :n] *= 6.0
+    moments[:, 1:-1] = _solve_tridiagonal(diag, off, rhs)
+    return moments
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def spline_samples(spline: tuple, moments: np.ndarray, rate_hz: float) -> np.ndarray:
+    """A spline_knots result on its grid, from its spline_moments row; ValueError if not finite."""
+    t, v, h, slope, count = spline
     grid = np.arange(count, dtype=float)
     grid /= rate_hz
     grid += t[0]
-
-    # second derivatives m at the knots, m[0] = m[-1] = 0
-    slope = np.diff(v) / h
-    m = np.zeros(t.size)
-    if t.size > 2:
-        m[1:-1] = _solve_tridiagonal(2.0 * (h[:-1] + h[1:]), h[1:-1], 6.0 * np.diff(slope))
+    m = moments[:t.size]
     # grid point g lies in interval i[g] = number of interior knots <= grid[g]
     i = np.bincount(np.searchsorted(grid, t[1:-1]), minlength=count + 1)[:count]
     np.cumsum(i, out=i)
@@ -220,7 +242,23 @@ def resample_cubic_spline(
     for coef in (0.5 * m, slope - h * (2.0 * m[:-1] + m[1:]) / 6.0, v):
         samples *= dx
         samples += np.take(coef, i, out=gathered, mode="clip")
+    # min and max, not a grid-sized mask allocated at the memory peak
+    if not (np.isfinite(samples.min()) and np.isfinite(samples.max())):
+        raise ValueError("spline values overflow: knots too close for the change in their values")
     return samples
+
+
+def resample_cubic_spline(times_s: np.ndarray, values: np.ndarray, rate_hz: float) -> np.ndarray:
+    """Resample irregular (time, value) points to a uniform grid.
+
+    Fits a natural cubic spline (zero second derivative at both ends) through
+    all points and returns its values at t0, t0 + 1/rate, ... up to the last
+    knot, where t0 is the first input time. No extrapolation: the output ends
+    at the last input time. A grid of over 2**MAX_DEPTH samples is a ValueError,
+    and so is a spline whose values overflow the float range.
+    """
+    spline = spline_knots(times_s, values, rate_hz)
+    return spline_samples(spline, spline_moments([spline])[0], rate_hz)
 
 
 def truncate_to_block(samples: np.ndarray, depth: int) -> np.ndarray:

@@ -1,14 +1,16 @@
 """Batch orchestration: manifest in, per-recording analysis, ANOVA, reports out.
 
-Each manifest row (path, subject_id, group) is processed independently, in
-the paper's one configuration (the constants below, with the filter taps and
+Each manifest row (path, subject_id, group) gives its own result, in the
+paper's one configuration (the constants below, with the filter taps and
 band leaves derived once, at import): parse -> tachogram -> 4 Hz spline
 resample -> LF/HF leaves of a depth-6 db4 packet tree -> per-band threshold
-split -> features. Failures are recorded per recording without aborting the
-batch. Completed recordings feed two group-level ANOVA tables (coefficient
-statistics and band energies), run only when the design is balanced. Another
-configuration is a few calls of the ingest, wavelet and threshold functions,
-which take it as arguments.
+split -> features. Rows are analyzed in chunks: one spline solve per chunk
+and one transform per signal length in it; no result depends on its chunk.
+Failures are recorded per recording without aborting the batch. Completed
+recordings feed two group-level ANOVA tables (coefficient statistics and
+band energies), run only when the design is balanced. Another configuration
+is a few calls of the ingest, wavelet and threshold functions, which take
+it as arguments.
 A report is written, never read back: its dataclasses go field by field to
 JSON, except each band's values, which go once to a binary coefficient vector;
 the feature and ANOVA tables are also written as CSV with 12 significant digits.
@@ -19,6 +21,7 @@ import json
 import os
 from dataclasses import astuple, dataclass, field, fields, is_dataclass
 from enum import Enum
+from functools import cache
 from pathlib import Path
 from types import NoneType
 
@@ -29,8 +32,10 @@ from .features import FeatureVector, extract_features
 from .ingest import (
     Group,
     parse_rr_file,
-    resample_cubic_spline,
     rr_to_tachogram,
+    spline_knots,
+    spline_moments,
+    spline_samples,
     truncate_to_block,
 )
 from .stats import AnovaTable, DegenerateDataError, anova_two_way
@@ -78,6 +83,8 @@ HF_BAND_HZ = (0.15625, 0.40625)
 TAPS = daubechies_filters(WAVELET_ORDER)
 LF_LEAVES = tuple(band_nodes(LF_BAND_HZ, DEPTH, RATE_HZ))
 HF_LEAVES = tuple(band_nodes(HF_BAND_HZ, DEPTH, RATE_HZ))
+# RR intervals in a chunk's padded spline stack (recordings x the longest's)
+CHUNK_INTERVALS = 2**14
 
 
 @dataclass(frozen=True)
@@ -161,8 +168,13 @@ def _encode(obj):
         return obj.value
     if isinstance(obj, tuple):
         return [_encode(item) for item in obj] if obj and is_dataclass(obj[0]) else obj
-    return {f.name: _encode(getattr(obj, f.name)) for f in fields(obj)
-            if f.type is not np.ndarray}
+    return {name: _encode(getattr(obj, name)) for name in _json_fields(type(obj))}
+
+
+@cache
+def _json_fields(cls) -> tuple[str, ...]:
+    """The names of a report dataclass's fields that _encode writes, in field order."""
+    return tuple(f.name for f in fields(cls) if f.type is not np.ndarray)
 
 
 def load_manifest(path) -> list[tuple[str, str, Group]]:
@@ -212,40 +224,86 @@ def load_manifest(path) -> list[tuple[str, str, Group]]:
     return rows
 
 
-def _bands(signal: np.ndarray) -> tuple[BandReport, BandReport]:
-    """The LF and HF bands of a block-length signal, each band thresholded on its own."""
-    leaves = wpt_leaves(signal, DEPTH, TAPS, LF_LEAVES + HF_LEAVES)
+def _bands(leaves: np.ndarray) -> tuple[BandReport, BandReport]:
+    """The LF and HF bands of a signal's LF_LEAVES + HF_LEAVES leaves, each thresholded alone."""
     return (threshold_band(leaves[:len(LF_LEAVES)].ravel(), LF_LEAVES, band="LF"),
             threshold_band(leaves[len(LF_LEAVES):].ravel(), HF_LEAVES, band="HF"))
 
 
+def _failed(subject_id: str, group: Group, exc: Exception) -> RecordingReport:
+    return RecordingReport(subject_id=subject_id, group=group,
+                           error=f"{type(exc).__name__}: {exc}")
+
+
+def _report(row: dict, leaves: np.ndarray) -> RecordingReport:
+    """A recording's report from its identity and counts and its leaves; a ValueError fails it."""
+    try:
+        bands = _bands(leaves)
+        return RecordingReport(**row, features=extract_features(*bands), bands=bands)
+    except ValueError as exc:
+        return _failed(row["subject_id"], row["group"], exc)
+
+
+def _analyze(chunk: list) -> list[RecordingReport]:
+    """The reports of a chunk of (subject_id, group, spline_knots result) rows, which it empties.
+
+    One stacked spline solve, then one packet transform per analyzed length. The knots
+    go first, and a lone signal is not copied: a chunk of one holds no more than its recording.
+    """
+    reports, by_length = [], {}
+    for (subject_id, group, spline), moments in zip(
+            chunk, spline_moments([spline for *_, spline in chunk])):
+        try:
+            samples = spline_samples(spline, moments, RATE_HZ)
+            signal = truncate_to_block(samples, DEPTH)
+        except ValueError as exc:
+            reports.append(_failed(subject_id, group, exc))
+            continue
+        rows, signals = by_length.setdefault(len(signal), ([], []))
+        rows.append(dict(subject_id=subject_id, group=group, n_intervals=spline[0].size,
+                         n_resampled=len(samples), n_analyzed=len(signal)))
+        signals.append(signal)
+    chunk.clear()
+    del spline, moments  # the last row's knots and the stacked solve go before any transform
+    for rows, signals in by_length.values():
+        stack = signals[0][None] if len(signals) == 1 else np.stack(signals)
+        signals.clear()
+        leaves = wpt_leaves(stack, DEPTH, TAPS, LF_LEAVES + HF_LEAVES)
+        reports += [_report(row, leaves[k]) for k, row in enumerate(rows)]
+    return reports
+
+
+def _process(rows) -> list[RecordingReport]:
+    """The report of every (path, subject_id, group) row: each read on its own, analyzed in chunks.
+
+    A chunk is analyzed before a row would take it past CHUNK_INTERVALS and once it reaches
+    that, so a long recording goes before the next file is read. No result depends on its chunk.
+    """
+    reports, chunk, widest = [], [], 0
+    for path, subject_id, group in rows:
+        try:
+            spline = spline_knots(*rr_to_tachogram(parse_rr_file(Path(path))), RATE_HZ)
+        except (ValueError, OSError) as exc:
+            reports.append(_failed(subject_id, group, exc))
+            continue
+        if chunk and (len(chunk) + 1) * max(widest, spline[0].size) > CHUNK_INTERVALS:
+            reports += _analyze(chunk)
+        widest = max(widest if chunk else 0, spline[0].size)
+        chunk.append((subject_id, group, spline))
+        del spline  # _analyze drops the knots once the chunk holds the only reference
+        if len(chunk) * widest >= CHUNK_INTERVALS:
+            reports += _analyze(chunk)
+    return reports + (_analyze(chunk) if chunk else [])
+
+
 def process_recording(path, subject_id: str, group: Group) -> RecordingReport:
-    """Run the full single-recording chain; data errors become a failed report.
+    """Run the full single-recording chain, as run_pipeline runs each row.
 
     Unreadable or malformed input (OSError, ValueError and its subclasses
     RRParseError, UnicodeDecodeError and FeatureError) marks the recording
     failed; any other exception is a bug and propagates.
     """
-    try:
-        rr_ms = parse_rr_file(Path(path))
-        times, values = rr_to_tachogram(rr_ms)
-        signal = resample_cubic_spline(times, values, RATE_HZ)
-        n_resampled = len(signal)
-        signal = truncate_to_block(signal, DEPTH)
-
-        bands = _bands(signal)
-        return RecordingReport(
-            subject_id=subject_id,
-            group=group,
-            n_intervals=len(rr_ms),
-            n_resampled=n_resampled,
-            n_analyzed=len(signal),
-            features=extract_features(*bands),
-            bands=bands,
-        )
-    except (ValueError, OSError) as exc:
-        return RecordingReport(subject_id=subject_id, group=group,
-                               error=f"{type(exc).__name__}: {exc}")
+    return _process([(path, subject_id, group)])[0]
 
 
 def _anova_reports(completed: list[RecordingReport]) -> tuple[AnovaReport, AnovaReport]:
@@ -296,15 +354,8 @@ def _anova_reports(completed: list[RecordingReport]) -> tuple[AnovaReport, Anova
 
 
 def run_pipeline(manifest) -> RunReport:
-    """Process every manifest row, then run the two group-level ANOVA tables."""
-    rows = load_manifest(manifest)
-    recordings = tuple(
-        sorted(
-            (process_recording(path, subject, group)
-             for path, subject, group in rows),
-            key=lambda r: r.subject_id,
-        )
-    )
+    """Process every manifest row, in chunks, then run the two group-level ANOVA tables."""
+    recordings = tuple(sorted(_process(load_manifest(manifest)), key=lambda r: r.subject_id))
     anova = _anova_reports([r for r in recordings if r.status == "ok"])
     return RunReport(recordings=recordings, anova=anova)
 
@@ -328,9 +379,10 @@ def emit_report(report: RunReport, out_dir=".") -> set[Path]:
 
     Returns the set of files written. The first two hold the report at full
     precision; CSV numbers carry 12 significant digits. Every file is written
-    under a temporary name in out_dir, and all are then renamed into place,
-    the data files first and report.json last. Only then is a skipped table's
-    CSV, left by an earlier run, removed: no report.json lists a missing table.
+    under a temporary name in out_dir. Then an earlier report.json is removed,
+    the data files are renamed into place, a skipped table's CSV left by an
+    earlier run is removed, and report.json is renamed in last. So a
+    directory with a report.json holds one whole run, whatever step fails.
     """
     out = Path(out_dir)
     staged: dict[Path, Path] = {}  # output file -> its temporary, in rename order
@@ -354,14 +406,19 @@ def emit_report(report: RunReport, out_dir=".") -> set[Path]:
                             for r in a.table.rows])
         stage("report.json").write_text(report.to_json() + "\n", encoding="utf-8")
 
+        report_json = out / "report.json"
+        report_json.unlink(missing_ok=True)
         for path, temporary in staged.items():
-            os.replace(temporary, path)
+            if path != report_json:
+                os.replace(temporary, path)
         for a in report.anova:
             if a.status != "ok":
                 (out / f"anova_{a.name}.csv").unlink(missing_ok=True)
+        os.replace(staged[report_json], report_json)
     except OSError as exc:
         raise OSError(f"cannot write report under {out}: {exc}") from exc
     finally:
         for temporary in staged.values():
-            temporary.unlink(missing_ok=True)
+            if temporary.exists():  # left by a failure before its rename
+                temporary.unlink()
     return set(staged)

@@ -143,27 +143,29 @@ def _leaf_plan(depth: int, slots: tuple[int, ...]) -> tuple[list[np.ndarray], np
 def wpt_leaves(signal: np.ndarray, depth: int, taps: np.ndarray, slots) -> np.ndarray:
     """The depth-level leaves in frequency slots `slots`, as rows of one array in that order.
 
-    Each level splits only the ancestors of the requested leaves, in one
-    analysis_step call per level: for leaves 1-12 at depth 6 that is 2.47 N
-    input samples, not the 6 N of splitting every node. A leaf's values do
-    not depend on which other slots are requested.
+    Works along the last axis: a (..., N) stack of signals gives
+    (..., len(slots), N / 2**depth), each signal's leaves as it alone gives
+    them. Each level splits only the ancestors of the requested leaves, in
+    one analysis_step call per level: for leaves 1-12 at depth 6 that is
+    2.47 N input samples, not the 6 N of splitting every node. A leaf's
+    values do not depend on which other slots are requested.
     """
     x, slots = np.asarray(signal, dtype=float), tuple(slots)
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if x.ndim != 1 or x.size == 0 or x.size % 2 ** depth != 0:
+    if x.ndim == 0 or x.shape[-1] == 0 or x.shape[-1] % 2 ** depth != 0:
         raise ValueError(
-            f"signal of shape {x.shape} is not 1-d with a length that is a "
+            f"signal of shape {x.shape} does not have a last-axis length that is a "
             f"positive multiple of 2**{depth}"
         )
     if not slots or not all(0 <= f < 2 ** depth for f in slots):
         raise ValueError(f"slots must be a non-empty list of leaves in [0, {2 ** depth - 1}]")
     keep, order = _leaf_plan(depth, slots)
-    rows = x.reshape(1, -1)
+    rows = x[..., None, :]
     for kept in keep:
         pairs = analysis_step(rows, taps)
-        rows = pairs.reshape(2 * pairs.shape[0], -1)[kept]
-    return rows[order]
+        rows = pairs.reshape(*pairs.shape[:-3], -1, pairs.shape[-1])[..., kept, :]
+    return rows[..., order, :]
 
 
 def band_nodes(band_hz: tuple[float, float], level: int, rate_hz: float) -> list[int]:

@@ -26,9 +26,10 @@ from hrvwp import (
     extract_features,
     run_pipeline,
     threshold_band,
+    wpt_leaves,
 )
 from hrvwp.ingest import truncate_to_block
-from hrvwp.pipeline import DEPTH, RATE_HZ, _bands
+from hrvwp.pipeline import DEPTH, HF_LEAVES, LF_LEAVES, RATE_HZ, TAPS, _bands
 from hrvwp.stats import anova_two_way, f_tail_probability
 from conftest import balanced_spec, rr_text, synthetic_rr
 from test_wavelet import full_level, packet_matrix
@@ -288,7 +289,8 @@ def test_c09_determinism_and_scale_law(tmp_path):
 
     times, values = rr_to_tachogram(rr)
     signal = truncate_to_block(resample_cubic_spline(times, values, RATE_HZ), DEPTH)
-    base_bands, scaled_bands = _bands(signal), _bands(2.0 * signal)
+    base_bands, scaled_bands = (_bands(wpt_leaves(x, DEPTH, TAPS, LF_LEAVES + HF_LEAVES))
+                                for x in (signal, 2.0 * signal))
     base_feats, scaled_feats = extract_features(*base_bands), extract_features(*scaled_bands)
 
     assert scaled_feats.e_lf == pytest.approx(4.0 * base_feats.e_lf, rel=1e-9)

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hrvwp import daubechies_filters, extract_features
+from hrvwp import daubechies_filters, extract_features, wpt_leaves
 from hrvwp.features import FeatureError
-from hrvwp.pipeline import _bands
+from hrvwp.pipeline import DEPTH, HF_LEAVES, LF_LEAVES, TAPS, _bands
 from test_threshold import mad_oracle, split
 from test_wavelet import circular_correlate_downsample, high_pass, mirrored_leaf_intervals
 
@@ -118,7 +118,7 @@ class TestEndToEndOracle:
     def test_two_tone_band_energies_match_naive_chain(self):
         t = np.arange(1024) / 4.0
         samples = np.sin(2 * np.pi * 0.1 * t) + np.sin(2 * np.pi * 0.3 * t)
-        feats = extract_features(*_bands(samples))
+        feats = extract_features(*_bands(wpt_leaves(samples, DEPTH, TAPS, LF_LEAVES + HF_LEAVES)))
 
         expected = naive_chain_energies(samples)
         assert feats.e_lf == pytest.approx(expected["LF"], rel=1e-9)

@@ -397,6 +397,39 @@ class TestResample:
         assert np.allclose(sig4, natural_spline_eval(t, y, grid),
                            rtol=1e-9, atol=1e-12)
 
+    def test_padded_stack_solves_each_system_alone(self):
+        # bitwise: a chunk's spline systems are solved as one stack, padded
+        # at the end with x = 0 equations up to the longest
+        rng = np.random.default_rng(7)
+        systems = []
+        for n in rng.permutation([1, 2, 3, 4, 5, 8, 37, 64, 1023, 1024, 1025]):
+            h = rng.uniform(0.2, 1.5, n + 1)
+            systems.append((2.0 * (h[:-1] + h[1:]), h[1:-1], 6.0 * np.diff(rng.normal(size=n + 1))))
+        width = max(d.size for d, _, _ in systems)
+        diag = np.ones((len(systems), width))
+        off, rhs = np.zeros((len(systems), width - 1)), np.zeros((len(systems), width))
+        for row, (d, o, r) in enumerate(systems):
+            diag[row, :d.size], off[row, :o.size], rhs[row, :r.size] = d, o, r
+        stacked = ingest._solve_tridiagonal(diag, off, rhs)
+        for row, (d, o, r) in enumerate(systems):
+            alone = ingest._solve_tridiagonal(d, o, r)
+            assert stacked[row, :d.size].tobytes() == alone.tobytes()
+            assert stacked[row, d.size:].tobytes() == bytes(8 * (width - d.size))  # +0.0
+            matrix = np.diag(d) + np.diag(o, 1) + np.diag(o, -1)
+            assert np.allclose(matrix @ alone, r, rtol=1e-12, atol=1e-12)
+
+    def test_stacked_splines_resample_each_alone(self):
+        rng = np.random.default_rng(8)
+        splines = []
+        for knots in (40, 2, 3, 4, 97):
+            t = np.cumsum(rng.uniform(0.4, 1.2, knots))
+            splines.append((t, rng.normal(800.0, 30.0, knots)))
+        knotted = [ingest.spline_knots(t, v, 4.0) for t, v in splines]
+        moments = ingest.spline_moments(knotted)
+        for (t, v), knots, row in zip(splines, knotted, moments):
+            assert (ingest.spline_samples(knots, row, 4.0).tobytes()
+                    == resample_cubic_spline(t, v, 4.0).tobytes())
+
     def test_no_extrapolation_past_last_knot(self):
         sig = resample_cubic_spline(np.array([0.0, 1.1]), np.array([1.0, 2.0]), 4.0)
         assert (len(sig) - 1) / 4.0 <= 1.1 + 1e-12
@@ -432,6 +465,13 @@ class TestResample:
         for rate_hz in (0.0, float("inf"), float("nan")):
             with pytest.raises(ValueError, match="positive and finite"):
                 resample_cubic_spline(np.array([0.0, 1.0]), np.array([1.0, 2.0]), rate_hz)
+
+    def test_overflowing_spline_rejected(self):
+        # knots 1e-292 s apart around a 1e-274 ms step: the second derivatives
+        # pass 1e308, and no RuntimeWarning escapes on the way to the error
+        times, values = rr_to_tachogram(np.array([1e-274, 1e-289, 1000.0]))
+        with pytest.raises(ValueError, match="^spline values overflow"):
+            resample_cubic_spline(times, values, 4.0)
 
     def test_span_times_rate_overflow_rejected(self):
         # span * rate is inf here; the grid cap is checked on span, before any allocation

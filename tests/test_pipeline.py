@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import os
 import tempfile
 import tracemalloc
 import typing
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import hrvwp
@@ -370,6 +371,7 @@ class TestRunPipeline:
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(rr_files())
+    @example("1.0 1e-274\n1.0 1e-289\n1.0 1000.0\n")  # the spline overflows: no warning escapes
     def test_no_exception_escapes_a_recording(self, tmp_path, text):
         path = tmp_path / "drawn.txt"
         path.write_text(text)
@@ -433,6 +435,43 @@ class TestRunPipeline:
         b = run_pipeline(shuffled)
         assert a.to_json() == b.to_json()
         assert a.coefficients().tobytes() == b.coefficients().tobytes()
+
+    @pytest.mark.parametrize("budget", [None, 1000], ids=["default-chunks", "1000-intervals"])
+    def test_chunking_cannot_change_a_result(self, write_dataset, tmp_path, monkeypatch, budget):
+        # recordings of 250-450 beats give padded spline stacks and several
+        # signal lengths per chunk; the failing rows sit between them
+        beats = np.random.default_rng(3).integers(250, 451, 9)
+        spec = [(f"r{k}", "VT", synthetic_rr(int(n), seed=20 + k)) for k, n in enumerate(beats)]
+        manifest = write_dataset(spec)
+        failing = {"missing": None, "negative": "800\n-5\n800\n",
+                   "short": "800\n" * 15, "oversized": "800\n1e12\n800\n"}
+        lines = manifest.read_text().splitlines()
+        for k, (name, text) in enumerate(failing.items()):
+            if text is not None:
+                (tmp_path / "data" / f"{name}.txt").write_text(text)
+            lines.insert(2 + 2 * k, f"data/{name}.txt,{name},VT")
+        manifest.write_text("\n".join(lines) + "\n")
+        stacks = []
+        solve = hrvwp.pipeline.spline_moments
+        monkeypatch.setattr("hrvwp.pipeline.spline_moments",
+                            lambda splines: stacks.append(len(splines)) or solve(splines))
+        if budget is not None:
+            monkeypatch.setattr("hrvwp.pipeline.CHUNK_INTERVALS", budget)
+
+        def row(rec):
+            return (rec.status, rec.error, rec.n_intervals, rec.n_resampled, rec.n_analyzed,
+                    rec.features, [(b.band, b.lam, b.values.tobytes()) for b in rec.bands])
+
+        batch = run_pipeline(manifest).recordings
+        chunks, stacks[:] = list(stacks), []
+        assert sum(chunks) == len(spec) + 1  # every spline but the refused ones
+        assert len(chunks) == (1 if budget is None else 5)
+        for rec, line in zip(batch, sorted(lines[1:], key=lambda ln: ln.split(",")[1])):
+            alone = tmp_path / f"{rec.subject_id}.csv"
+            alone.write_text(f"{lines[0]}\n{line}\n")
+            assert row(rec) == row(run_pipeline(alone).recordings[0]), rec.subject_id
+        assert [r.subject_id for r in batch if r.status == "failed"] == sorted(failing)
+        assert batch[0].error.startswith("FileNotFoundError")
 
     def test_determinism(self, write_dataset):
         manifest = write_dataset([("r0", "Control", synthetic_rr(300, seed=8)),
@@ -619,14 +658,14 @@ class TestEmit:
         assert not any("anova" in p.name for p in written)
         assert not list(out.glob("anova_*.csv"))
 
-    @pytest.mark.parametrize("failing", ["coefficients", "report.json", "rename"])
+    @pytest.mark.parametrize("failing", ["coefficients", "report.json"])
     def test_failed_write_leaves_the_earlier_run(self, balanced_report, write_dataset,
                                                  tmp_path, monkeypatch, failing):
         # the new run's files go in under temporary names and are renamed only
-        # once all are written, so a failure while writing the first of them,
-        # the last one (report.json, after the CSVs) or at the first rename
-        # leaves the earlier run's files byte for byte, its ANOVA CSVs (which
-        # this skipped run would remove) included, and no temporary file
+        # once all are written, so a failure while writing the first of them
+        # or the last one (report.json, after the CSVs) leaves the earlier
+        # run's files byte for byte, its ANOVA CSVs (which this skipped run
+        # would remove) included, and no temporary file
         out = tmp_path / "out"
         emit_report(balanced_report[1], out)
         before = {p.name: p.read_bytes() for p in out.iterdir()}
@@ -637,13 +676,55 @@ class TestEmit:
 
         if failing == "coefficients":
             monkeypatch.setattr(np, "save", fail)
-        elif failing == "rename":
-            monkeypatch.setattr("hrvwp.pipeline.os.replace", fail)
         else:
             monkeypatch.setattr(RunReport, "to_json", fail)
         with pytest.raises(OSError, match="cannot write report .*no space left"):
             emit_report(report, out)
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("earlier_balanced", [True, False],
+                             ids=["skipped-over-balanced", "balanced-over-skipped"])
+    def test_interrupted_emit_leaves_no_partial_run(self, balanced_report, write_dataset,
+                                                    tmp_path, monkeypatch, earlier_balanced):
+        # the k-th rename or removal fails, for every k of a clean emit: the
+        # directory then holds the earlier run byte for byte, or no report.json
+        skipped = run_pipeline(write_dataset([("a0", "Control", synthetic_rr(300, seed=13))]))
+        earlier, report = ((balanced_report[1], skipped) if earlier_balanced
+                           else (skipped, balanced_report[1]))
+        real_replace, real_unlink = os.replace, Path.unlink
+
+        def emit_failing_at(k, out):
+            calls = []
+
+            def counted(real):
+                def call(*args, **kwargs):
+                    calls.append(args)
+                    if len(calls) - 1 == k:
+                        raise OSError("disk pulled")
+                    return real(*args, **kwargs)
+                return call
+
+            with monkeypatch.context() as patch:
+                patch.setattr("hrvwp.pipeline.os.replace", counted(real_replace))
+                patch.setattr(Path, "unlink", counted(real_unlink))
+                emit_report(report, out)
+            return len(calls)
+
+        steps = emit_failing_at(None, tmp_path / "fresh")
+        new = {p.name: p.read_bytes() for p in (tmp_path / "fresh").iterdir()}
+        assert steps == 6  # remove report.json, 2 or 4 data renames, 2 or 0 removals, rename it
+        emit_report(earlier, tmp_path / "over")
+        emit_report(report, tmp_path / "over")
+        assert {p.name: p.read_bytes() for p in (tmp_path / "over").iterdir()} == new
+        for k in range(steps):
+            out = tmp_path / f"fail{k}"
+            emit_report(earlier, out)
+            before = {p.name: p.read_bytes() for p in out.iterdir()}
+            with pytest.raises(OSError, match="cannot write report .*disk pulled"):
+                emit_failing_at(k, out)
+            after = {p.name: p.read_bytes() for p in out.iterdir()}
+            assert not any(name.endswith(".tmp") for name in after)
+            assert "report.json" not in after or after == before, k
 
     def test_unwritable_output_dir(self, balanced_report, tmp_path):
         _, report = balanced_report

@@ -279,10 +279,12 @@ class TestPacketTree:
             assert all(len(n) == 128 // 2 ** level for n in nodes)
 
     def test_length_not_multiple_rejected(self):
-        # a 2-d array of 128 values is not read as one 128-sample signal
-        for sig in (np.ones(96), np.ones((2, 64))):
+        # a (2, 64) array is two 64-sample signals, not one of 128 samples;
+        # the length along the last axis is what must be a multiple
+        for sig in (np.ones(96), np.ones((2, 96))):
             with pytest.raises(ValueError, match="multiple"):
                 full_level(sig, 6, daubechies_filters(2))
+        assert full_level(np.ones((2, 64)), 6, daubechies_filters(2)).shape == (2, 64, 1)
 
 
 class TestPrunedLeaves:
@@ -322,6 +324,17 @@ class TestPrunedLeaves:
             assert np.array_equal(wpt_leaves(x, depth, taps, slots),
                                   full_level(x, depth, taps)[slots])
 
+    @pytest.mark.parametrize("shape", [(5, 1216 // 64 * 64), (3, 2, 128), (1, 64)])
+    def test_stack_equals_each_signal_alone(self, shape):
+        # bitwise: the pipeline transforms a stack of recordings at once
+        x = np.random.default_rng(len(shape)).standard_normal(shape)
+        taps = daubechies_filters(4)
+        slots = band_nodes(LF_BAND_HZ, 6, 4.0) + band_nodes(HF_BAND_HZ, 6, 4.0)
+        stacked = wpt_leaves(x, 6, taps, slots)
+        assert stacked.shape == (*shape[:-1], len(slots), shape[-1] // 64)
+        for index in np.ndindex(*shape[:-1]):
+            assert stacked[index].tobytes() == wpt_leaves(x[index], 6, taps, slots).tobytes()
+
     def test_result_does_not_alias_the_signal(self):
         x = np.arange(8.0)
         leaves = wpt_leaves(x, 0, daubechies_filters(1), [0])
@@ -334,7 +347,7 @@ class TestPrunedLeaves:
             wpt_leaves(np.ones(128), 6, daubechies_filters(4), slots)
 
     def test_signal_checked_like_the_full_tree(self):
-        for sig in (np.ones(96), np.ones((2, 64))):
+        for sig in (np.ones(96), np.ones((2, 96)), np.ones(()), np.ones((2, 0))):
             with pytest.raises(ValueError, match="multiple"):
                 wpt_leaves(sig, 6, daubechies_filters(2), [1])
         with pytest.raises(ValueError, match="depth"):
