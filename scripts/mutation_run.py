@@ -1,0 +1,440 @@
+#!/usr/bin/env python3
+"""Mutation run: which tier-1 tests hold src/hrvwp.
+
+    python scripts/mutation_run.py --out pass1.jsonl
+    python scripts/mutation_run.py --out pass2.jsonl --previous pass1.jsonl
+
+Each mutant of a fixed catalogue changes one node of one src/hrvwp module:
+a flipped comparison (< and <=, > and >=, == and !=, is and is not, in and
+not in), a slice bound or an integer constant shifted by +-1, a float
+constant times 1 + 1e-7, one operand of an `and`/`or` dropped, the two
+positional arguments of a call swapped, a `.strip()` removed, or a
+statement in a function body replaced by `pass`. Docstrings, `__all__`,
+f-strings and exception messages are left alone.
+
+The run copies the checkout's src, tests, scripts, README.md, pyproject.toml
+and perfbench/oracle.py to a temporary directory and runs tier-1 there once,
+which must pass, recording which tests call each function. Then it applies
+one mutant at a time by replacing that node's source text and runs
+`pytest -x` with one hypothesis seed on the tests that can see the mutant
+(see selection), in tier-1's order, so the first failing test is the one a
+whole run would report. One pytest process runs at a time, in its own
+session, with one BLAS thread, under an address-space limit and a timeout;
+its whole process group is killed when it ends. One JSON line per mutant is
+appended to --out: key, site, outcome (killed / survived / timeout), first
+failing test, seconds and the number of tests run. Keys already in --out are
+skipped, so an interrupted run resumes. With --previous, a mutant killed
+there by a test whose source is unchanged keeps that result. The checkout
+itself is never written.
+"""
+
+import argparse
+import ast
+import hashlib
+import json
+import os
+import resource
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "scripts", "README.md", "pyproject.toml", "perfbench/oracle.py")
+# the server imports hypothesis before pytest registers it as a plugin, which
+# pytest reports with an assertion-rewrite warning; that warning alone is ignored
+PYTEST_ARGS = ["-x", "-q", "-rfE", "-p", "no:cacheprovider", "--hypothesis-seed=0",
+               "-W", "ignore::pytest.PytestAssertRewriteWarning"]
+ADDRESS_SPACE = 3 << 30
+FLIP = {ast.Lt: "<=", ast.LtE: "<", ast.Gt: ">=", ast.GtE: ">", ast.Eq: "!=",
+        ast.NotEq: "==", ast.Is: "is not", ast.IsNot: "is", ast.In: "not in", ast.NotIn: "in"}
+SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
+          ast.NotEq: "!=", ast.Is: "is", ast.IsNot: "is not", ast.In: "in", ast.NotIn: "not in"}
+
+
+def mutants(source: str, name: str = "") -> list[dict]:
+    """Every catalogue mutant of a module's source, in source order.
+
+    Each is a dict of key (stable under edits to other lines), line,
+    kind, detail, function (the enclosing function whose callers can see the
+    mutant; None at module or class level and in a cached function) and the
+    mutated source text.
+    """
+    data = source.encode()
+    starts = [0]
+    for line in data.splitlines(keepends=True):
+        starts.append(starts[-1] + len(line))
+    found, seen, functions = [], {}, set()
+
+    def span(node):  # byte offsets: ast columns count UTF-8 bytes
+        return (starts[node.lineno - 1] + node.col_offset,
+                starts[node.end_lineno - 1] + node.end_col_offset)
+
+    def seg(node):
+        a, b = span(node)
+        return data[a:b].decode()
+
+    def add(node, scope, kind, change, text):
+        a, b = span(node)
+        shown = " ".join(seg(node).split())
+        detail = f"`{shown[:60]}`: {change}"
+        line = data[starts[node.lineno - 1]:starts[node.lineno]].decode().strip()
+        key = f"{name}::{scope}::{kind}::{detail}::{line}"
+        seen[key] = seen.get(key, 0) + 1
+        found.append(dict(key=f"{key}#{seen[key]}", line=node.lineno, kind=kind, detail=detail,
+                          function=scope if scope in functions else None,
+                          text=(data[:a] + text.encode() + data[b:]).decode()))
+
+    def body(stmts, scope, in_function):
+        for i, stmt in enumerate(stmts):
+            if i == 0 and isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant) \
+                    and isinstance(stmt.value.value, str):
+                continue  # docstring
+            if isinstance(stmt, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets):
+                continue
+            if in_function and not isinstance(
+                    stmt, (ast.Pass, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                add(stmt, scope, "statement", "-> pass", "pass")
+            visit(stmt, scope, in_function)
+
+    def visit(node, scope, in_function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = node.name if scope == "<module>" else f"{scope}.{node.name}"
+            for sub in node.decorator_list:
+                visit(sub, scope, in_function)
+            if not isinstance(node, ast.ClassDef):
+                for default in node.args.defaults + node.args.kw_defaults:
+                    if default is not None:
+                        visit(default, scope, in_function)
+                if not any("cache" in ast.unparse(d) for d in node.decorator_list):
+                    functions.add(inner)  # a cached result outlives the test that made it
+            body(node.body, inner, not isinstance(node, ast.ClassDef))
+            return
+        if isinstance(node, (ast.JoinedStr, ast.arg)):
+            return
+        if isinstance(node, ast.Raise):
+            return  # the exception and its message
+        if isinstance(node, ast.AnnAssign):
+            if node.value is not None:
+                visit(node.value, scope, in_function)
+            return
+        expression(node, scope)
+        for field, value in ast.iter_fields(node):
+            if isinstance(value, list) and value and isinstance(value[0], ast.stmt):
+                body(value, scope, in_function)
+            elif field != "returns":
+                for child in value if isinstance(value, list) else [value]:
+                    if isinstance(child, ast.AST):
+                        visit(child, scope, in_function)
+
+    def expression(node, scope):
+        if isinstance(node, ast.Compare):
+            for k, op in enumerate(node.ops):
+                parts = [seg(node.left)]
+                for j, (other, right) in enumerate(zip(node.ops, node.comparators)):
+                    parts += [FLIP[type(other)] if j == k else SYMBOL[type(other)], seg(right)]
+                add(node, scope, "compare", f"{SYMBOL[type(op)]} -> {FLIP[type(op)]}",
+                    "(" + " ".join(parts) + ")")
+        elif isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            if isinstance(node.value, int):
+                for step in (1, -1):
+                    add(node, scope, "constant", f"{node.value} -> {node.value + step}",
+                        f"({node.value + step})")
+            elif node.value * (1 + 1e-7) != node.value:
+                nudged = node.value * (1 + 1e-7)
+                add(node, scope, "constant", f"{node.value!r} -> {nudged!r}", f"({nudged!r})")
+        elif isinstance(node, ast.Slice):
+            for bound in (node.lower, node.upper):
+                if bound is None or isinstance(bound, ast.Constant) or (
+                        isinstance(bound, ast.UnaryOp) and isinstance(bound.operand, ast.Constant)):
+                    continue  # a constant bound is shifted as a constant
+                for step in ("+ 1", "- 1"):
+                    add(bound, scope, "slice", step, f"({seg(bound)} {step})")
+        elif isinstance(node, ast.BoolOp):
+            op = "and" if isinstance(node.op, ast.And) else "or"
+            for k, dropped in enumerate(node.values):
+                kept = [seg(v) for j, v in enumerate(node.values) if j != k]
+                add(node, scope, "boolop", f"drop `{' '.join(seg(dropped).split())[:40]}`",
+                    "(" + f" {op} ".join(kept) + ")")
+        elif isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Attribute) and node.func.attr == "strip" \
+                    and not node.args and not node.keywords:
+                add(node, scope, "strip", "removed", f"({seg(node.func.value)})")
+            elif len(node.args) == 2 and not any(isinstance(a, ast.Starred) for a in node.args) \
+                    and seg(node.args[0]) != seg(node.args[1]):
+                args = [seg(node.args[1]), seg(node.args[0]), *map(seg, node.keywords)]
+                add(node, scope, "swap", "arguments swapped",
+                    f"{seg(node.func)}({', '.join(args)})")
+
+    body(ast.parse(source).body, "<module>", False)
+    return found
+
+
+def catalogue(root: Path) -> list[tuple[Path, dict]]:
+    """(module path relative to root, mutant) for every src/hrvwp module."""
+    return [(path.relative_to(root), m)
+            for path in sorted((root / "src" / "hrvwp").glob("*.py"))
+            for m in mutants(path.read_text(encoding="utf-8"), path.name)]
+
+
+# Runs in the copy: imports the tests' heavy dependencies (not hrvwp) once,
+# then for each request read from stdin (timeout, pytest arguments, trace file)
+# forks one child that runs one pytest session in its own session under the
+# address-space limit, kills that process group when the child ends or times
+# out, and answers with the exit code (null on timeout). About 4 s of imports
+# are then paid once per pass, not per mutant. With a trace file, the child
+# records which tests call each src/hrvwp function (Calls) and writes it there.
+SERVER = r"""
+import json, os, resource, signal, sys, time, traceback
+for name in ("numpy", "scipy.stats", "scipy.integrate", "hypothesis"):
+    try:
+        __import__(name)
+    except ImportError:
+        pass
+import pytest
+
+
+class Calls:
+    # callers of each function under src/: a test, "fixture NAME" for a fixture
+    # shared by tests, or None (collection, imports); "spawn" lists the tests that
+    # start processes, whose calls there go unseen
+    def __init__(self, src):
+        self.src, self.where, self.calls, self.fixtures, self.spawn = src, None, {}, {}, []
+
+    def trace(self, frame, event, arg):
+        code = frame.f_code
+        if code.co_filename.startswith(self.src):
+            where = self.calls.setdefault(code.co_filename[len(self.src):] + "::"
+                                          + code.co_qualname, [])
+            if self.where not in where:
+                where.append(self.where)
+        elif code.co_qualname == "Popen.__init__" and self.where not in self.spawn:
+            self.spawn.append(self.where)
+
+    @pytest.hookimpl(hookwrapper=True)
+    def pytest_runtest_protocol(self, item):
+        self.where, self.fixtures[item.nodeid] = item.nodeid, item.fixturenames
+        yield
+        self.where = None
+
+    @pytest.hookimpl(hookwrapper=True)
+    def pytest_fixture_setup(self, fixturedef):
+        outer = self.where
+        if fixturedef.scope != "function":
+            self.where = "fixture " + fixturedef.argname
+        yield
+        self.where = outer
+
+
+limit, log = int(sys.argv[1]), sys.argv[2]
+for line in sys.stdin:
+    request = json.loads(line)
+    pid = os.fork()
+    if pid == 0:
+        os.setsid()
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
+        os.dup2(fd, 1)
+        os.dup2(fd, 2)
+        code, calls = 99, Calls(os.path.abspath("src") + os.sep)
+        try:
+            if request["trace"]:
+                sys.settrace(calls.trace)
+            code = int(pytest.main(request["args"], plugins=[calls]))
+            sys.settrace(None)
+            if request["trace"]:
+                with open(request["trace"], "w") as fh:
+                    json.dump(vars(calls), fh)
+        except BaseException:
+            traceback.print_exc()
+        finally:
+            sys.stdout.flush()
+            sys.stderr.flush()
+            os._exit(code)
+    deadline, status = time.monotonic() + request["timeout"], None
+    while status is None and time.monotonic() < deadline:
+        done, wait = os.waitpid(pid, os.WNOHANG)
+        status = os.waitstatus_to_exitcode(wait) if done else time.sleep(0.02)
+    try:
+        os.killpg(pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    if status is None:
+        os.waitpid(pid, 0)
+    print(json.dumps(status), flush=True)
+"""
+
+
+class Tier1:
+    """Tier-1 in copy, one pytest session at a time, through one preloaded server."""
+
+    def __init__(self, copy: Path):
+        self.copy, self.log = copy, copy / ".pytest-output"
+        env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+        env.pop("PYTHONPATH", None)
+        self.server = subprocess.Popen(
+            [sys.executable, "-c", SERVER, str(ADDRESS_SPACE), str(self.log)],
+            cwd=copy, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            start_new_session=True)
+
+    def run(self, timeout: float, tests=("tests",), trace=None) -> tuple[str, str | None, float]:
+        """(outcome, first failing test, seconds) of one run of tests (node ids, in order)."""
+        for stale in (self.copy / "src" / "hrvwp" / "__pycache__", self.copy / ".hypothesis"):
+            shutil.rmtree(stale, ignore_errors=True)  # a same-size mutant must not reuse bytecode
+        start = time.perf_counter()
+        request = dict(timeout=timeout, args=PYTEST_ARGS + list(tests), trace=trace and str(trace))
+        self.server.stdin.write(json.dumps(request) + "\n")
+        self.server.stdin.flush()
+        code = json.loads(self.server.stdout.readline())
+        seconds = round(time.perf_counter() - start, 2)
+        if code is None:
+            return "timeout", None, seconds
+        if code == 0:
+            return "survived", None, seconds
+        for line in self.log.read_text(errors="replace").splitlines():
+            if line.startswith(("FAILED ", "ERROR ")):
+                return "killed", line.split(" ", 1)[1].split(" - ", 1)[0], seconds
+        return "killed", f"(pytest exit {code})", seconds
+
+    def close(self):
+        self.server.stdin.close()
+        try:
+            self.server.wait(timeout=10)
+        finally:
+            try:
+                os.killpg(self.server.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            self.server.wait()
+
+
+def selection(calls: dict) -> "callable":
+    """A function from a mutant to the tests that can see it, in run order.
+
+    Those are the tests that call the mutant's function, directly or through a
+    shared fixture, and the tests that start processes. All tests run for a
+    mutant outside a function, in a cached function or in one called while
+    collecting (a module constant is computed then).
+    """
+    order, callers = list(calls["fixtures"]), {}
+    for site, wheres in calls["calls"].items():
+        file, qualname = site.split("::")
+        function = ".".join(p for p in qualname.split(".") if not p.startswith("<"))
+        callers.setdefault((file, function), set()).update(wheres)
+
+    def tests(path: Path, m: dict) -> list[str]:
+        wheres = callers.get((str(path.relative_to("src")), m["function"]), set())
+        if m["function"] is None or None in wheres:
+            return ["tests"]
+        chosen = wheres | set(calls["spawn"])
+        return [t for t in order if t in chosen or any(
+            f"fixture {name}" in chosen for name in calls["fixtures"][t])]
+
+    return tests
+
+
+def test_hash(copy: Path, nodeid: str) -> str:
+    """A digest of a test's source with its decorators (its whole file if not found)."""
+    file, *names = nodeid.split("[", 1)[0].split("::")
+    try:
+        source = (copy / file).read_text(encoding="utf-8")
+    except OSError:
+        return ""
+    nodes = ast.parse(source).body
+    for name in names:
+        nodes = [n for n in nodes if getattr(n, "name", None) == name]
+        if not nodes:
+            break
+        node = nodes[0]
+        nodes = getattr(node, "body", [])
+    else:
+        if names:
+            lines = source.splitlines()[node.decorator_list[0].lineno - 1 if node.decorator_list
+                                        else node.lineno - 1:node.end_lineno]
+            source = "\n".join(lines)
+    return hashlib.sha1(source.encode()).hexdigest()[:16]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", type=Path, required=True,
+                        help="JSON-lines results, appended (resumable)")
+    parser.add_argument("--previous", type=Path, help="an earlier pass's results to reuse")
+    parser.add_argument("--only", default="", help="run only mutants whose key contains this")
+    args = parser.parse_args(argv)
+    sites = [(path, m) for path, m in catalogue(ROOT) if args.only in m["key"]]
+    done = set()
+    if args.out.exists():
+        done = {json.loads(line)["key"] for line in args.out.read_text().splitlines()}
+    previous = {}
+    if args.previous:
+        for line in args.previous.read_text().splitlines():
+            record = json.loads(line)
+            previous[record["key"]] = record
+
+    copy, tier1 = Path(tempfile.mkdtemp(prefix="hrvwp-mutants-")), None
+    try:
+        for part in COPIED:
+            (copy / part).parent.mkdir(parents=True, exist_ok=True)
+            if (ROOT / part).is_dir():
+                shutil.copytree(ROOT / part, copy / part,
+                                ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy2(ROOT / part, copy / part)
+        tier1 = Tier1(copy)
+        outcome, failed, clean = tier1.run(timeout=1200, trace=copy / ".calls.json")
+        if outcome != "survived":
+            print(f"tier-1 does not pass unmutated ({outcome}: {failed})", file=sys.stderr)
+            return 1
+        tests_for = selection(json.loads((copy / ".calls.json").read_text()))
+        timeout = 3 * clean
+        print(f"clean run {clean:.1f} s; {len(sites)} mutants, timeout {timeout:.0f} s",
+              file=sys.stderr)
+        with open(args.out, "a", encoding="utf-8") as out:
+            for n, (path, m) in enumerate(sites, 1):
+                if m["key"] in done:
+                    continue
+                record = dict(key=m["key"], file=str(path), line=m["line"], kind=m["kind"],
+                              detail=m["detail"])
+                before = previous.get(m["key"], {})
+                if before.get("outcome") == "killed" and \
+                        before.get("killer_hash") == test_hash(copy, before["killer"]):
+                    record.update(outcome="killed", killer=before["killer"],
+                                  killer_hash=before["killer_hash"], seconds=0.0, reused=True)
+                else:
+                    original = (copy / path).read_bytes()
+                    (copy / path).write_text(m["text"], encoding="utf-8")
+                    try:
+                        tests = tests_for(path, m)
+                        outcome, killer, seconds = tier1.run(timeout, tests)
+                    finally:
+                        (copy / path).write_bytes(original)
+                    record.update(outcome=outcome, killer=killer, seconds=seconds,
+                                  tests=len(tests) if tests != ["tests"] else "all")
+                    if killer:
+                        record["killer_hash"] = test_hash(copy, killer)
+                out.write(json.dumps(record) + "\n")
+                out.flush()
+                print(f"[{n}/{len(sites)}] {record['outcome']:8} {path}:{m['line']} "
+                      f"{m['kind']} {m['detail']}", file=sys.stderr)
+    finally:
+        if tier1 is not None:
+            tier1.close()
+        shutil.rmtree(copy, ignore_errors=True)
+
+    records = [json.loads(line) for line in args.out.read_text().splitlines()]
+    counts = {k: sum(r["outcome"] == k for r in records) for k in ("killed", "survived", "timeout")}
+    print(f"{len(records)} mutants: " + ", ".join(f"{v} {k}" for k, v in counts.items()))
+    for r in records:
+        if r["outcome"] != "killed":
+            print(f"  {r['outcome']}: {r['file']}:{r['line']} {r['kind']} {r['detail']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -87,7 +87,7 @@ def _read_table(path: Path) -> np.ndarray | None:
     """The kept column by numpy's C text reader, or None where the reader declines.
 
     The reader follows _parse_lines' rules but takes only a table: the same
-    count of numbers on every data line. Ragged lines, a bad token, no data
+    count of numbers on every data line. Ragged lines, a bad token
     and read errors are left to _parse_lines, which names the offending line.
     """
     try:
@@ -95,8 +95,6 @@ def _read_table(path: Path) -> np.ndarray | None:
             warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
             table = np.loadtxt(path, ndmin=2, encoding="utf-8-sig")
     except (ValueError, OSError):
-        return None
-    if table.size == 0:
         return None
     return np.ascontiguousarray(table[:, 0 if table.shape[1] == 1 else 1])
 

@@ -19,7 +19,7 @@ the feature and ANOVA tables are also written as CSV with 12 significant digits.
 import csv
 import json
 import os
-from dataclasses import astuple, dataclass, field, fields, is_dataclass
+from dataclasses import astuple, dataclass, field, fields
 from enum import Enum
 from functools import cache
 from pathlib import Path
@@ -57,7 +57,6 @@ __all__ = [
     "ToolInfo",
     "RunReport",
     "load_manifest",
-    "process_recording",
     "run_pipeline",
     "emit_report",
     "COEFF_STAT_COLUMNS",
@@ -157,17 +156,16 @@ class RunReport:
 def _encode(obj):
     """The JSON form of a report value: a dataclass becomes a dict of its fields.
 
-    An Enum becomes its value and a tuple of dataclasses a list of dicts. A
-    scalar, or a tuple of scalars, goes to json whole. A field annotated
-    np.ndarray is left out: a band's values go to coefficients.npy, and
-    significant is derived.
+    An Enum becomes its value and a tuple a list. A scalar goes to json
+    whole. A field annotated np.ndarray is left out: a band's values go to
+    coefficients.npy, and significant is derived.
     """
     if isinstance(obj, (str, int, float, NoneType)):
         return obj
     if isinstance(obj, Enum):
         return obj.value
     if isinstance(obj, tuple):
-        return [_encode(item) for item in obj] if obj and is_dataclass(obj[0]) else obj
+        return [_encode(item) for item in obj]
     return {name: _encode(getattr(obj, name)) for name in _json_fields(type(obj))}
 
 
@@ -296,16 +294,6 @@ def _process(rows) -> list[RecordingReport]:
     return reports + (_analyze(chunk) if chunk else [])
 
 
-def process_recording(path, subject_id: str, group: Group) -> RecordingReport:
-    """Run the full single-recording chain, as run_pipeline runs each row.
-
-    Unreadable or malformed input (OSError, ValueError and its subclasses
-    RRParseError, UnicodeDecodeError and FeatureError) marks the recording
-    failed; any other exception is a bug and propagates.
-    """
-    return _process([(path, subject_id, group)])[0]
-
-
 def _anova_reports(completed: list[RecordingReport]) -> tuple[AnovaReport, AnovaReport]:
     """Both ANOVA tables, as column slices of one balanced groups x features x subjects grid.
 
@@ -354,7 +342,12 @@ def _anova_reports(completed: list[RecordingReport]) -> tuple[AnovaReport, Anova
 
 
 def run_pipeline(manifest) -> RunReport:
-    """Process every manifest row, in chunks, then run the two group-level ANOVA tables."""
+    """Process every manifest row, in chunks, then run the two group-level ANOVA tables.
+
+    Unreadable or malformed input (OSError, ValueError and its subclasses
+    RRParseError, UnicodeDecodeError and FeatureError) marks its recording
+    failed; any other exception is a bug and propagates.
+    """
     recordings = tuple(sorted(_process(load_manifest(manifest)), key=lambda r: r.subject_id))
     anova = _anova_reports([r for r in recordings if r.status == "ok"])
     return RunReport(recordings=recordings, anova=anova)

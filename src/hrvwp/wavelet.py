@@ -53,7 +53,6 @@ def daubechies_filters(order: int) -> np.ndarray:
         raise ValueError("order must be an integer")
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
-    order = int(order)
     poly = [comb(order - 1 + k, k) for k in range(order - 1, -1, -1)]
     h = np.array([1.0 + 0.0j])
     for _ in range(order):
@@ -61,9 +60,7 @@ def daubechies_filters(order: int) -> np.ndarray:
     for y in np.roots(poly):  # none for Haar (order 1): P(y) = 1
         b = 2.0 - 4.0 * y
         disc = np.sqrt(b * b - 4.0 + 0.0j)
-        z = (b + disc) / 2.0
-        if abs(z) >= 1.0:
-            z = (b - disc) / 2.0
+        z = (b - disc) / 2.0
         h = np.convolve(h, [1.0, -z])
     # conjugate root pairs make h real up to rounding
     lo = h.real

@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 from pathlib import Path
 
@@ -29,23 +30,26 @@ def rr_text(rr):
     return "\n".join(f"{v:.6f}" for v in rr) + "\n"
 
 
-@pytest.fixture
-def write_dataset(tmp_path):
-    """Write recordings + manifest; returns (manifest_path, data_dir)."""
+def write_dataset(directory, spec, manifest_name="manifest.csv"):
+    """Write each (subject_id, group, rr) of spec to data/<subject_id>.txt under directory.
 
-    def _write(spec, manifest_name="manifest.csv"):
-        data = tmp_path / "data"
-        data.mkdir(exist_ok=True)
-        lines = ["path,subject_id,group"]
-        for subject_id, group, rr in spec:
-            path = data / f"{subject_id}.txt"
-            path.write_text(rr_text(rr), encoding="utf-8")
-            lines.append(f"data/{subject_id}.txt,{subject_id},{group}")
-        manifest = tmp_path / manifest_name
-        manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        return manifest
+    Then write a manifest naming them, in spec order, and return its path.
+    """
+    data = directory / "data"
+    data.mkdir(exist_ok=True)
+    lines = ["path,subject_id,group"]
+    for subject_id, group, rr in spec:
+        (data / f"{subject_id}.txt").write_text(rr_text(rr), encoding="utf-8")
+        lines.append(f"data/{subject_id}.txt,{subject_id},{group}")
+    manifest = directory / manifest_name
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return manifest
 
-    return _write
+
+@pytest.fixture(name="write_dataset")
+def write_dataset_fixture(tmp_path):
+    """write_dataset into the test's tmp_path: call it with (spec, manifest_name=...)."""
+    return functools.partial(write_dataset, tmp_path)
 
 
 def balanced_spec(per_group=3, n=300):

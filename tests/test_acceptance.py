@@ -31,7 +31,7 @@ from hrvwp import (
 from hrvwp.ingest import truncate_to_block
 from hrvwp.pipeline import DEPTH, HF_LEAVES, LF_LEAVES, RATE_HZ, TAPS, _bands
 from hrvwp.stats import anova_two_way, f_tail_probability
-from conftest import balanced_spec, rr_text, synthetic_rr
+from conftest import balanced_spec, synthetic_rr, write_dataset
 from test_wavelet import full_level, packet_matrix
 
 # 14 printed rows of the depth-6 / 4 Hz node-frequency reference table
@@ -272,11 +272,7 @@ def test_c08_brute_force_equivalence():
 
 def test_c09_determinism_and_scale_law(tmp_path):
     rr = synthetic_rr(n=1024, seed=99)
-    data = tmp_path / "data"
-    data.mkdir()
-    (data / "subject.txt").write_text(rr_text(rr))
-    manifest = tmp_path / "manifest.csv"
-    manifest.write_text("path,subject_id,group\ndata/subject.txt,subject,Control\n")
+    manifest = write_dataset(tmp_path, [("subject", "Control", rr)])
 
     first = run_pipeline(manifest)
     second = run_pipeline(manifest)
@@ -301,10 +297,10 @@ def test_c09_determinism_and_scale_law(tmp_path):
         assert base.n_significant == scaled.n_significant
 
 
-def test_c10_smoke_batch_emits_well_formed_report(write_dataset, tmp_path):
+def test_c10_smoke_batch_emits_well_formed_report(tmp_path):
     # group-level findings are not reproducible without the original subject
     # selection; this asserts only that a realistic batch completes cleanly
-    manifest = write_dataset(balanced_spec(per_group=3, n=400))
+    manifest = write_dataset(tmp_path, balanced_spec(per_group=3, n=400))
     report = run_pipeline(manifest)
     assert all(r.status == "ok" for r in report.recordings)
     assert report.all_ok

@@ -68,3 +68,12 @@ def test_cli_runs_without_mallopt(write_dataset, tmp_path, monkeypatch, capsys, 
     assert main(["--manifest", str(manifest), "--out", str(tmp_path / "out")]) == 1
     assert "1 ok, 0 failed" in capsys.readouterr().out
     assert (tmp_path / "out" / "report.json").is_file()
+
+
+def test_cli_sets_the_documented_thresholds(tmp_path, monkeypatch):
+    # the README's 32 MiB mmap threshold and 64 MiB trim threshold, by glibc's parameter numbers
+    calls = []
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(
+        mallopt=lambda *args: calls.append(args)))
+    assert main(["--manifest", str(tmp_path / "missing.csv"), "--out", str(tmp_path)]) == 2
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]

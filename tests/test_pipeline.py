@@ -18,13 +18,13 @@ from hrvwp.ingest import Group
 from hrvwp.features import FeatureVector
 from hrvwp.pipeline import (
     DEPTH, HF_BAND_HZ, HF_LEAVES, LF_BAND_HZ, LF_LEAVES, RATE_HZ, TAPS, WAVELET_ORDER,
-    AnovaReport, BandReport, RecordingReport, ToolInfo, _encode,
-    load_manifest, process_recording,
+    FEATURE_COLUMNS, AnovaReport, BandReport, RecordingReport, ToolInfo, _encode,
+    load_manifest,
 )
 from hrvwp.stats import AnovaRow, AnovaTable, anova_two_way
 from hrvwp.wavelet import band_nodes, daubechies_filters
 from hrvwp.cli import main
-from conftest import balanced_spec, synthetic_rr
+from conftest import balanced_spec, synthetic_rr, write_dataset
 
 
 def _rr_value(x):
@@ -55,17 +55,7 @@ def rr_files(draw):
 
 @pytest.fixture(scope="module")
 def balanced_report(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("balanced")
-    data = tmp / "data"
-    data.mkdir()
-    lines = ["path,subject_id,group"]
-    for subject_id, group, rr in balanced_spec():
-        (data / f"{subject_id}.txt").write_text(
-            "\n".join(f"{v:.6f}" for v in rr) + "\n"
-        )
-        lines.append(f"data/{subject_id}.txt,{subject_id},{group}")
-    manifest = tmp / "manifest.csv"
-    manifest.write_text("\n".join(lines) + "\n")
+    manifest = write_dataset(tmp_path_factory.mktemp("balanced"), balanced_spec())
     return manifest, run_pipeline(manifest)
 
 
@@ -230,17 +220,6 @@ class TestManifest:
 
 
 class TestRunPipeline:
-    def test_single_recording_skips_anova(self, write_dataset):
-        manifest = write_dataset([("solo", "Control", synthetic_rr(300, seed=3))])
-        report = run_pipeline(manifest)
-        assert len(report.recordings) == 1
-        assert report.recordings[0].status == "ok"
-        assert report.recordings[0].features is not None
-        for a in report.anova:
-            assert a.status == "skipped"
-            assert "insufficient design" in a.reason
-        assert not report.all_ok
-
     def test_balanced_design_df(self, balanced_report):
         _, report = balanced_report
         stats_table = report.anova[0]
@@ -303,16 +282,6 @@ class TestRunPipeline:
         assert by_id["good2"].status == "ok"
         assert not report.all_ok
 
-    def test_empty_file_isolated(self, write_dataset, tmp_path):
-        # numpy's reader warns on a file without data; the warning is silenced
-        # (the suite turns warnings into errors), and the line pass fails it
-        manifest = write_dataset([("ok0", "Control", synthetic_rr(300, seed=6))])
-        (tmp_path / "data" / "empty.txt").write_text("# header only\n")
-        manifest.write_text(manifest.read_text() + "data/empty.txt,empty,VT\n")
-        by_id = {r.subject_id: r for r in run_pipeline(manifest).recordings}
-        assert by_id["empty"].error == "ValueError: need at least 2 RR intervals, got 0"
-        assert by_id["ok0"].status == "ok"
-
     def test_two_column_input_format(self, tmp_path):
         rr = synthetic_rr(300, seed=20)
         times = np.cumsum(rr) / 1000.0
@@ -333,16 +302,6 @@ class TestRunPipeline:
         assert by_id["two"].status == by_id["one"].status == "ok"
         assert by_id["two"].features.e_lf == by_id["one"].features.e_lf
 
-    def test_corrupt_file_isolated(self, write_dataset, tmp_path):
-        manifest = write_dataset([("ok0", "Control", synthetic_rr(300, seed=6))])
-        bad = tmp_path / "data" / "bad.txt"
-        bad.write_text("800\noops\n")
-        manifest.write_text(manifest.read_text() + "data/bad.txt,bad,VT\n")
-        report = run_pipeline(manifest)
-        by_id = {r.subject_id: r for r in report.recordings}
-        assert by_id["bad"].status == "failed"
-        assert "line 2" in by_id["bad"].error
-
     def test_overflowing_beat_times_isolated(self, write_dataset, tmp_path):
         # each interval is finite, but their sum is not
         manifest = write_dataset([(f"ok{k}", "Control", synthetic_rr(300, seed=k))
@@ -356,11 +315,12 @@ class TestRunPipeline:
 
     @pytest.mark.parametrize("text", ["800\n1e12\n800\n"], ids=["grid-of-4e9-samples"])
     def test_oversized_grid_isolated(self, tmp_path, text):
-        path = tmp_path / "long.txt"
-        path.write_text(text)
+        (tmp_path / "long.txt").write_text(text)
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("path,subject_id,group\nlong.txt,long,VT\n")
         tracemalloc.start()
         try:
-            rec = process_recording(path, "long", Group.VT)
+            (rec,) = run_pipeline(manifest).recordings
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -373,10 +333,10 @@ class TestRunPipeline:
     @given(rr_files())
     @example("1.0 1e-274\n1.0 1e-289\n1.0 1000.0\n")  # the spline overflows: no warning escapes
     def test_no_exception_escapes_a_recording(self, tmp_path, text):
-        path = tmp_path / "drawn.txt"
-        path.write_text(text)
-        rec = process_recording(path, "drawn", Group.VT)
-        assert isinstance(rec, RecordingReport)
+        (tmp_path / "drawn.txt").write_text(text)
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("path,subject_id,group\ndrawn.txt,drawn,VT\n")
+        (rec,) = run_pipeline(manifest).recordings
         if rec.status == "ok":
             assert np.all(np.isfinite(dataclasses.astuple(rec.features)))
 
@@ -389,15 +349,6 @@ class TestRunPipeline:
         assert by_id["latin1"].status == "failed"
         assert "UnicodeDecodeError" in by_id["latin1"].error
         assert by_id["ok0"].status == "ok"
-
-    def test_byte_order_mark_accepted(self, write_dataset, tmp_path):
-        manifest = write_dataset([("plain", "Control", synthetic_rr(300, seed=6))])
-        plain = (tmp_path / "data" / "plain.txt").read_bytes()
-        (tmp_path / "data" / "bom.txt").write_bytes(b"\xef\xbb\xbf" + plain)
-        manifest.write_text(manifest.read_text() + "data/bom.txt,bom,Control\n")
-        by_id = {r.subject_id: r for r in run_pipeline(manifest).recordings}
-        assert by_id["bom"].status == "ok"
-        assert by_id["bom"].features == by_id["plain"].features
 
     def test_internal_error_propagates(self, write_dataset, monkeypatch):
         manifest = write_dataset([("ok0", "Control", synthetic_rr(300, seed=6))])
@@ -417,6 +368,11 @@ class TestRunPipeline:
             assert a.status == "skipped"
             assert "unbalanced" in a.reason
 
+    def test_two_groups_are_a_design(self, write_dataset):
+        spec = [row for row in balanced_spec(per_group=2) if row[1] != "VF"]
+        report = run_pipeline(write_dataset(spec))
+        assert [(a.status, a.row_labels) for a in report.anova] == [("ok", ("Control", "VT"))] * 2
+
     def test_unlabeled_recording_left_out_of_anova(self, write_dataset):
         spec = balanced_spec(per_group=2) + [("extra", "Unlabeled", synthetic_rr(300, seed=40))]
         report = run_pipeline(write_dataset(spec))
@@ -424,17 +380,6 @@ class TestRunPipeline:
         for a in report.anova:
             assert a.status == "ok"
             assert a.row_labels == ("Control", "VT", "VF") and a.replicates == 2
-
-    def test_row_order_independence(self, write_dataset, tmp_path):
-        spec = balanced_spec(per_group=2)
-        manifest = write_dataset(spec)
-        lines = manifest.read_text().strip().splitlines()
-        shuffled = tmp_path / "shuffled.csv"
-        shuffled.write_text("\n".join([lines[0]] + lines[1:][::-1]) + "\n")
-        a = run_pipeline(manifest)
-        b = run_pipeline(shuffled)
-        assert a.to_json() == b.to_json()
-        assert a.coefficients().tobytes() == b.coefficients().tobytes()
 
     @pytest.mark.parametrize("budget", [None, 1000], ids=["default-chunks", "1000-intervals"])
     def test_chunking_cannot_change_a_result(self, write_dataset, tmp_path, monkeypatch, budget):
@@ -473,13 +418,6 @@ class TestRunPipeline:
         assert [r.subject_id for r in batch if r.status == "failed"] == sorted(failing)
         assert batch[0].error.startswith("FileNotFoundError")
 
-    def test_determinism(self, write_dataset):
-        manifest = write_dataset([("r0", "Control", synthetic_rr(300, seed=8)),
-                                  ("r1", "VT", synthetic_rr(300, seed=9))])
-        a, b = (run_pipeline(manifest) for _ in range(2))
-        assert a.to_json() == b.to_json()
-        assert a.coefficients().tobytes() == b.coefficients().tobytes()
-
     def test_transform_splits_only_the_band_ancestors(self, write_dataset, monkeypatch):
         # the 12 LF/HF leaves of a depth-6 tree need about 2.5 N input samples, the full tree 6 N
         sizes = []
@@ -508,6 +446,7 @@ class TestRunPipeline:
 
     def test_report_schema_version(self, balanced_report):
         _, report = balanced_report
+        assert report.to_json().startswith('{\n  "tool": {\n    "name": "hrvwp",')  # indent 2
         payload = json.loads(report.to_json())
         assert payload["tool"] == {"name": "hrvwp", "version": hrvwp.__version__, "schema": 8}
         with pytest.raises(TypeError):  # the label always names the layout written
@@ -614,17 +553,6 @@ class TestEmit:
         assert rows[1][1] == f"{coeff.table.rows[0].ss:.12g}"
         assert frows[1][2] == f"{report.recordings[0].features.std_lf:.12g}"
 
-    def test_json_outputs(self, balanced_report, tmp_path):
-        # report.json is the one JSON output, and it holds the features and
-        # the ANOVA tables the CSV files mirror; the band values are in
-        # coefficients.npy
-        _, report = balanced_report
-        out = tmp_path / "json_out"
-        written = emit_report(report, out)
-        assert [p.name for p in written if p.suffix == ".json"] == ["report.json"]
-        assert out / "coefficients.npy" in written
-        _assert_report_files(out, report)
-
     def test_all_failed_run_round_trips_with_an_empty_vector(self, write_dataset, tmp_path):
         manifest = write_dataset([("only", "Control", synthetic_rr(300, seed=12))])
         manifest.write_text("path,subject_id,group\ndata/missing.txt,gone,Control\n")
@@ -635,18 +563,7 @@ class TestEmit:
         vector = np.load(out / "coefficients.npy", allow_pickle=False)
         assert vector.dtype == np.float64 and vector.shape == (0,)
         _assert_report_files(out, report)
-
-    def test_empty_feature_list_writes_header_only(self, write_dataset, tmp_path):
-        manifest = write_dataset([("only", "Control", synthetic_rr(300, seed=12))])
-        manifest.write_text(
-            "path,subject_id,group\ndata/missing.txt,gone,Control\n"
-        )
-        report = run_pipeline(manifest)
-        out = tmp_path / "empty_out"
-        emit_report(report, out)
-        with open(out / "features.csv", newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert len(rows) == 1
+        assert (out / "features.csv").read_text().splitlines() == [",".join(FEATURE_COLUMNS)]
 
     def test_skipped_anova_writes_no_table(self, balanced_report, write_dataset, tmp_path):
         # nor leaves one that an earlier, balanced run wrote into the same directory
@@ -726,23 +643,21 @@ class TestEmit:
             assert not any(name.endswith(".tmp") for name in after)
             assert "report.json" not in after or after == before, k
 
-    def test_unwritable_output_dir(self, balanced_report, tmp_path):
-        _, report = balanced_report
+    def test_unwritable_output_dir(self, balanced_report, tmp_path, capsys):
+        manifest, report = balanced_report
         blocker = tmp_path / "blocked"
         blocker.write_text("a file where the directory should go")
         with pytest.raises(OSError, match="cannot write report"):
             emit_report(report, blocker)
+        assert main(["--manifest", str(manifest), "--out", str(blocker)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write report under {blocker}: ")
 
 
 @pytest.fixture(scope="module")
 def cli_reference(tmp_path_factory):
     """A balanced dataset plus one unreadable unlabeled row, and the CLI's output for it."""
     tmp = tmp_path_factory.mktemp("permuted")
-    (tmp / "data").mkdir()
-    rows = []
-    for subject_id, group, rr in balanced_spec(per_group=2):
-        (tmp / "data" / f"{subject_id}.txt").write_text("\n".join(f"{v:.6f}" for v in rr) + "\n")
-        rows.append(f"data/{subject_id}.txt,{subject_id},{group}")
+    rows = write_dataset(tmp, balanced_spec(per_group=2)).read_text().splitlines()[1:]
     rows.append("data/absent.txt,ghost,Unlabeled")
     (tmp / "manifest.csv").write_text("\n".join(["path,subject_id,group", *rows]) + "\n")
     assert main(["--manifest", str(tmp / "manifest.csv"), "--out", str(tmp / "out")]) == 1
@@ -765,11 +680,14 @@ class TestCli:
     def test_full_run_exit_zero(self, write_dataset, tmp_path, capsys):
         manifest = write_dataset(balanced_spec(per_group=2))
         code = main(["--manifest", str(manifest), "--out", str(tmp_path / "cli_out")])
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "6 ok" in captured.out
-        # the CLI runs the reference configuration: depth-6 blocks, leaves 1-4 and 5-12
         out = tmp_path / "cli_out"
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "processed 6 recording(s): 6 ok, 0 failed\n"
+            "anova coefficient_stats: ok (3 groups x 4 features x 2 subjects)\n"
+            "anova energy: ok (3 groups x 3 features x 2 subjects)\n"
+            f"wrote 5 file(s) to {out}\n")
+        # the CLI runs the reference configuration: depth-6 blocks, leaves 1-4 and 5-12
         assert {p.name for p in out.iterdir()} == {
             "report.json", "coefficients.npy", "features.csv",
             "anova_coefficient_stats.csv", "anova_energy.csv"}
@@ -783,11 +701,12 @@ class TestCli:
 
     def test_insufficient_design_exit_one(self, write_dataset, tmp_path, capsys):
         manifest = write_dataset([("one", "Control", synthetic_rr(300, seed=14))])
+        manifest.write_text(manifest.read_text() + "data/absent.txt,ghost,VT\n")
         code = main(["--manifest", str(manifest), "--out", str(tmp_path / "o1")])
         assert code == 1
-        assert "skipped" in capsys.readouterr().out
-
-    def test_missing_manifest_exit_two(self, tmp_path, capsys):
-        code = main(["--manifest", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
-        assert code == 2
-        assert "error" in capsys.readouterr().err
+        skipped = "skipped (insufficient design: needs >= 2 labeled groups)"
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "processed 2 recording(s): 1 ok, 1 failed"
+        assert lines[1].startswith("  failed ghost: FileNotFoundError: ")
+        assert lines[2:] == [f"anova coefficient_stats: {skipped}", f"anova energy: {skipped}",
+                             f"wrote 3 file(s) to {tmp_path / 'o1'}"]

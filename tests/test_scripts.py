@@ -1,3 +1,5 @@
+import ast
+
 from hrvwp import run_pipeline
 
 from conftest import load_script
@@ -14,3 +16,63 @@ def test_make_synthetic_dataset_writes_a_runnable_manifest(tmp_path, monkeypatch
     assert len(report.recordings) == 6
     assert report.all_ok
     assert all(r.n_intervals == 400 for r in report.recordings)
+
+
+SAMPLE = '''"""A module docstring."""
+__all__ = ["f"]
+
+
+def f(xs, s):
+    """A function docstring."""
+    if len(xs) > 1 and s.strip():
+        return xs[1:len(xs)], max(xs[0], 2.5)
+    raise ValueError(f"bad {s!r}: need 2")
+'''
+
+
+def outermost_changes(a, b):
+    """The outermost nodes of tree a that differ from tree b."""
+    if type(a) is not type(b) or any(
+            getattr(a, f) != getattr(b, f) for f in a._fields
+            if not isinstance(getattr(a, f), (ast.AST, list))):
+        return [a]
+    changes = []
+    for f in a._fields:
+        x, y = getattr(a, f), getattr(b, f)
+        if isinstance(x, list) and len(x) != len(y):
+            return [a]
+        for p, q in zip(x, y) if isinstance(x, list) else [(x, y)]:
+            changes += outermost_changes(p, q) if isinstance(p, ast.AST) else [a] * (p != q)
+    return changes
+
+
+def test_mutation_catalogue_of_a_sample_module():
+    found = load_script("mutation_run").mutants(SAMPLE, "sample.py")
+    assert [(m["line"], m["kind"], m["detail"]) for m in found] == [
+        (7, "statement", "`if len(xs) > 1 and s.strip(): return xs[1:len(xs)], max(xs[0`: -> pass"),
+        (7, "boolop", "`len(xs) > 1 and s.strip()`: drop `len(xs) > 1`"),
+        (7, "boolop", "`len(xs) > 1 and s.strip()`: drop `s.strip()`"),
+        (7, "compare", "`len(xs) > 1`: > -> >="),
+        (7, "constant", "`1`: 1 -> 2"),
+        (7, "constant", "`1`: 1 -> 0"),
+        (7, "strip", "`s.strip()`: removed"),
+        (8, "statement", "`return xs[1:len(xs)], max(xs[0], 2.5)`: -> pass"),
+        (8, "slice", "`len(xs)`: + 1"),
+        (8, "slice", "`len(xs)`: - 1"),
+        (8, "constant", "`1`: 1 -> 2"),
+        (8, "constant", "`1`: 1 -> 0"),
+        (8, "swap", "`max(xs[0], 2.5)`: arguments swapped"),
+        (8, "constant", "`0`: 0 -> 1"),
+        (8, "constant", "`0`: 0 -> -1"),
+        (8, "constant", "`2.5`: 2.5 -> 2.5000002500000003"),
+        (9, "statement", '`raise ValueError(f"bad {s!r}: need 2")`: -> pass'),
+    ]
+    assert len({m["key"] for m in found}) == len(found)
+    assert {m["function"] for m in found} == {"f"}
+    source = ast.parse(SAMPLE)
+    for m in found:
+        changes = outermost_changes(source, ast.parse(m["text"]))
+        if m["kind"] == "swap":  # the call's two arguments, in place
+            assert [type(node) for node in changes] == [ast.Subscript, ast.Constant]
+        else:
+            assert len(changes) == 1, m["key"]

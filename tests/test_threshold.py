@@ -15,18 +15,6 @@ def threshold(values):
     return band.lam, band.h
 
 
-def sorted_median(values):
-    v = sorted(values)
-    n = len(v)
-    mid = n // 2
-    return v[mid] if n % 2 else 0.5 * (v[mid - 1] + v[mid])
-
-
-def mad_oracle(values):
-    center = sorted_median(values)
-    return sorted_median([abs(x - center) for x in values])
-
-
 finite_lists = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=60
 )
@@ -41,22 +29,17 @@ scalable_lists = st.lists(
 class TestMad:
     def test_odd_length_example(self):
         assert mad([1, 2, 3, 4, 5]) == 1.0
-        assert mad_oracle([1, 2, 3, 4, 5]) == 1.0
 
     def test_constant_vector(self):
         assert mad([7, 7, 7]) == 0.0
 
     def test_even_length_median_is_midpoint(self):
         values = [1.0, 2.0, 3.0, 10.0]
-        assert mad(values) == mad_oracle(values) == 1.0
+        assert mad(values) == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             mad([])
-
-    @given(finite_lists)
-    def test_matches_sort_oracle(self, values):
-        assert mad(values) == pytest.approx(mad_oracle(values), rel=1e-12, abs=1e-12)
 
     @given(st.one_of(finite_lists, scalable_lists))
     def test_bitwise_equal_to_numpy_median(self, values):
@@ -65,7 +48,10 @@ class TestMad:
         assert mad(v) == float(np.median(np.abs(v - np.median(v))))
 
     def test_nan_propagates(self):
-        for values in ([1.0, float("nan"), 3.0], [float("nan"), 2.0], [float("nan")]):
+        # the partition puts a NaN last only because its kth includes the last place
+        nan = float("nan")
+        for values in ([1.0, nan, 3.0], [nan, 2.0], [nan], [4.0, nan, 2.0, 1.0, 0.0],
+                       [5.0, nan, 3.0, 2.0, 1.0, 0.0]):
             assert np.isnan(mad(values))
 
     @given(
@@ -146,6 +132,8 @@ class TestSplit:
             split(np.array([0.1, 5.0, -0.2]), 1.0, leaves=(1, 2))
         with pytest.raises(ValueError, match="divide evenly"):
             split(np.array([0.1]), 1.0, leaves=())
+        with pytest.raises(ValueError, match="divide evenly"):  # the values are one vector
+            split(np.ones((2, 2)), 1.0, leaves=(1, 2))
 
     @given(finite_lists, st.floats(min_value=0.0, max_value=1e6, allow_nan=False))
     def test_energy_accounting(self, values, lam):
@@ -187,25 +175,12 @@ class TestThresholdBand:
         assert (split.band, split.lam, split.h, split.n) == ("HF", h * sqrt(2.0 * log(128)), h, 128)
         assert split.leaves == (0,) and np.array_equal(split.values, coeffs)
 
-    def test_formula(self):
-        rng = np.random.default_rng(2)
-        coeffs = rng.standard_normal(300)
-        lam, h = threshold(coeffs)
-        assert h == pytest.approx(mad_oracle(coeffs) / 0.6745, rel=1e-12)
-        assert lam == pytest.approx(h * sqrt(2.0 * log(300)), rel=1e-12, abs=1e-12)
-
     def test_standard_normal_scale_is_one(self):
         x = np.random.default_rng(123).standard_normal(100_000)
         assert threshold(x)[1] == pytest.approx(1.0, rel=0.03)
 
     def test_single_coefficient_gives_zero(self):
         assert threshold([5.0]) == (0.0, 0.0)
-
-    def test_unit_scale_n256(self):
-        values = np.array([0.6745, -0.6745] * 128)
-        lam, h = threshold(values)
-        assert h == pytest.approx(1.0, rel=1e-12)
-        assert lam == pytest.approx(3.3302, abs=1e-4)
 
     def test_constant_vector_gives_zero(self):
         assert threshold(np.full(64, 2.5)) == (0.0, 0.0)

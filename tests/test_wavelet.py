@@ -75,10 +75,6 @@ def packet_matrix(taps, n, depth):
     return np.column_stack([full_level(e, depth, taps).ravel() for e in np.eye(n)])
 
 
-def tone(freq_hz, n=1024, rate_hz=4.0):
-    return np.sin(2 * np.pi * freq_hz * np.arange(n) / rate_hz)
-
-
 class TestFilters:
     @pytest.mark.parametrize("order", range(1, 11))
     def test_invariants(self, order):
@@ -112,8 +108,9 @@ class TestFilters:
             daubechies_filters(order)
 
     def test_non_integer_order(self):
-        with pytest.raises(ValueError):
-            daubechies_filters(2.5)
+        for order in (2.5, True):
+            with pytest.raises(ValueError, match="integer"):
+                daubechies_filters(order)
 
     def test_deterministic_construction(self):
         a = daubechies_filters(7)
@@ -165,32 +162,10 @@ class TestAnalysisSynthesis:
         with pytest.raises(ValueError, match="even"):
             analysis_step(np.ones(5), daubechies_filters(2))
 
-    def test_haar_synthesis_inverts_example(self):
-        # the transform is orthogonal, so its transpose is the synthesis
-        leaves = np.array([SQRT2, SQRT2, 0.0, 0.0])
-        out = packet_matrix(daubechies_filters(1), 4, 1).T @ leaves
-        assert np.allclose(out, np.ones(4))
-
-    def test_db4_roundtrip_length_128_noise(self):
-        rng = np.random.default_rng(11)
-        x = rng.standard_normal(128)
-        taps = daubechies_filters(4)
-        out = packet_matrix(taps, 128, 1).T @ full_level(x, 1, taps).ravel()
-        assert np.max(np.abs(out - x)) < 1e-10
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        order=st.integers(min_value=1, max_value=10),
-        half=st.integers(min_value=1, max_value=48),
-        seed=st.integers(min_value=0, max_value=2 ** 31),
-    )
-    def test_roundtrip_property(self, order, half, seed):
-        x = np.random.default_rng(seed).standard_normal(2 * half)
-        taps = daubechies_filters(order)
-        q = packet_matrix(taps, 2 * half, 1)
-        assert np.allclose(q @ q.T, np.eye(2 * half), rtol=0, atol=1e-12)
-        out = q.T @ full_level(x, 1, taps).ravel()
-        assert np.max(np.abs(out - x)) < 1e-10 * max(1.0, np.max(np.abs(x)))
+    def test_fewer_than_two_samples_rejected(self):
+        for sig in (np.ones(1), np.ones(()), np.ones((3, 0))):
+            with pytest.raises(ValueError, match="at least 2 samples"):
+                analysis_step(sig, daubechies_filters(2))
 
 
 class TestPacketTree:
@@ -224,19 +199,6 @@ class TestPacketTree:
                 fitting += 1
                 assert 0 not in leaves, (band, level)
         assert fitting == (MAX_DEPTH - 4) + (MAX_DEPTH - 3)  # LF from level 5, HF from 4
-
-    def test_sinusoid_017hz_lands_in_leaf_5(self):
-        sig = tone(0.17)
-        energies = [float(np.dot(n, n)) for n in full_level(sig, 6, daubechies_filters(4))]
-        assert int(np.argmax(energies)) == 5
-
-    def test_parseval_every_level(self):
-        rng = np.random.default_rng(5)
-        sig = rng.standard_normal(512)
-        reference = float(np.dot(sig, sig))
-        for level in range(7):
-            nodes = full_level(sig, level, daubechies_filters(4))
-            assert np.sum(nodes ** 2) == pytest.approx(reference, rel=1e-9)
 
     @pytest.mark.parametrize("order", range(1, 11))
     def test_matches_orthogonal_matrix_reference(self, order):
@@ -354,59 +316,7 @@ class TestPrunedLeaves:
             wpt_leaves(np.ones(8), -1, daubechies_filters(2), [0])
 
 
-class TestReconstruction:
-    """The depth-6 transform is an orthogonal map Q, so Q.T inverts it."""
-
-    TAPS = daubechies_filters(4)
-    Q = packet_matrix(TAPS, 256, 6)
-
-    def _leaves(self, n=256, seed=1, depth=6):
-        x = np.random.default_rng(seed).standard_normal(n)
-        return x, full_level(x, depth, self.TAPS)
-
-    def test_all_leaves_return_original(self):
-        x, leaves = self._leaves()
-        assert np.allclose(self.Q @ self.Q.T, np.eye(256), rtol=0, atol=1e-12)
-        out = self.Q.T @ leaves.ravel()
-        assert np.max(np.abs(out - x)) < 1e-10 * np.max(np.abs(x))
-
-    def test_complementary_sets_sum_to_signal(self):
-        # the components of complementary leaf sets are orthogonal and add up to the signal
-        x, leaves = self._leaves()
-        subset = np.zeros(64, dtype=bool)
-        subset[np.random.default_rng(9).choice(64, size=20, replace=False)] = True
-        part = self.Q.T @ np.where(subset[:, None], leaves, 0.0).ravel()
-        rest = self.Q.T @ np.where(subset[:, None], 0.0, leaves).ravel()
-        assert abs(np.dot(part, rest)) < 1e-10 * np.dot(x, x)
-        assert np.max(np.abs(part + rest - x)) < 1e-10 * np.max(np.abs(x))
-
-    def test_pruned_leaves_reconstruct(self):
-        # the pruned call, asked for every slot in shuffled order, is the same map
-        x = np.random.default_rng(4).standard_normal(256)
-        slots = np.random.default_rng(5).permutation(64)
-        leaves = np.empty((64, 4))
-        leaves[slots] = wpt_leaves(x, 6, self.TAPS, slots.tolist())
-        out = self.Q.T @ leaves.ravel()
-        assert np.max(np.abs(out - x)) < 1e-10 * np.max(np.abs(x))
-
-    @pytest.mark.parametrize("order", [2, 7, 10])
-    def test_full_tree_roundtrip_other_orders(self, order):
-        x = np.random.default_rng(order).standard_normal(256)
-        taps = daubechies_filters(order)
-        q = packet_matrix(taps, 256, 6)
-        assert np.allclose(q @ q.T, np.eye(256), rtol=0, atol=1e-12)
-        out = q.T @ full_level(x, 6, taps).ravel()
-        assert np.max(np.abs(out - x)) < 1e-10 * np.max(np.abs(x))
-
-
 class TestFrequencyMapping:
-    @pytest.mark.parametrize(
-        "index,expected",
-        [(0, (0.0, 0.03125)), (5, (0.15625, 0.1875)), (63, (1.96875, 2.0))],
-    )
-    def test_depth6_rows(self, index, expected):
-        assert band_nodes(expected, 6, 4.0) == [index]
-
     def test_leaves_tile_nyquist_interval(self):
         # the whole interval holds every leaf, and each leaf's slice only that leaf
         for level in (1, 3, 6):
@@ -420,12 +330,6 @@ class TestFrequencyMapping:
             oracle = mirrored_leaf_intervals(depth, 4.0)
             for slot in range(2 ** depth):
                 assert band_nodes(oracle[_gray(slot)], depth, 4.0) == [slot]
-
-    @pytest.mark.parametrize("slot", [0, 1, 5, 9, 31, 62])
-    def test_tone_at_slot_center_maximizes_that_leaf(self, slot):
-        freq = (slot + 0.5) * 4.0 / 2 ** 7
-        energies = [float(np.dot(n, n)) for n in full_level(tone(freq), 6, daubechies_filters(4))]
-        assert int(np.argmax(energies)) == slot
 
 
 class TestBandNodes:
@@ -498,6 +402,15 @@ class TestBandNodes:
         assert band_nodes((1.0, float("inf")), 3, 4.0) == [4, 5, 6, 7]
         with pytest.raises(ValueError, match="no level-3 node fits"):
             band_nodes((1e300, float("inf")), 3, 4.0)
+
+    def test_invalid_arguments_rejected(self):
+        for band, level, rate_hz, message in (
+                ((1.0, 1.0), 3, 4.0, "invalid band edges"),
+                ((0.0, 1.0), -1, 4.0, "level must be in"),
+                ((0.0, 1.0), 3, 0.0, "rate_hz must be positive"),
+                ((0.0, 1.0), 3, float("inf"), "rate_hz must be positive")):
+            with pytest.raises(ValueError, match=message):
+                band_nodes(band, level, rate_hz)
 
     def test_level_above_max_depth_rejected(self):
         assert band_nodes(LF_BAND_HZ, MAX_DEPTH, 4.0)[0] == 2 ** (MAX_DEPTH - 6)
