@@ -124,6 +124,13 @@ class TestAnova:
                 assert sc.f == pytest.approx(b.f, rel=1e-9)
                 assert sc.p == pytest.approx(b.p, rel=1e-9)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_additivity(self, seed):
+        grid = np.random.default_rng(100 + seed).standard_normal((3, 4, 3))
+        *parts, total = anova_two_way(grid).rows
+        assert sum(r.ss for r in parts) == pytest.approx(total.ss, rel=1e-9)
+        assert sum(r.df for r in parts) == total.df
+
     def test_table_lookup_and_serialization(self):
         grid = np.random.default_rng(2).standard_normal((3, 4, 3))
         table = anova_two_way(grid)
