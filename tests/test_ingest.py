@@ -36,7 +36,14 @@ def is_data(line):
 
 
 # whitespace that separates tokens inside a line, but does not end it
-SEPARATORS = [" ", "\t", "  ", "\f", "\v", "\x1c", "\x85", "\xa0", "\u2028"]
+SEPARATOR = st.sampled_from([" ", "\t", "  ", "\f", "\v", "\x1c", "\x85", "\xa0", "\u2028"])
+PAD = st.sampled_from(["", " ", "  ", "\t", " \t ", "\f", "\x1e", "\u2029"])
+COMMENT = st.sampled_from(["", "", "#", " # 1 2", "#x\x85y"])
+EXTRAS = st.sampled_from([[], ["17"], ["# note"]])
+NOISE = st.lists(st.sampled_from(["", "   ", "\t", "# comment", "  # indented 1 2", "#", "\f"]),
+                 max_size=2)
+NUMBER = st.builds(lambda v, form: form(v), st.floats(min_value=200.0, max_value=2000.0),
+                   st.sampled_from([repr, "{:.3f}".format, "{:.6e}".format, "{:.0f}".format]))
 
 
 @st.composite
@@ -50,26 +57,14 @@ def rr_files(draw):
     with a byte-order mark.
     """
     columns = draw(st.sampled_from([1, 2]))
-    extras = st.sampled_from([[], ["17"], ["# note"]] if draw(st.booleans()) else [[]])
-    pad = st.sampled_from(["", " ", "  ", "\t", " \t ", "\f", "\x1e", "\u2029"])
-    comment = st.sampled_from(["", "", "#", " # 1 2", "#x\x85y"])
-
-    def number():
-        v = draw(st.floats(min_value=200.0, max_value=2000.0))
-        return draw(st.sampled_from([repr(v), f"{v:.3f}", f"{v:.6e}", f"{v:.0f}"]))
-
-    def data_line(first):
-        tokens = [number() for _ in range(columns)]
-        if columns == 2 or not first:
-            tokens += draw(extras)
-        sep = draw(st.sampled_from(SEPARATORS))
-        return draw(pad) + sep.join(tokens) + draw(pad) + draw(comment)
-
-    noise = st.sampled_from(["", "   ", "\t", "# comment", "  # indented 1 2", "#", "\f"])
+    extras = EXTRAS if draw(st.booleans()) else st.just([])
     lines = []
     for k in range(draw(st.integers(min_value=2, max_value=40))):
-        lines.extend(draw(st.lists(noise, max_size=2)))
-        lines.append(data_line(first=k == 0))
+        lines.extend(draw(NOISE))
+        tokens = [draw(NUMBER) for _ in range(columns)]
+        if columns == 2 or k > 0:
+            tokens += draw(extras)
+        lines.append(draw(PAD) + draw(SEPARATOR).join(tokens) + draw(PAD) + draw(COMMENT))
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return lines, newline, draw(st.sampled_from(["", "\ufeff"]))
 
@@ -85,13 +80,14 @@ def outcome(path, line_pass=False):
     """parse_rr_file's result, or the type and text of its error.
 
     With line_pass, numpy's reader declines everything, so only the line
-    pass runs.
+    pass runs. An RRParseError's line attribute is the line its text names.
     """
     reader = mock.patch.object(ingest, "_read_table", return_value=None)
     with reader if line_pass else contextlib.nullcontext():
         try:
             return parse_rr_file(path)
         except (ValueError, OSError) as exc:
+            assert not isinstance(exc, RRParseError) or str(exc).startswith(f"line {exc.line}: ")
             return type(exc), str(exc)
 
 
@@ -161,23 +157,6 @@ class TestParse:
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         assert len(parse_rr_file(rr_path(tmp_path, "# header\n\n800\n# mid\n810\n"))) == 2
 
-    def test_non_numeric_reports_line(self, tmp_path):
-        with pytest.raises(RRParseError, match="line 2"):
-            parse_rr_file(rr_path(tmp_path, "800\nabc\n"))
-        with pytest.raises(RRParseError) as err:
-            parse_rr_file(str(rr_path(tmp_path, "# c\n800\nabc\n")))
-        assert err.value.line == 3
-
-    def test_non_positive_interval_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="non-positive"):
-            parse_rr_file(rr_path(tmp_path, "800\n-5\n810\n"))
-        with pytest.raises(ValueError, match="non-positive"):
-            parse_rr_file(rr_path(tmp_path, "800\n0\n"))
-
-    def test_too_few_intervals(self, tmp_path):
-        with pytest.raises(ValueError, match="at least 2"):
-            parse_rr_file(rr_path(tmp_path, "800\n"))
-
     def test_str_path_equals_pathlike(self, tmp_path):
         for text in ("800\n810\n", "0.8 800.25\n1.6 810 x\n"):  # reader, line pass
             path = rr_path(tmp_path, text)
@@ -244,6 +223,7 @@ class TestParse:
         ("0.8 800\n1.6 inf\n2.4 810\n",
          (ValueError, "non-positive or non-finite RR interval at position 2: inf")),
         ("800\n-5\n0\n", (ValueError, "non-positive or non-finite RR interval at position 2: -5.0")),
+        ("# c\n800\nabc\n", (RRParseError, "line 3: non-numeric token 'abc'")),
     ])
     def test_line_rules(self, tmp_path, text, expected):
         results = routes(rr_path(tmp_path, text))
@@ -288,12 +268,12 @@ class TestParse:
     def test_files_past_one_reader_chunk(self, tmp_path, monkeypatch, newline):
         # numpy's reader takes a file 16,384 characters at a time; a header
         # whose length steps through more than one data line puts every
-        # character of the lines around each chunk boundary on it, the CR of
-        # a CR LF pair included
+        # character of the lines around the chunk boundary on it, the CR of
+        # a CR LF pair included. 606 rows take every text past that boundary.
         rng = np.random.default_rng(len(newline))
         rows = [f"{t:.3f} {v!r}" + (" # ok" if k % 5 == 0 else "")
-                for k, (t, v) in enumerate(zip(np.arange(4000) * 0.8,
-                                               rng.uniform(300.0, 1500.0, 4000).tolist()))]
+                for k, (t, v) in enumerate(zip(np.arange(606) * 0.8,
+                                               rng.uniform(300.0, 1500.0, 606).tolist()))]
         body = newline.join(rows) + newline
         expected = np.array([float(row.split()[1]) for row in rows])
 
@@ -303,6 +283,7 @@ class TestParse:
         splits = 0
         for header in range(max(map(len, rows)) + len(newline) + 1):
             text = f"#{'x' * header}{newline}{body}"
+            assert len(text) > 16384
             splits += text[16383:16385] == "\r\n"
             path = rr_path(tmp_path, text)
             with monkeypatch.context() as patch:
@@ -339,23 +320,22 @@ class TestTachogram:
         assert values is rr  # the values are the intervals themselves, not a copy
         assert rr_to_tachogram(np.array([]))[0].size == 0
 
-    def test_single_interval_rejected(self, tmp_path):
-        # the chain rejects one interval: when parsing a file, and when
-        # resampling a tachogram built from an array
-        with pytest.raises(ValueError, match="at least 2"):
-            parse_rr_file(rr_path(tmp_path, "500\n"))
-        times, values = rr_to_tachogram(np.array([500.0]))
-        with pytest.raises(ValueError, match="at least 2"):
-            resample_cubic_spline(times, values, 4.0)
-
-    def test_overflowing_sum_rejected(self):
-        with pytest.raises(ValueError, match="overflow"):
-            rr_to_tachogram(np.array([1e308, 1e308, 800.0]))
-
     @given(st.lists(st.floats(min_value=200.0, max_value=2000.0), min_size=2, max_size=60))
     def test_times_strictly_increase(self, intervals):
         times, _ = rr_to_tachogram(np.array(intervals))
         assert np.all(np.diff(times) > 0.0)
+
+
+PAIRS = "times and values must be 1-d arrays of equal length"
+FINITE = "times and values must be finite"
+RATE = "sampling rate must be positive and finite"
+OVERFLOW = "spline values overflow: knots too close for the change in their values"
+
+
+def wide_spline(moment):
+    """The 1 Hz samples of a zero-valued spline on knots 0, 1e4 and 2e4 s, middle moment given."""
+    knots = ingest.spline_knots([0.0, 1e4, 2e4], np.zeros(3), 1.0)
+    return ingest.spline_samples(knots, np.array([0.0, moment, 0.0]), 1.0)
 
 
 class TestResample:
@@ -439,34 +419,48 @@ class TestResample:
         assert sig[0] == pytest.approx(1.0, rel=1e-12)
         assert np.allclose(sig, 1.0 + 1.25 * np.arange(7) / 4.0, rtol=1e-12)
 
-    def test_non_increasing_times_rejected(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            resample_cubic_spline(np.array([0.0, 1.0, 1.0]), np.zeros(3), 4.0)
-
-    def test_points_must_pair_up(self):
-        for t, v in ((np.zeros((2, 2)), np.zeros(4)), (np.arange(3.0), np.zeros(2))):
-            with pytest.raises(ValueError, match="1-d arrays of equal length"):
-                resample_cubic_spline(t, v, 4.0)
-
-    def test_non_finite_points_rejected(self):
-        for t, v in (([0.0, 1.0, np.inf], [1.0, 2.0, 3.0]), ([0.0, np.nan], [1.0, 2.0]),
-                     ([0.0, 1.0], [1.0, -np.inf])):
-            with pytest.raises(ValueError, match="finite"):
-                resample_cubic_spline(np.array(t), np.array(v), 4.0)
-
-    def test_rate_too_low(self):
-        with pytest.raises(ValueError):
-            resample_cubic_spline(np.array([0.0, 0.5]), np.array([1.0, 2.0]), 0.5)
-        for rate_hz in (0.0, float("inf"), float("nan")):
-            with pytest.raises(ValueError, match="positive and finite"):
-                resample_cubic_spline(np.array([0.0, 1.0]), np.array([1.0, 2.0]), rate_hz)
-
-    def test_overflowing_spline_rejected(self):
+    @pytest.mark.parametrize("call, message", [
+        (lambda: rr_to_tachogram([1e308, 1e308, 800.0]),
+         "beat times overflow: the RR intervals sum past the float range"),
+        (lambda: resample_cubic_spline(*rr_to_tachogram([500.0]), 4.0),
+         "need at least 2 points to resample"),
+        (lambda: resample_cubic_spline(np.zeros((2, 2)), np.zeros(4), 4.0), PAIRS),
+        (lambda: resample_cubic_spline([0.0, 1.0, 2.0], [0.0, 0.0], 4.0), PAIRS),
+        (lambda: resample_cubic_spline([0.0, 1.0, np.inf], [1.0, 2.0, 3.0], 4.0), FINITE),
+        (lambda: resample_cubic_spline([0.0, np.nan], [1.0, 2.0], 4.0), FINITE),
+        (lambda: resample_cubic_spline([0.0, 1.0], [1.0, -np.inf], 4.0), FINITE),
+        (lambda: resample_cubic_spline([0.0, 1.0, 1.0], [0.0, 0.0, 0.0], 4.0),
+         "times must be strictly increasing"),
+        (lambda: resample_cubic_spline([0.0, 0.5], [1.0, 2.0], 0.5),
+         "rate 0.5 Hz yields 1 sample(s) over a 0.500 s span"),
+        (lambda: resample_cubic_spline([0.0, 1.0], [1.0, 2.0], 0.0), f"{RATE}, got 0.0"),
+        (lambda: resample_cubic_spline([0.0, 1.0], [1.0, 2.0], np.inf), f"{RATE}, got inf"),
+        (lambda: resample_cubic_spline([0.0, 1.0], [1.0, 2.0], np.nan), f"{RATE}, got nan"),
         # knots 1e-292 s apart around a 1e-274 ms step: the second derivatives
         # pass 1e308, and no RuntimeWarning escapes on the way to the error
-        times, values = rr_to_tachogram(np.array([1e-274, 1e-289, 1000.0]))
-        with pytest.raises(ValueError, match="^spline values overflow"):
-            resample_cubic_spline(times, values, 4.0)
+        (lambda: resample_cubic_spline(*rr_to_tachogram([1e-274, 1e-289, 1000.0]), 4.0), OVERFLOW),
+        # one moment of 1e302 between knots 1e4 s apart: the samples reach -inf
+        # while their maximum stays finite, and with -1e302 +inf while their
+        # minimum does, so each half of the min/max check refuses one of them
+        (lambda: wide_spline(1e302), OVERFLOW),
+        (lambda: wide_spline(-1e302), OVERFLOW),
+    ], ids=["overflowing-beat-times", "one-point", "2-d-times", "unequal-lengths", "infinite-time",
+            "nan-time", "infinite-value", "repeated-time", "one-sample-grid", "zero-rate",
+            "infinite-rate", "nan-rate", "overflowing-spline", "minus-inf-samples",
+            "plus-inf-samples"])
+    def test_rejected(self, call, message):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+
+    def test_grid_cap_boundary(self, monkeypatch):
+        # the cap read from a depth-6 tree: a (2**6 - 1) / 4 s span at 4 Hz is
+        # 64 samples, its last on the last knot, and 1e-9 s more is refused
+        monkeypatch.setattr(ingest, "MAX_DEPTH", 6)
+        assert resample_cubic_spline(np.array([0.0, 15.75]), np.ones(2), 4.0).size == 64
+        with pytest.raises(ValueError) as err:
+            resample_cubic_spline(np.array([0.0, 15.75 + 1e-9]), np.ones(2), 4.0)
+        assert str(err.value) == "a 15.75 s span at 4.0 Hz needs over 2**6 samples"
 
     def test_span_times_rate_overflow_rejected(self):
         # span * rate is inf here; the grid cap is checked on span, before any allocation

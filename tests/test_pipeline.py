@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hrvwp
@@ -25,6 +25,31 @@ from hrvwp.stats import AnovaRow, AnovaTable, anova_two_way
 from hrvwp.wavelet import band_nodes, daubechies_filters
 from hrvwp.cli import main
 from conftest import balanced_spec, synthetic_rr, write_dataset
+
+
+HEADER = "manifest must start with header path,subject_id,group"
+UNKNOWN = "unknown group 'Healthy'; expected one of ['Control', 'VT', 'VF', 'Unlabeled']"
+NOT_FINITE = "ValueError: non-positive or non-finite RR interval at position 2:"
+# one RR file (None: no file) per way the README says a recording fails, and
+# the error its report row carries
+FAILING = [
+    ("missing", None, "FileNotFoundError: [Errno 2] No such file or directory: '{path}'"),
+    ("latin1", b"800\n8\xe910\n", "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xe9 "
+                                   "in position 5: invalid continuation byte"),
+    ("malformed", "800\n8x0\n", "RRParseError: line 2: non-numeric token '8x0'"),
+    ("one-interval", "800\n", "ValueError: need at least 2 RR intervals, got 1"),
+    ("zero-interval", "800\n0\n810\n", f"{NOT_FINITE} 0.0"),
+    ("nan-interval", "800\nnan\n", f"{NOT_FINITE} nan"),
+    # each interval is finite, but their sum is not
+    ("huge-intervals", "1e308\n1e308\n800\n",
+     "ValueError: beat times overflow: the RR intervals sum past the float range"),
+    ("huge-span", "800\n1e12\n800\n",
+     "ValueError: a 1e+09 s span at 4.0 Hz needs over 2**24 samples"),
+    ("spline-overflow", "1.0 1e-274\n1.0 1e-289\n1.0 1000.0\n",
+     "ValueError: spline values overflow: knots too close for the change in their values"),
+    ("short", "800\n" * 15,
+     "ValueError: signal of 45 samples too short for depth 6 (needs at least 64)"),
+]
 
 
 def _rr_value(x):
@@ -56,6 +81,26 @@ def rr_files(draw):
 @pytest.fixture(scope="module")
 def balanced_report(tmp_path_factory):
     manifest = write_dataset(tmp_path_factory.mktemp("balanced"), balanced_spec())
+    return manifest, run_pipeline(manifest)
+
+
+def with_failing(manifest):
+    """Put FAILING's k-th row after manifest's (k+1)-th, its file in data/; return the lines."""
+    lines = manifest.read_text().splitlines()
+    for k, (name, content, _) in enumerate(FAILING):
+        if content is not None:
+            data = content if isinstance(content, bytes) else content.encode()
+            (manifest.parent / "data" / f"{name}.txt").write_bytes(data)
+        lines.insert(2 + 2 * k, f"data/{name}.txt,{name},VT")
+    manifest.write_text("\n".join(lines) + "\n")
+    return lines
+
+
+@pytest.fixture(scope="module")
+def failing_batch(tmp_path_factory):
+    """FAILING's rows between the 12 ok rows of a balanced design, run as one batch."""
+    manifest = write_dataset(tmp_path_factory.mktemp("failing"), balanced_spec(per_group=4))
+    with_failing(manifest)
     return manifest, run_pipeline(manifest)
 
 
@@ -103,18 +148,33 @@ class TestConfig:
 
 
 class TestManifest:
-    def test_missing_header(self, tmp_path):
-        bad = tmp_path / "m.csv"
-        bad.write_text("file,id,label\nx.txt,a,Control\n")
-        with pytest.raises(ValueError, match="header"):
-            load_manifest(bad)
-
-    def test_spaced_header_rejected(self, tmp_path):
+    @pytest.mark.parametrize("text, message", [
+        ("file,id,label\nx.txt,a,Control\n", HEADER),
         # csv keeps the spaces in the keys, so every row would miss its columns
-        bad = tmp_path / "m.csv"
-        bad.write_text("path, subject_id, group\nx.txt,a,Control\n")
-        with pytest.raises(ValueError, match="header"):
-            load_manifest(bad)
+        ("path, subject_id, group\nx.txt,a,Control\n", HEADER),
+        ("path,subject_id,group\n", "manifest {path} lists no recordings"),
+        # ids are compared after stripping, as they are stored
+        ("path,subject_id,group\nx.txt,a,Control\ny.txt,b,VT\nz.txt, a ,VF\n",
+         "manifest line 4: subject_id 'a' is not unique"),
+        ("path,subject_id,group\nx.txt,a,Control\ny,b\n", "manifest line 3: expected 3 columns"),
+        ("path,subject_id,group\nx.txt,a,Control\ny.txt,b,VT,extra\n",
+         "manifest line 3: expected 3 columns"),
+        # an empty path would resolve to the manifest's directory
+        ("path,subject_id,group\n ,a,Control\ny.txt,b,VT\n", "manifest line 2: empty path"),
+        ("path,subject_id,group\nx.txt,a,Control\ny.txt,  ,VT\n",
+         "manifest line 3: empty subject_id"),
+        ("path,subject_id,group\nx.txt,a,Healthy\n", f"manifest line 2: {UNKNOWN}"),
+        # the quoted path spans lines 2-3, so the bad row is line 4, not record 3
+        ('path,subject_id,group\n"a\nb.txt",s1,Control\nx.txt,s2,Healthy\n',
+         f"manifest line 4: {UNKNOWN}"),
+    ], ids=["wrong-header", "spaced-header", "no-rows", "repeated-subject", "short-row", "long-row",
+            "empty-path", "empty-subject", "unknown-group", "line-after-a-quoted-line-break"])
+    def test_rejected(self, tmp_path, text, message):
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_manifest(manifest)
+        assert str(err.value) == message.format(path=manifest)
 
     def test_malformed_csv_is_an_error_line(self, tmp_path, capsys):
         # a field past csv's 131072-character limit is malformed CSV, not a crash
@@ -130,12 +190,6 @@ class TestManifest:
         assert main(["--manifest", str(bad), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"error: manifest {bad} is not UTF-8 text\n"
 
-    def test_empty_manifest(self, tmp_path):
-        empty = tmp_path / "m.csv"
-        empty.write_text("path,subject_id,group\n")
-        with pytest.raises(ValueError, match="no recordings"):
-            load_manifest(empty)
-
     def test_relative_paths_resolve_against_manifest_dir(self, write_dataset):
         manifest = write_dataset([("s0", "Control", synthetic_rr(200, seed=1))])
         ((path, subject, group),) = load_manifest(manifest)
@@ -150,20 +204,6 @@ class TestManifest:
         ((path, _, _),) = load_manifest(manifest)
         assert path == str(recording)
 
-    def test_duplicate_subjects_rejected(self, tmp_path, write_dataset):
-        manifest = write_dataset([("s0", "Control", synthetic_rr(200, seed=1))])
-        text = manifest.read_text()
-        manifest.write_text(text + text.splitlines()[1] + "\n")
-        with pytest.raises(ValueError, match="unique"):
-            run_pipeline(manifest)
-
-    def test_repeated_subject_reports_line(self, tmp_path):
-        # ids are compared after stripping, as they are stored
-        bad = tmp_path / "m.csv"
-        bad.write_text("path,subject_id,group\nx.txt,a,Control\ny.txt,b,VT\nz.txt, a ,VF\n")
-        with pytest.raises(ValueError, match=r"^manifest line 4: subject_id 'a' is not unique$"):
-            load_manifest(bad)
-
     @pytest.mark.parametrize("pair", [("a b", "a_b"), ("A", "a")], ids=["punctuation", "case"])
     def test_ids_alike_after_case_or_punctuation_both_run(self, write_dataset, tmp_path, pair):
         # only an exact duplicate is rejected: no output file is named after a subject
@@ -174,42 +214,6 @@ class TestManifest:
         with open(out / "features.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))[1:]
         assert [row[0] for row in rows] == sorted(pair)  # one row per ok recording
-
-    def test_short_row_reports_line(self, tmp_path):
-        bad = tmp_path / "m.csv"
-        bad.write_text("path,subject_id,group\nx.txt,a,Control\ny.txt,b\n")
-        with pytest.raises(ValueError, match="line 3"):
-            load_manifest(bad)
-
-    def test_long_row_reports_line(self, tmp_path):
-        bad = tmp_path / "m.csv"
-        bad.write_text("path,subject_id,group\nx.txt,a,Control\ny.txt,b,VT,extra\n")
-        with pytest.raises(ValueError, match="^manifest line 3: expected 3 columns$"):
-            load_manifest(bad)
-
-    @pytest.mark.parametrize("rows,message", [
-        # an empty path would resolve to the manifest's directory
-        (" ,a,Control\ny.txt,b,VT\n", "manifest line 2: empty path"),
-        ("x.txt,a,Control\ny.txt,  ,VT\n", "manifest line 3: empty subject_id"),
-    ], ids=["path", "subject_id"])
-    def test_empty_field_reports_line(self, tmp_path, rows, message):
-        bad = tmp_path / "m.csv"
-        bad.write_text("path,subject_id,group\n" + rows)
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            load_manifest(bad)
-
-    def test_unknown_group_reports_line(self, tmp_path):
-        bad = tmp_path / "m.csv"
-        bad.write_text("path,subject_id,group\nx.txt,a,Healthy\n")
-        with pytest.raises(ValueError, match="line 2.*unknown group"):
-            load_manifest(bad)
-
-    def test_line_after_a_quoted_line_break_reports_its_line(self, tmp_path):
-        # the quoted path spans lines 2-3, so the bad row is line 4, not record 3
-        bad = tmp_path / "m.csv"
-        bad.write_text('path,subject_id,group\n"a\nb.txt",s1,Control\nx.txt,s2,Healthy\n')
-        with pytest.raises(ValueError, match="^manifest line 4: unknown group 'Healthy'"):
-            load_manifest(bad)
 
     def test_blank_lines_skipped(self, tmp_path):
         manifest = tmp_path / "m.csv"
@@ -265,22 +269,14 @@ class TestRunPipeline:
                     assert row.f == pytest.approx(want.f, rel=1e-12)
                     assert row.p == pytest.approx(want.p, rel=1e-12)
 
-    def test_missing_file_isolated(self, write_dataset, tmp_path):
-        manifest = write_dataset(
-            [
-                ("good1", "Control", synthetic_rr(300, seed=4)),
-                ("good2", "VT", synthetic_rr(300, seed=5)),
-            ]
-        )
-        text = manifest.read_text()
-        manifest.write_text(text + "data/absent.txt,ghost,VF\n")
-        report = run_pipeline(manifest)
+    @pytest.mark.parametrize("name, content, error", FAILING, ids=[row[0] for row in FAILING])
+    def test_failing_recording_isolated(self, failing_batch, name, content, error):
+        # the row carries its error; the rows around it and both ANOVA tables run
+        manifest, report = failing_batch
         by_id = {r.subject_id: r for r in report.recordings}
-        assert by_id["ghost"].status == "failed"
-        assert "FileNotFoundError" in by_id["ghost"].error
-        assert by_id["good1"].status == "ok"
-        assert by_id["good2"].status == "ok"
-        assert not report.all_ok
+        assert by_id[name].error == error.format(path=manifest.parent / "data" / f"{name}.txt")
+        assert sum(r.status == "ok" for r in report.recordings) == 12
+        assert [a.status for a in report.anova] == ["ok", "ok"] and not report.all_ok
 
     def test_two_column_input_format(self, tmp_path):
         rr = synthetic_rr(300, seed=20)
@@ -302,17 +298,6 @@ class TestRunPipeline:
         assert by_id["two"].status == by_id["one"].status == "ok"
         assert by_id["two"].features.e_lf == by_id["one"].features.e_lf
 
-    def test_overflowing_beat_times_isolated(self, write_dataset, tmp_path):
-        # each interval is finite, but their sum is not
-        manifest = write_dataset([(f"ok{k}", "Control", synthetic_rr(300, seed=k))
-                                  for k in range(3)])
-        (tmp_path / "data" / "huge.txt").write_text("1e308\n1e308\n800\n")
-        manifest.write_text(manifest.read_text() + "data/huge.txt,huge,VT\n")
-        by_id = {r.subject_id: r for r in run_pipeline(manifest).recordings}
-        assert by_id.pop("huge").error == (
-            "ValueError: beat times overflow: the RR intervals sum past the float range")
-        assert [r.status for r in by_id.values()] == ["ok"] * 3
-
     @pytest.mark.parametrize("text", ["800\n1e12\n800\n"], ids=["grid-of-4e9-samples"])
     def test_oversized_grid_isolated(self, tmp_path, text):
         (tmp_path / "long.txt").write_text(text)
@@ -331,7 +316,6 @@ class TestRunPipeline:
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(rr_files())
-    @example("1.0 1e-274\n1.0 1e-289\n1.0 1000.0\n")  # the spline overflows: no warning escapes
     def test_no_exception_escapes_a_recording(self, tmp_path, text):
         (tmp_path / "drawn.txt").write_text(text)
         manifest = tmp_path / "m.csv"
@@ -339,16 +323,6 @@ class TestRunPipeline:
         (rec,) = run_pipeline(manifest).recordings
         if rec.status == "ok":
             assert np.all(np.isfinite(dataclasses.astuple(rec.features)))
-
-    def test_undecodable_file_isolated(self, write_dataset, tmp_path):
-        manifest = write_dataset([("ok0", "Control", synthetic_rr(300, seed=6))])
-        (tmp_path / "data" / "latin1.txt").write_bytes(b"800\n8\xe910\n")
-        manifest.write_text(manifest.read_text() + "data/latin1.txt,latin1,VT\n")
-        report = run_pipeline(manifest)
-        by_id = {r.subject_id: r for r in report.recordings}
-        assert by_id["latin1"].status == "failed"
-        assert "UnicodeDecodeError" in by_id["latin1"].error
-        assert by_id["ok0"].status == "ok"
 
     def test_internal_error_propagates(self, write_dataset, monkeypatch):
         manifest = write_dataset([("ok0", "Control", synthetic_rr(300, seed=6))])
@@ -384,18 +358,11 @@ class TestRunPipeline:
     @pytest.mark.parametrize("budget", [None, 1000], ids=["default-chunks", "1000-intervals"])
     def test_chunking_cannot_change_a_result(self, write_dataset, tmp_path, monkeypatch, budget):
         # recordings of 250-450 beats give padded spline stacks and several
-        # signal lengths per chunk; the failing rows sit between them
+        # signal lengths per chunk; the failing rows sit between and after them
         beats = np.random.default_rng(3).integers(250, 451, 9)
         spec = [(f"r{k}", "VT", synthetic_rr(int(n), seed=20 + k)) for k, n in enumerate(beats)]
         manifest = write_dataset(spec)
-        failing = {"missing": None, "negative": "800\n-5\n800\n",
-                   "short": "800\n" * 15, "oversized": "800\n1e12\n800\n"}
-        lines = manifest.read_text().splitlines()
-        for k, (name, text) in enumerate(failing.items()):
-            if text is not None:
-                (tmp_path / "data" / f"{name}.txt").write_text(text)
-            lines.insert(2 + 2 * k, f"data/{name}.txt,{name},VT")
-        manifest.write_text("\n".join(lines) + "\n")
+        lines = with_failing(manifest)
         stacks = []
         solve = hrvwp.pipeline.spline_moments
         monkeypatch.setattr("hrvwp.pipeline.spline_moments",
@@ -409,14 +376,13 @@ class TestRunPipeline:
 
         batch = run_pipeline(manifest).recordings
         chunks, stacks[:] = list(stacks), []
-        assert sum(chunks) == len(spec) + 1  # every spline but the refused ones
+        assert sum(chunks) == len(spec) + 2  # every spline but the refused ones
         assert len(chunks) == (1 if budget is None else 5)
         for rec, line in zip(batch, sorted(lines[1:], key=lambda ln: ln.split(",")[1])):
             alone = tmp_path / f"{rec.subject_id}.csv"
             alone.write_text(f"{lines[0]}\n{line}\n")
             assert row(rec) == row(run_pipeline(alone).recordings[0]), rec.subject_id
-        assert [r.subject_id for r in batch if r.status == "failed"] == sorted(failing)
-        assert batch[0].error.startswith("FileNotFoundError")
+        assert {r.subject_id for r in batch if r.status == "failed"} == {r[0] for r in FAILING}
 
     def test_transform_splits_only_the_band_ancestors(self, write_dataset, monkeypatch):
         # the 12 LF/HF leaves of a depth-6 tree need about 2.5 N input samples, the full tree 6 N
