@@ -153,9 +153,6 @@ class TestManifest:
         # csv keeps the spaces in the keys, so every row would miss its columns
         ("path, subject_id, group\nx.txt,a,Control\n", HEADER),
         ("path,subject_id,group\n", "manifest {path} lists no recordings"),
-        # ids are compared after stripping, as they are stored
-        ("path,subject_id,group\nx.txt,a,Control\ny.txt,b,VT\nz.txt, a ,VF\n",
-         "manifest line 4: subject_id 'a' is not unique"),
         ("path,subject_id,group\nx.txt,a,Control\ny,b\n", "manifest line 3: expected 3 columns"),
         ("path,subject_id,group\nx.txt,a,Control\ny.txt,b,VT,extra\n",
          "manifest line 3: expected 3 columns"),
@@ -167,14 +164,29 @@ class TestManifest:
         # the quoted path spans lines 2-3, so the bad row is line 4, not record 3
         ('path,subject_id,group\n"a\nb.txt",s1,Control\nx.txt,s2,Healthy\n',
          f"manifest line 4: {UNKNOWN}"),
-    ], ids=["wrong-header", "spaced-header", "no-rows", "repeated-subject", "short-row", "long-row",
-            "empty-path", "empty-subject", "unknown-group", "line-after-a-quoted-line-break"])
+    ], ids=["wrong-header", "spaced-header", "no-rows", "short-row", "long-row", "empty-path",
+            "empty-subject", "unknown-group", "line-after-a-quoted-line-break"])
     def test_rejected(self, tmp_path, text, message):
         manifest = tmp_path / "m.csv"
         manifest.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError) as err:
             load_manifest(manifest)
         assert str(err.value) == message.format(path=manifest)
+
+    def test_duplicate_subjects_rejected(self, tmp_path, write_dataset):
+        manifest = write_dataset([("s0", "Control", synthetic_rr(200, seed=1))])
+        text = manifest.read_text()
+        manifest.write_text(text + text.splitlines()[1] + "\n")
+        with pytest.raises(ValueError, match="unique"):
+            run_pipeline(manifest)
+
+    def test_repeated_subject_reports_line(self, tmp_path):
+        # ids are compared after stripping, as they are stored
+        bad = tmp_path / "m.csv"
+        bad.write_text("path,subject_id,group\nx.txt,a,Control\ny.txt,b,VT\nz.txt, a ,VF\n")
+        with pytest.raises(ValueError) as err:
+            load_manifest(bad)
+        assert str(err.value) == "manifest line 4: subject_id 'a' is not unique"
 
     def test_malformed_csv_is_an_error_line(self, tmp_path, capsys):
         # a field past csv's 131072-character limit is malformed CSV, not a crash
