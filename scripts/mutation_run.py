@@ -3,6 +3,7 @@
 
     python scripts/mutation_run.py --out pass1.jsonl
     python scripts/mutation_run.py --out pass2.jsonl --previous pass1.jsonl
+    python scripts/mutation_run.py --out part.jsonl --only load_manifest --only _analyze
 
 Each mutant of a fixed catalogue changes one node of one src/hrvwp module:
 a flipped comparison (< and <=, > and >=, == and !=, is and is not, in and
@@ -10,7 +11,8 @@ not in), a slice bound or an integer constant shifted by +-1, a float
 constant times 1 + 1e-7, one operand of an `and`/`or` dropped, the two
 positional arguments of a call swapped, a `.strip()` removed, or a
 statement in a function body replaced by `pass`. Docstrings, `__all__`,
-f-strings and exception messages are left alone.
+f-strings and exception messages are left alone. With --only, given once or
+more, only the mutants whose key contains one of its values run.
 
 The run copies the checkout's src, tests, scripts, README.md, pyproject.toml
 and perfbench/oracle.py to a temporary directory and runs tier-1 there once,
@@ -18,14 +20,16 @@ which must pass, recording which tests call each function. Then it applies
 one mutant at a time by replacing that node's source text and runs
 `pytest -x` with one hypothesis seed on the tests that can see the mutant
 (see selection), in tier-1's order, so the first failing test is the one a
-whole run would report. One pytest process runs at a time, in its own
-session, with one BLAS thread, under an address-space limit and a timeout;
-its whole process group is killed when it ends. One JSON line per mutant is
-appended to --out: key, site, outcome (killed / survived / timeout), first
-failing test, seconds and the number of tests run. Keys already in --out are
-skipped, so an interrupted run resumes. With --previous, a mutant killed
-there by a test whose source is unchanged keeps that result. The checkout
-itself is never written.
+whole run would report. This process imports the tests' heavy dependencies
+once and forks each pytest session from itself: one at a time, each in its
+own session, with one BLAS thread, under an address-space limit and a
+timeout; its whole process group is killed when it ends. One JSON line per
+mutant is appended to --out: key, site, outcome (killed / survived /
+timeout), first failing test, seconds and the number of tests run. Keys
+already in --out are skipped, so an interrupted run resumes. With
+--previous, a mutant killed there by a test whose source is unchanged keeps
+that result. The checkout itself is never written. The exit status is 0 when
+--out holds at least one result and every result in it is killed, else 1.
 """
 
 import argparse
@@ -36,16 +40,18 @@ import os
 import resource
 import shutil
 import signal
-import subprocess
 import sys
 import tempfile
 import time
+import traceback
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "scripts", "README.md", "pyproject.toml", "perfbench/oracle.py")
-# the server imports hypothesis before pytest registers it as a plugin, which
-# pytest reports with an assertion-rewrite warning; that warning alone is ignored
+# main imports hypothesis before pytest registers it as a plugin, which pytest
+# reports with an assertion-rewrite warning; that warning alone is ignored
 PYTEST_ARGS = ["-x", "-q", "-rfE", "-p", "no:cacheprovider", "--hypothesis-seed=0",
                "-W", "ignore::pytest.PytestAssertRewriteWarning"]
 ADDRESS_SPACE = 3 << 30
@@ -181,27 +187,11 @@ def catalogue(root: Path) -> list[tuple[Path, dict]]:
             for m in mutants(path.read_text(encoding="utf-8"), path.name)]
 
 
-# Runs in the copy: imports the tests' heavy dependencies (not hrvwp) once,
-# then for each request read from stdin (timeout, pytest arguments, trace file)
-# forks one child that runs one pytest session in its own session under the
-# address-space limit, kills that process group when the child ends or times
-# out, and answers with the exit code (null on timeout). About 4 s of imports
-# are then paid once per pass, not per mutant. With a trace file, the child
-# records which tests call each src/hrvwp function (Calls) and writes it there.
-SERVER = r"""
-import json, os, resource, signal, sys, time, traceback
-for name in ("numpy", "scipy.stats", "scipy.integrate", "hypothesis"):
-    try:
-        __import__(name)
-    except ImportError:
-        pass
-import pytest
-
-
 class Calls:
-    # callers of each function under src/: a test, "fixture NAME" for a fixture
-    # shared by tests, or None (collection, imports); "spawn" lists the tests that
-    # start processes, whose calls there go unseen
+    """A pytest plugin recording the callers of each function under src: a test,
+    "fixture NAME" for a fixture shared by tests, or None (collection, imports).
+    spawn lists the tests that start processes, whose calls there go unseen."""
+
     def __init__(self, src):
         self.src, self.where, self.calls, self.fixtures, self.spawn = src, None, {}, {}, []
 
@@ -230,32 +220,41 @@ class Calls:
         self.where = outer
 
 
-limit, log = int(sys.argv[1]), sys.argv[2]
-for line in sys.stdin:
-    request = json.loads(line)
+def run(copy: Path, timeout: float, tests=("tests",), trace=None) -> tuple[str, str | None, float]:
+    """(outcome, first failing test, seconds) of one pytest session on tests (node ids, in order).
+
+    A forked child runs the session in copy, in its own session, under the
+    address-space limit, writing its output to copy/.pytest-output; the child's
+    process group is killed when it ends or times out. With a trace file, the
+    child records which tests call each src function (Calls) and writes it there.
+    """
+    for stale in (copy / "src" / "hrvwp" / "__pycache__", copy / ".hypothesis"):
+        shutil.rmtree(stale, ignore_errors=True)  # a same-size mutant must not reuse bytecode
+    log, start = copy / ".pytest-output", time.perf_counter()
     pid = os.fork()
     if pid == 0:
-        os.setsid()
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
-        os.dup2(fd, 1)
-        os.dup2(fd, 2)
-        code, calls = 99, Calls(os.path.abspath("src") + os.sep)
+        code = 99
         try:
-            if request["trace"]:
+            os.chdir(copy)
+            os.setsid()
+            resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+            fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
+            os.dup2(fd, 1)
+            os.dup2(fd, 2)
+            calls = Calls(os.path.abspath("src") + os.sep)
+            if trace:
                 sys.settrace(calls.trace)
-            code = int(pytest.main(request["args"], plugins=[calls]))
+            code = int(pytest.main(PYTEST_ARGS + list(tests), plugins=[calls]))
             sys.settrace(None)
-            if request["trace"]:
-                with open(request["trace"], "w") as fh:
-                    json.dump(vars(calls), fh)
+            if trace:
+                Path(trace).write_text(json.dumps(vars(calls)))
         except BaseException:
             traceback.print_exc()
         finally:
             sys.stdout.flush()
             sys.stderr.flush()
             os._exit(code)
-    deadline, status = time.monotonic() + request["timeout"], None
+    deadline, status = time.monotonic() + timeout, None
     while status is None and time.monotonic() < deadline:
         done, wait = os.waitpid(pid, os.WNOHANG)
         status = os.waitstatus_to_exitcode(wait) if done else time.sleep(0.02)
@@ -263,54 +262,16 @@ for line in sys.stdin:
         os.killpg(pid, signal.SIGKILL)
     except ProcessLookupError:
         pass
+    seconds = round(time.perf_counter() - start, 2)
     if status is None:
         os.waitpid(pid, 0)
-    print(json.dumps(status), flush=True)
-"""
-
-
-class Tier1:
-    """Tier-1 in copy, one pytest session at a time, through one preloaded server."""
-
-    def __init__(self, copy: Path):
-        self.copy, self.log = copy, copy / ".pytest-output"
-        env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
-                   MKL_NUM_THREADS="1")
-        env.pop("PYTHONPATH", None)
-        self.server = subprocess.Popen(
-            [sys.executable, "-c", SERVER, str(ADDRESS_SPACE), str(self.log)],
-            cwd=copy, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
-            start_new_session=True)
-
-    def run(self, timeout: float, tests=("tests",), trace=None) -> tuple[str, str | None, float]:
-        """(outcome, first failing test, seconds) of one run of tests (node ids, in order)."""
-        for stale in (self.copy / "src" / "hrvwp" / "__pycache__", self.copy / ".hypothesis"):
-            shutil.rmtree(stale, ignore_errors=True)  # a same-size mutant must not reuse bytecode
-        start = time.perf_counter()
-        request = dict(timeout=timeout, args=PYTEST_ARGS + list(tests), trace=trace and str(trace))
-        self.server.stdin.write(json.dumps(request) + "\n")
-        self.server.stdin.flush()
-        code = json.loads(self.server.stdout.readline())
-        seconds = round(time.perf_counter() - start, 2)
-        if code is None:
-            return "timeout", None, seconds
-        if code == 0:
-            return "survived", None, seconds
-        for line in self.log.read_text(errors="replace").splitlines():
-            if line.startswith(("FAILED ", "ERROR ")):
-                return "killed", line.split(" ", 1)[1].split(" - ", 1)[0], seconds
-        return "killed", f"(pytest exit {code})", seconds
-
-    def close(self):
-        self.server.stdin.close()
-        try:
-            self.server.wait(timeout=10)
-        finally:
-            try:
-                os.killpg(self.server.pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            self.server.wait()
+        return "timeout", None, seconds
+    if status == 0:
+        return "survived", None, seconds
+    for line in log.read_text(errors="replace").splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            return "killed", line.split(" ", 1)[1].split(" - ", 1)[0], seconds
+    return "killed", f"(pytest exit {status})", seconds
 
 
 def selection(calls: dict) -> "callable":
@@ -365,9 +326,12 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True,
                         help="JSON-lines results, appended (resumable)")
     parser.add_argument("--previous", type=Path, help="an earlier pass's results to reuse")
-    parser.add_argument("--only", default="", help="run only mutants whose key contains this")
+    parser.add_argument("--only", action="append", default=[],
+                        help="run only mutants whose key contains this (repeatable: any of them)")
     args = parser.parse_args(argv)
-    sites = [(path, m) for path, m in catalogue(ROOT) if args.only in m["key"]]
+    args.out = args.out.absolute()  # the runs below work inside the copy
+    sites = [(path, m) for path, m in catalogue(ROOT)
+             if not args.only or any(part in m["key"] for part in args.only)]
     done = set()
     if args.out.exists():
         done = {json.loads(line)["key"] for line in args.out.read_text().splitlines()}
@@ -377,7 +341,7 @@ def main(argv=None) -> int:
             record = json.loads(line)
             previous[record["key"]] = record
 
-    copy, tier1 = Path(tempfile.mkdtemp(prefix="hrvwp-mutants-")), None
+    copy = Path(tempfile.mkdtemp(prefix="hrvwp-mutants-"))
     try:
         for part in COPIED:
             (copy / part).parent.mkdir(parents=True, exist_ok=True)
@@ -386,8 +350,20 @@ def main(argv=None) -> int:
                                 ignore=shutil.ignore_patterns("__pycache__"))
             else:
                 shutil.copy2(ROOT / part, copy / part)
-        tier1 = Tier1(copy)
-        outcome, failed, clean = tier1.run(timeout=1200, trace=copy / ".calls.json")
+        # one BLAS thread per run, and no PYTHONPATH naming the checkout's src for
+        # the processes tests start; the tests' heavy dependencies (not hrvwp) are
+        # imported once, here, so each forked run starts with them loaded, and in
+        # the copy, since hypothesis keeps its examples under the directory it is
+        # imported in
+        os.environ.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        os.environ.pop("PYTHONPATH", None)
+        os.chdir(copy)
+        for name in ("numpy", "scipy.stats", "scipy.integrate", "hypothesis"):
+            try:
+                __import__(name)
+            except ImportError:
+                pass
+        outcome, failed, clean = run(copy, timeout=1200, trace=copy / ".calls.json")
         if outcome != "survived":
             print(f"tier-1 does not pass unmutated ({outcome}: {failed})", file=sys.stderr)
             return 1
@@ -411,7 +387,7 @@ def main(argv=None) -> int:
                     (copy / path).write_text(m["text"], encoding="utf-8")
                     try:
                         tests = tests_for(path, m)
-                        outcome, killer, seconds = tier1.run(timeout, tests)
+                        outcome, killer, seconds = run(copy, timeout, tests)
                     finally:
                         (copy / path).write_bytes(original)
                     record.update(outcome=outcome, killer=killer, seconds=seconds,
@@ -423,8 +399,6 @@ def main(argv=None) -> int:
                 print(f"[{n}/{len(sites)}] {record['outcome']:8} {path}:{m['line']} "
                       f"{m['kind']} {m['detail']}", file=sys.stderr)
     finally:
-        if tier1 is not None:
-            tier1.close()
         shutil.rmtree(copy, ignore_errors=True)
 
     records = [json.loads(line) for line in args.out.read_text().splitlines()]
@@ -433,7 +407,7 @@ def main(argv=None) -> int:
     for r in records:
         if r["outcome"] != "killed":
             print(f"  {r['outcome']}: {r['file']}:{r['line']} {r['kind']} {r['detail']}")
-    return 0
+    return int(not records or counts["killed"] < len(records))
 
 
 if __name__ == "__main__":

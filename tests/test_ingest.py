@@ -224,7 +224,11 @@ class TestParse:
          (ValueError, "non-positive or non-finite RR interval at position 2: inf")),
         ("800\n-5\n0\n", (ValueError, "non-positive or non-finite RR interval at position 2: -5.0")),
         ("# c\n800\nabc\n", (RRParseError, "line 3: non-numeric token 'abc'")),
-    ])
+    ], ids=["cr-line-ends", "crlf-line-ends", "two-columns-unterminated", "leading-bom",
+            "comments", "numbers-in-comments", "ff-vt-u2028-split-tokens", "float-only-syntax",
+            "form-feed-ends-no-line", "empty", "comments-only", "negative-interval",
+            "bom-after-line-1", "column-count-changes", "nan-interval", "inf-interval",
+            "first-bad-interval-named", "line-number-counts-comments"])
     def test_line_rules(self, tmp_path, text, expected):
         results = routes(rr_path(tmp_path, text))
         assert_same(results)

@@ -1,8 +1,11 @@
 import ast
+import json
+import subprocess
+import sys
 
 from hrvwp import run_pipeline
 
-from conftest import load_script
+from conftest import SCRIPTS, load_script
 
 
 def test_make_synthetic_dataset_writes_a_runnable_manifest(tmp_path, monkeypatch, capsys):
@@ -76,3 +79,43 @@ def test_mutation_catalogue_of_a_sample_module():
             assert [type(node) for node in changes] == [ast.Subscript, ast.Constant]
         else:
             assert len(changes) == 1, m["key"]
+
+
+TEST_X = """import time
+
+
+def test_ok():
+    pass
+
+
+def test_bad():
+    assert False
+
+
+def test_slow():
+    time.sleep(60)
+"""
+
+# loads the runner by path and runs it on the directory named by its arguments;
+# hypothesis is imported first, as the runner's main does, so that each forked
+# session starts with it loaded
+RUN = """
+import hypothesis, importlib.util, json, pathlib, sys
+spec = importlib.util.spec_from_file_location("mutation_run", sys.argv[1])
+script = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(script)
+copy = pathlib.Path(sys.argv[2])
+print(json.dumps([script.run(copy, 60, ["test_x.py::test_ok"])[:2],
+                  script.run(copy, 60, ["test_x.py::test_ok", "test_x.py::test_bad",
+                                        "test_x.py::test_slow"])[:2],
+                  script.run(copy, 0.3, ["test_x.py::test_slow"])[:2]]))
+"""
+
+
+def test_mutation_run_outcomes(tmp_path):
+    # a fresh interpreter: pytest.main in a child forked from this session collects nothing
+    (tmp_path / "test_x.py").write_text(TEST_X, encoding="utf-8")
+    done = subprocess.run([sys.executable, "-c", RUN, str(SCRIPTS / "mutation_run.py"),
+                           str(tmp_path)], capture_output=True, text=True, check=True, timeout=60)
+    assert json.loads(done.stdout) == [
+        ["survived", None], ["killed", "test_x.py::test_bad"], ["timeout", None]]
