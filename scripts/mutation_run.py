@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Mutation run: which tier-1 tests hold src/hrvwp.
 
-    python scripts/mutation_run.py --out pass1.jsonl
-    python scripts/mutation_run.py --out pass2.jsonl --previous pass1.jsonl
+    python scripts/mutation_run.py --out pass.jsonl
     python scripts/mutation_run.py --out part.jsonl --only load_manifest --only _analyze
 
 Each mutant of a fixed catalogue changes one node of one src/hrvwp module:
@@ -23,18 +22,17 @@ one mutant at a time by replacing that node's source text and runs
 whole run would report. This process imports the tests' heavy dependencies
 once and forks each pytest session from itself: one at a time, each in its
 own session, with one BLAS thread, under an address-space limit and a
-timeout; its whole process group is killed when it ends. One JSON line per
-mutant is appended to --out: key, site, outcome (killed / survived /
-timeout), first failing test, seconds and the number of tests run. Keys
-already in --out are skipped, so an interrupted run resumes. With
---previous, a mutant killed there by a test whose source is unchanged keeps
-that result. The checkout itself is never written. The exit status is 0 when
---out holds at least one result and every result in it is killed, else 1.
+timeout; its whole process group is killed when it ends, on Ctrl-C and on
+SIGTERM (which also removes the copy). --out is overwritten with one JSON
+line per mutant: key, site, outcome (killed / survived / timeout), first
+failing test, seconds and the number of tests run. The checkout itself is
+never written. The exit status is 0 when at least one mutant ran and every
+one was killed, else 1 (also before any run when --only selects none).
+Needs Python 3.11 or later: Calls reads co_qualname.
 """
 
 import argparse
 import ast
-import hashlib
 import json
 import os
 import resource
@@ -255,16 +253,19 @@ def run(copy: Path, timeout: float, tests=("tests",), trace=None) -> tuple[str, 
             sys.stderr.flush()
             os._exit(code)
     deadline, status = time.monotonic() + timeout, None
-    while status is None and time.monotonic() < deadline:
-        done, wait = os.waitpid(pid, os.WNOHANG)
-        status = os.waitstatus_to_exitcode(wait) if done else time.sleep(0.02)
     try:
-        os.killpg(pid, signal.SIGKILL)
-    except ProcessLookupError:
-        pass
+        while status is None and time.monotonic() < deadline:
+            done, wait = os.waitpid(pid, os.WNOHANG)
+            status = os.waitstatus_to_exitcode(wait) if done else time.sleep(0.02)
+    finally:  # also on Ctrl-C, or SIGTERM under terminate
+        try:
+            os.killpg(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        if status is None:
+            os.waitpid(pid, 0)
     seconds = round(time.perf_counter() - start, 2)
     if status is None:
-        os.waitpid(pid, 0)
         return "timeout", None, seconds
     if status == 0:
         return "survived", None, seconds
@@ -299,48 +300,26 @@ def selection(calls: dict) -> "callable":
     return tests
 
 
-def test_hash(copy: Path, nodeid: str) -> str:
-    """A digest of a test's source with its decorators (its whole file if not found)."""
-    file, *names = nodeid.split("[", 1)[0].split("::")
-    try:
-        source = (copy / file).read_text(encoding="utf-8")
-    except OSError:
-        return ""
-    nodes = ast.parse(source).body
-    for name in names:
-        nodes = [n for n in nodes if getattr(n, "name", None) == name]
-        if not nodes:
-            break
-        node = nodes[0]
-        nodes = getattr(node, "body", [])
-    else:
-        if names:
-            lines = source.splitlines()[node.decorator_list[0].lineno - 1 if node.decorator_list
-                                        else node.lineno - 1:node.end_lineno]
-            source = "\n".join(lines)
-    return hashlib.sha1(source.encode()).hexdigest()[:16]
+def terminate(signum, frame):
+    """A SIGTERM handler: exit as 128 + the signal's number, running every finally."""
+    raise SystemExit(128 + signum)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, required=True,
-                        help="JSON-lines results, appended (resumable)")
-    parser.add_argument("--previous", type=Path, help="an earlier pass's results to reuse")
+                        help="JSON-lines results (overwritten)")
     parser.add_argument("--only", action="append", default=[],
                         help="run only mutants whose key contains this (repeatable: any of them)")
     args = parser.parse_args(argv)
     args.out = args.out.absolute()  # the runs below work inside the copy
     sites = [(path, m) for path, m in catalogue(ROOT)
              if not args.only or any(part in m["key"] for part in args.only)]
-    done = set()
-    if args.out.exists():
-        done = {json.loads(line)["key"] for line in args.out.read_text().splitlines()}
-    previous = {}
-    if args.previous:
-        for line in args.previous.read_text().splitlines():
-            record = json.loads(line)
-            previous[record["key"]] = record
+    if not sites:
+        print("no mutant selected", file=sys.stderr)
+        return 1
 
+    signal.signal(signal.SIGTERM, terminate)
     copy = Path(tempfile.mkdtemp(prefix="hrvwp-mutants-"))
     try:
         for part in COPIED:
@@ -371,43 +350,33 @@ def main(argv=None) -> int:
         timeout = 3 * clean
         print(f"clean run {clean:.1f} s; {len(sites)} mutants, timeout {timeout:.0f} s",
               file=sys.stderr)
-        with open(args.out, "a", encoding="utf-8") as out:
+        records = []
+        with open(args.out, "w", encoding="utf-8") as out:
             for n, (path, m) in enumerate(sites, 1):
-                if m["key"] in done:
-                    continue
-                record = dict(key=m["key"], file=str(path), line=m["line"], kind=m["kind"],
-                              detail=m["detail"])
-                before = previous.get(m["key"], {})
-                if before.get("outcome") == "killed" and \
-                        before.get("killer_hash") == test_hash(copy, before["killer"]):
-                    record.update(outcome="killed", killer=before["killer"],
-                                  killer_hash=before["killer_hash"], seconds=0.0, reused=True)
-                else:
-                    original = (copy / path).read_bytes()
-                    (copy / path).write_text(m["text"], encoding="utf-8")
-                    try:
-                        tests = tests_for(path, m)
-                        outcome, killer, seconds = run(copy, timeout, tests)
-                    finally:
-                        (copy / path).write_bytes(original)
-                    record.update(outcome=outcome, killer=killer, seconds=seconds,
-                                  tests=len(tests) if tests != ["tests"] else "all")
-                    if killer:
-                        record["killer_hash"] = test_hash(copy, killer)
-                out.write(json.dumps(record) + "\n")
+                original = (copy / path).read_bytes()
+                (copy / path).write_text(m["text"], encoding="utf-8")
+                try:
+                    tests = tests_for(path, m)
+                    outcome, killer, seconds = run(copy, timeout, tests)
+                finally:
+                    (copy / path).write_bytes(original)
+                records.append(dict(key=m["key"], file=str(path), line=m["line"], kind=m["kind"],
+                                    detail=m["detail"], outcome=outcome, killer=killer,
+                                    seconds=seconds,
+                                    tests=len(tests) if tests != ["tests"] else "all"))
+                out.write(json.dumps(records[-1]) + "\n")
                 out.flush()
-                print(f"[{n}/{len(sites)}] {record['outcome']:8} {path}:{m['line']} "
+                print(f"[{n}/{len(sites)}] {outcome:8} {path}:{m['line']} "
                       f"{m['kind']} {m['detail']}", file=sys.stderr)
     finally:
         shutil.rmtree(copy, ignore_errors=True)
 
-    records = [json.loads(line) for line in args.out.read_text().splitlines()]
     counts = {k: sum(r["outcome"] == k for r in records) for k in ("killed", "survived", "timeout")}
     print(f"{len(records)} mutants: " + ", ".join(f"{v} {k}" for k, v in counts.items()))
     for r in records:
         if r["outcome"] != "killed":
             print(f"  {r['outcome']}: {r['file']}:{r['line']} {r['kind']} {r['detail']}")
-    return int(not records or counts["killed"] < len(records))
+    return int(counts["killed"] < len(records))
 
 
 if __name__ == "__main__":

@@ -1,7 +1,10 @@
 import ast
 import json
+import os
+import signal
 import subprocess
 import sys
+import time
 
 from hrvwp import run_pipeline
 
@@ -81,7 +84,7 @@ def test_mutation_catalogue_of_a_sample_module():
             assert len(changes) == 1, m["key"]
 
 
-TEST_X = """import time
+TEST_X = """import os, pathlib, time
 
 
 def test_ok():
@@ -93,6 +96,7 @@ def test_bad():
 
 
 def test_slow():
+    pathlib.Path("pid").write_text(str(os.getpid()))
     time.sleep(60)
 """
 
@@ -119,3 +123,83 @@ def test_mutation_run_outcomes(tmp_path):
                            str(tmp_path)], capture_output=True, text=True, check=True, timeout=60)
     assert json.loads(done.stdout) == [
         ["survived", None], ["killed", "test_x.py::test_bad"], ["timeout", None]]
+
+
+# runs one slow session under the runner's SIGTERM handler, as main installs it
+TERM = """
+import importlib.util, pathlib, signal, sys
+spec = importlib.util.spec_from_file_location("mutation_run", sys.argv[1])
+script = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(script)
+signal.signal(signal.SIGTERM, script.terminate)
+script.run(pathlib.Path(sys.argv[2]), 60, ["test_x.py::test_slow"])
+"""
+
+
+def test_mutation_run_sigterm_ends_the_session(tmp_path):
+    (tmp_path / "test_x.py").write_text(TEST_X, encoding="utf-8")
+    runner = subprocess.Popen([sys.executable, "-c", TERM, str(SCRIPTS / "mutation_run.py"),
+                               str(tmp_path)])
+    pid_file, deadline = tmp_path / "pid", time.monotonic() + 30
+    while not (pid_file.exists() and pid_file.read_text()):
+        if runner.poll() is not None or time.monotonic() > deadline:
+            runner.kill()
+            raise AssertionError(f"the session never started its test ({runner.poll()})")
+        time.sleep(0.02)
+    runner.send_signal(signal.SIGTERM)
+    assert runner.wait(timeout=10) == 143
+    pid, deadline = int(pid_file.read_text()), time.monotonic() + 1
+    while time.monotonic() < deadline:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return
+        time.sleep(0.02)
+    os.kill(pid, signal.SIGKILL)
+    raise AssertionError(f"the session's process {pid} outlived the runner")
+
+
+# runs main with run replaced by a stub: the traced clean run records no calls,
+# and every mutant is killed; prints main's status, the stub's calls (traced or
+# not) and what the temporary directory and --out hold after each main. The
+# heavy imports main makes for the forked sessions are refused (a second saved)
+MAIN = """
+import importlib.util, json, pathlib, sys, tempfile
+sys.modules.update(dict.fromkeys(["numpy", "scipy.stats", "scipy.integrate", "hypothesis"]))
+spec = importlib.util.spec_from_file_location("mutation_run", sys.argv[1])
+script = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(script)
+calls = []
+
+def run(copy, timeout, tests=("tests",), trace=None):
+    calls.append(trace is not None)
+    if trace:
+        trace.write_text(json.dumps({"calls": {}, "fixtures": {}, "spawn": []}))
+        return "survived", None, 1.0
+    return "killed", "test_x.py::test_bad", 0.0
+
+script.run = run
+tempfile.tempdir, out = sys.argv[2], pathlib.Path(sys.argv[3])
+none = script.main(["--out", str(out), "--only", "no such key"])
+result = [none, calls[:], sorted(p.name for p in pathlib.Path(sys.argv[2]).iterdir())]
+out.write_text(json.dumps({"key": "stale", "outcome": "killed"}) + "\\n")
+status = script.main(["--out", str(out), "--only", "pipeline.py::load_manifest"])
+print(json.dumps(result + [status, calls, out.read_text().splitlines()]))
+"""
+
+
+def test_mutation_run_main_writes_only_this_runs_records(tmp_path):
+    temp, out = tmp_path / "temp", tmp_path / "out.jsonl"
+    temp.mkdir()
+    done = subprocess.run([sys.executable, "-c", MAIN, str(SCRIPTS / "mutation_run.py"),
+                           str(temp), str(out)], capture_output=True, text=True, check=True,
+                          timeout=60)
+    none, none_calls, none_temp, status, calls, lines = json.loads(done.stdout.splitlines()[-1])
+    assert (none, none_calls, none_temp) == (1, [], [])
+    expected = [m["key"] for _, m in load_script("mutation_run").catalogue(SCRIPTS.parent)
+                if "pipeline.py::load_manifest" in m["key"]]
+    records = [json.loads(line) for line in lines]
+    assert status == 0
+    assert calls == [True] + [False] * len(expected)
+    assert [r["key"] for r in records] == expected
+    assert {(r["outcome"], r["killer"]) for r in records} == {("killed", "test_x.py::test_bad")}
