@@ -188,7 +188,8 @@ def catalogue(root: Path) -> list[tuple[Path, dict]]:
 class Calls:
     """A pytest plugin recording the callers of each function under src: a test,
     "fixture NAME" for a fixture shared by tests, or None (collection, imports).
-    spawn lists the tests that start processes, whose calls there go unseen."""
+    spawn lists the tests that start a process whose args, cwd or env name src:
+    the process can import that hrvwp, and its calls there go unseen."""
 
     def __init__(self, src):
         self.src, self.where, self.calls, self.fixtures, self.spawn = src, None, {}, {}, []
@@ -200,7 +201,9 @@ class Calls:
                                           + code.co_qualname, [])
             if self.where not in where:
                 where.append(self.where)
-        elif code.co_qualname == "Popen.__init__" and self.where not in self.spawn:
+        elif (code.co_qualname == "Popen.__init__" and self.where not in self.spawn
+              and any(self.src.rstrip(os.sep) in str(frame.f_locals.get(name))
+                      for name in ("args", "cwd", "env"))):
             self.spawn.append(self.where)
 
     @pytest.hookimpl(hookwrapper=True)
@@ -279,9 +282,9 @@ def selection(calls: dict) -> "callable":
     """A function from a mutant to the tests that can see it, in run order.
 
     Those are the tests that call the mutant's function, directly or through a
-    shared fixture, and the tests that start processes. All tests run for a
-    mutant outside a function, in a cached function or in one called while
-    collecting (a module constant is computed then).
+    shared fixture, and the tests that start a process naming src (Calls). All
+    tests run for a mutant outside a function, in a cached function or in one
+    called while collecting (a module constant is computed then).
     """
     order, callers = list(calls["fixtures"]), {}
     for site, wheres in calls["calls"].items():

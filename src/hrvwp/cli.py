@@ -1,7 +1,6 @@
-"""Command line front end for the batch pipeline."""
+"""Command line front end for the batch pipeline (run_pipeline sets the allocator thresholds)."""
 
 import argparse
-import ctypes
 import sys
 
 from .pipeline import emit_report, run_pipeline
@@ -22,19 +21,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _keep_freed_buffers() -> None:
-    """On glibc, keep freed arrays in the heap for the next recording to reuse."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, TypeError, AttributeError):
-        return  # not glibc: the allocator's defaults stand
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, the ceiling of glibc's dynamic one
-    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD, twice it, as glibc pairs them
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _keep_freed_buffers()
     try:
         report = run_pipeline(args.manifest)
     except (OSError, ValueError) as exc:

@@ -17,6 +17,7 @@ the feature and ANOVA tables are also written as CSV with 12 significant digits.
 """
 
 import csv
+import ctypes
 import json
 import os
 from dataclasses import astuple, dataclass, field, fields
@@ -341,13 +342,27 @@ def _anova_reports(completed: list[RecordingReport]) -> tuple[AnovaReport, Anova
     return tuple(reports)
 
 
+def _keep_freed_buffers() -> None:
+    """On glibc, keep freed arrays in the heap for the next recording to reuse."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return  # not glibc: the allocator's defaults stand
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, the ceiling of glibc's dynamic one
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD, twice it, as glibc pairs them
+
+
 def run_pipeline(manifest) -> RunReport:
     """Process every manifest row, in chunks, then run the two group-level ANOVA tables.
 
-    Unreadable or malformed input (OSError, ValueError and its subclasses
-    RRParseError, UnicodeDecodeError and FeatureError) marks its recording
-    failed; any other exception is a bug and propagates.
+    First, on glibc, it sets the process's mmap and trim thresholds to 32 and
+    64 MiB, over any the caller set, so the arrays a recording frees stay in the
+    heap for the next; elsewhere that is a no-op. Unreadable or malformed input
+    (OSError, ValueError and its subclasses RRParseError, UnicodeDecodeError and
+    FeatureError) marks its recording failed; any other exception is a bug and
+    propagates.
     """
+    _keep_freed_buffers()
     recordings = tuple(sorted(_process(load_manifest(manifest)), key=lambda r: r.subject_id))
     anova = _anova_reports([r for r in recordings if r.status == "ok"])
     return RunReport(recordings=recordings, anova=anova)

@@ -1,10 +1,13 @@
 import functools
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+SRC = SCRIPTS.parent / "src"
 
 
 def load_script(name):
@@ -61,3 +64,38 @@ def balanced_spec(per_group=3, n=300):
                          synthetic_rr(n=n, seed=seed, hf_amp=20.0 + 5.0 * i)))
             seed += 1
     return spec
+
+
+# Ten times over, hold six signal-length float64 arrays (a 24 h recording at
+# 4 Hz, 2.7 MB each, under numpy's 4 MiB hugepage size), as the spline does,
+# then free them all; print the minor page faults of the loop. Freeing one
+# array at a time would not show the difference: glibc's dynamic threshold
+# already reuses a single freed block.
+FAULT_LOOP = """
+import resource
+import numpy as np
+
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+start = faults()
+for _ in range(10):
+    arrays = [np.ones(341_504) for _ in range(6)]
+    del arrays
+print(faults() - start)
+"""
+
+SET_PAGES = 6 * 341_504 * 8 // 4096
+
+
+def loop_faults(setup: str) -> int:
+    """FAULT_LOOP's minor faults in a fresh interpreter that imports src's hrvwp and runs setup."""
+    code = f"import sys\nsys.path.insert(0, {str(SRC)!r})\n{setup}\n{FAULT_LOOP}"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=120)
+    return int(done.stdout)
+
+
+def no_libc(name):
+    """A ctypes.CDLL stub for a platform without the C library."""
+    raise OSError(f"{name}: cannot open shared object file")

@@ -1,44 +1,11 @@
 import ctypes
 import platform
-import subprocess
-import sys
 import types
-from pathlib import Path
 
 import pytest
 
 from hrvwp.cli import main
-from conftest import synthetic_rr
-
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-# Ten times over, hold six signal-length float64 arrays (a 24 h recording at
-# 4 Hz, 2.7 MB each, under numpy's 4 MiB hugepage size), as the spline does,
-# then free them all; print the minor page faults of the loop. Freeing one
-# array at a time would not show the difference: glibc's dynamic threshold
-# already reuses a single freed block.
-FAULT_LOOP = """
-import resource
-import numpy as np
-
-def faults():
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-
-start = faults()
-for _ in range(10):
-    arrays = [np.ones(341_504) for _ in range(6)]
-    del arrays
-print(faults() - start)
-"""
-
-SET_PAGES = 6 * 341_504 * 8 // 4096
-
-
-def loop_faults(setup: str) -> int:
-    code = f"import sys\nsys.path.insert(0, {str(SRC)!r})\n{setup}\n{FAULT_LOOP}"
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True, timeout=120)
-    return int(done.stdout)
+from conftest import SET_PAGES, loop_faults, no_libc, synthetic_rr
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's allocator only")
@@ -53,10 +20,6 @@ def test_cli_keeps_freed_buffers_in_the_heap(tmp_path):
     assert applied < 1.5 * SET_PAGES
     # importing the library leaves the allocator alone: every set is re-faulted
     assert loop_faults("import hrvwp.cli") > 5 * SET_PAGES
-
-
-def no_libc(name):
-    raise OSError(f"{name}: cannot open shared object file")
 
 
 @pytest.mark.parametrize("cdll", [no_libc, lambda name: types.SimpleNamespace()],

@@ -1,9 +1,12 @@
 import csv
+import ctypes
 import dataclasses
 import json
 import os
+import platform
 import tempfile
 import tracemalloc
+import types
 import typing
 from pathlib import Path
 
@@ -24,7 +27,9 @@ from hrvwp.pipeline import (
 from hrvwp.stats import AnovaRow, AnovaTable, anova_two_way
 from hrvwp.wavelet import band_nodes, daubechies_filters
 from hrvwp.cli import main
-from conftest import balanced_spec, synthetic_rr, write_dataset
+from conftest import (
+    SET_PAGES, balanced_spec, loop_faults, no_libc, synthetic_rr, write_dataset,
+)
 
 
 HEADER = "manifest must start with header path,subject_id,group"
@@ -504,6 +509,37 @@ class TestRunPipeline:
         assert hf.n == rec.n_analyzed // 64 * 8
         assert lf.n_background + lf.n_significant == lf.n
         assert len(lf.values) == lf.n
+
+
+class TestKeepFreedBuffers:
+    # run_pipeline sets glibc's thresholds before it reads the manifest, so a
+    # missing manifest still sets them; the CLI gets them only through it
+
+    def test_sets_the_documented_thresholds(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(
+            mallopt=lambda *args: calls.append(args)))
+        with pytest.raises(FileNotFoundError):
+            run_pipeline(tmp_path / "missing.csv")
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's allocator only")
+    def test_keeps_freed_buffers_in_the_heap(self, tmp_path):
+        # the first set's first touch is then the only fault of the loop
+        missing = str(tmp_path / "missing.csv")
+        applied = loop_faults(
+            "from hrvwp import run_pipeline\n"
+            f"try:\n    run_pipeline({missing!r})\n"
+            "except FileNotFoundError:\n    pass\n"
+            "else:\n    raise AssertionError('a missing manifest ran')")
+        assert applied < 1.5 * SET_PAGES
+
+    @pytest.mark.parametrize("cdll", [no_libc, lambda name: types.SimpleNamespace()],
+                             ids=["no-library", "no-mallopt"])
+    def test_runs_without_mallopt(self, write_dataset, monkeypatch, cdll):
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        report = run_pipeline(write_dataset([("only", "Control", synthetic_rr(300, seed=12))]))
+        assert [r.status for r in report.recordings] == ["ok"]
 
 
 class TestEmit:

@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import time
+import types
 
 from hrvwp import run_pipeline
 
@@ -203,3 +204,26 @@ def test_mutation_run_main_writes_only_this_runs_records(tmp_path):
     assert calls == [True] + [False] * len(expected)
     assert [r["key"] for r in records] == expected
     assert {(r["outcome"], r["killer"]) for r in records} == {("killed", "test_x.py::test_bad")}
+
+
+def test_mutation_calls_record_only_spawns_that_name_src(tmp_path):
+    # a process whose args, cwd or env name the copy's src can import its hrvwp;
+    # one that runs the runner on a throwaway directory cannot, so no mutant needs it
+    src = str(tmp_path / "src")
+    calls = load_script("mutation_run").Calls(src + os.sep)
+
+    def popen(where, args, cwd=None, env=None):
+        calls.where = where
+        code = types.SimpleNamespace(co_filename=subprocess.__file__, co_qualname="Popen.__init__")
+        calls.trace(types.SimpleNamespace(f_code=code, f_locals=dict(args=args, cwd=cwd, env=env)),
+                    "call", None)
+
+    popen("test_args", [sys.executable, "-c", f"import sys\nsys.path.insert(0, {src!r})"])
+    popen("test_args", [sys.executable, "-c", f"import sys\nsys.path.insert(0, {src!r})"])
+    popen("test_cwd", [sys.executable, "-m", "hrvwp", "--help"], cwd=src)
+    popen("test_env", [sys.executable, "-m", "hrvwp"], env={"PYTHONPATH": src})
+    popen("test_runner", [sys.executable, "-c", RUN, str(SCRIPTS / "mutation_run.py"),
+                          str(tmp_path)])
+    popen("test_runner", [sys.executable, "-c", TERM], cwd=tmp_path, env={"HOME": str(tmp_path)})
+    assert calls.spawn == ["test_args", "test_cwd", "test_env"]
+    assert calls.calls == {}
