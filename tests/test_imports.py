@@ -1,10 +1,12 @@
 import importlib
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import hrvwp
 from hrvwp import emit_report, run_pipeline
@@ -26,12 +28,14 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_module_entry_point_runs():
+def test_module_entry_point_runs(monkeypatch, capsys):
     # python -m hrvwp runs the same parser as the console script
-    out = subprocess.run([sys.executable, "-m", "hrvwp", "--help"], cwd=SRC,
-                         capture_output=True, text=True, timeout=60)
-    assert out.returncode == 0
-    assert "--manifest" in out.stdout and "--out" in out.stdout
+    monkeypatch.setattr(sys, "argv", ["hrvwp", "--help"])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("hrvwp", run_name="__main__")
+    assert done.value.code == 0
+    out = capsys.readouterr().out
+    assert "--manifest" in out and "--out" in out
 
 
 def test_public_names_are_the_readme_list():

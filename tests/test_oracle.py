@@ -11,10 +11,11 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from hrvwp import run_pipeline
 from hrvwp.cli import main
-from conftest import balanced_spec
+from conftest import balanced_spec, write_dataset
 
 ORACLE = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
 REL_TOL, ABS_TOL = 1e-9, 1e-300
@@ -53,10 +54,16 @@ def assert_matches_oracle(features, anova, expected):
             assert abs(got_p - p) <= REL_TOL * abs(p) + ABS_TOL, (name, source, got_p, p)
 
 
-def test_run_pipeline_matches_the_oracle(write_dataset):
-    manifest = write_dataset(balanced_spec(per_group=4, n=375))
+@pytest.fixture(scope="module")
+def oracle_case(tmp_path_factory):
+    """A balanced dataset's manifest, and the oracle's outputs for it."""
+    manifest = write_dataset(tmp_path_factory.mktemp("oracle"), balanced_spec(per_group=4, n=375))
+    return manifest, oracle.expected_outputs(manifest.parent)
+
+
+def test_run_pipeline_matches_the_oracle(oracle_case):
+    manifest, expected = oracle_case
     report = run_pipeline(manifest)
-    expected = oracle.expected_outputs(manifest.parent)
     assert report.all_ok
     assert_matches_oracle(
         {r.subject_id: [getattr(r.features, k) for k in oracle.FEATURES]
@@ -78,9 +85,9 @@ def test_run_pipeline_matches_the_oracle(write_dataset):
             assert band.n_background == oracle._background(values).size, rec.subject_id
 
 
-def test_cli_tables_match_the_oracle(write_dataset, tmp_path):
+def test_cli_tables_match_the_oracle(oracle_case, tmp_path):
     # the documented CSV tables, read as the benchmark's output check reads them
-    manifest = write_dataset(balanced_spec(per_group=4, n=375))
+    manifest, expected = oracle_case
     out = tmp_path / "out"
     assert main(["--manifest", str(manifest), "--out", str(out)]) == 0
     with open(out / "features.csv", newline="", encoding="utf-8") as fh:
@@ -91,4 +98,4 @@ def test_cli_tables_match_the_oracle(write_dataset, tmp_path):
         with open(out / f"anova_{name}.csv", newline="", encoding="utf-8") as fh:
             rows = {row["Source"]: row for row in csv.DictReader(fh)}
         anova[name] = {s: [float(rows[s]["F"]), float(rows[s]["p"])] for s in oracle.ANOVA_SOURCES}
-    assert_matches_oracle(features, anova, oracle.expected_outputs(manifest.parent))
+    assert_matches_oracle(features, anova, expected)

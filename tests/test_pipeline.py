@@ -26,7 +26,7 @@ from hrvwp.pipeline import (
 )
 from hrvwp.stats import AnovaRow, AnovaTable, anova_two_way
 from hrvwp.wavelet import band_nodes, daubechies_filters
-from hrvwp.cli import main
+from hrvwp.cli import build_parser, main
 from conftest import (
     SET_PAGES, balanced_spec, loop_faults, no_libc, synthetic_rr, write_dataset,
 )
@@ -152,6 +152,39 @@ class TestConfig:
         assert not TAPS.flags.writeable
 
 
+class TestKeepFreedBuffers:
+    # run_pipeline sets glibc's thresholds before it reads the manifest, so a
+    # missing manifest still sets them; the CLI gets them only through it
+
+    def test_sets_the_documented_thresholds(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(
+            mallopt=lambda *args: calls.append(args)))
+        with pytest.raises(FileNotFoundError):
+            run_pipeline(tmp_path / "missing.csv")
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's allocator only")
+    def test_keeps_freed_buffers_in_the_heap(self, tmp_path):
+        # the first set's first touch is then the only fault of the loop
+        missing = str(tmp_path / "missing.csv")
+        applied = loop_faults(
+            "from hrvwp import run_pipeline\n"
+            f"try:\n    run_pipeline({missing!r})\n"
+            "except FileNotFoundError:\n    pass\n"
+            "else:\n    raise AssertionError('a missing manifest ran')")
+        assert applied < 1.5 * SET_PAGES
+        # importing the library leaves the allocator alone: every set is re-faulted
+        assert loop_faults("import hrvwp.cli") > 5 * SET_PAGES
+
+    @pytest.mark.parametrize("cdll", [no_libc, lambda name: types.SimpleNamespace()],
+                             ids=["no-library", "no-mallopt"])
+    def test_runs_without_mallopt(self, write_dataset, monkeypatch, cdll):
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        report = run_pipeline(write_dataset([("only", "Control", synthetic_rr(300, seed=12))]))
+        assert [r.status for r in report.recordings] == ["ok"]
+
+
 class TestManifest:
     @pytest.mark.parametrize("text, message", [
         ("file,id,label\nx.txt,a,Control\n", HEADER),
@@ -254,7 +287,7 @@ class TestRunPipeline:
         assert [r.df for r in energy_table.table.rows] == [2, 2, 4, 18, 26]
         assert report.all_ok
 
-    def test_identical_replicates_skip_both_tables(self, write_dataset, tmp_path):
+    def test_identical_replicates_skip_both_tables(self, write_dataset):
         # two copies of one file per group: each cell mean is exact, so the
         # error mean square is exactly 0 and no F ratio is defined
         manifest = write_dataset([(f"{g.lower()}{i}", g, synthetic_rr(300, seed=k))
@@ -264,9 +297,6 @@ class TestRunPipeline:
         assert not report.all_ok
         assert [(a.status, a.reason) for a in report.anova] == [
             ("skipped", "error mean square is zero; F is undefined")] * 2
-        out = tmp_path / "out"
-        assert main(["--manifest", str(manifest), "--out", str(out)]) == 1
-        assert (out / "report.json").exists() and not list(out.glob("anova_*.csv"))
 
     def test_anova_columns_hold_their_features(self, balanced_report):
         # a two-way ANOVA is blind to column order, so only a column fed from
@@ -401,6 +431,25 @@ class TestRunPipeline:
             assert row(rec) == row(run_pipeline(alone).recordings[0]), rec.subject_id
         assert {r.subject_id for r in batch if r.status == "failed"} == {r[0] for r in FAILING}
 
+    def test_long_recordings_are_analyzed_one_at_a_time(self, write_dataset):
+        # 10,000 beats each: two share no chunk, so the second adds only its
+        # knots, held while the first is analyzed, to the peak of one alone
+        t = 0.8 * np.arange(10_000)
+        rr = 800.0 + 40.0 * np.sin(2 * np.pi * 0.1 * t) + 25.0 * np.sin(2 * np.pi * 0.3 * t)
+        noise = np.random.default_rng(40).normal(0.0, 5.0, (2, t.size))
+        spec = [("a", "Control", rr + noise[0]), ("b", "VT", rr + noise[1])]
+        alone, both = write_dataset(spec[:1], "alone.csv"), write_dataset(spec)
+        peaks = []
+        for manifest in (alone, both):
+            tracemalloc.start()
+            try:
+                report = run_pipeline(manifest)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert {r.status for r in report.recordings} == {"ok"}
+        assert peaks[1] <= 1.2 * peaks[0], peaks
+
     def test_transform_splits_only_the_band_ancestors(self, write_dataset, monkeypatch):
         # the 12 LF/HF leaves of a depth-6 tree need about 2.5 N input samples, the full tree 6 N
         sizes = []
@@ -509,37 +558,6 @@ class TestRunPipeline:
         assert hf.n == rec.n_analyzed // 64 * 8
         assert lf.n_background + lf.n_significant == lf.n
         assert len(lf.values) == lf.n
-
-
-class TestKeepFreedBuffers:
-    # run_pipeline sets glibc's thresholds before it reads the manifest, so a
-    # missing manifest still sets them; the CLI gets them only through it
-
-    def test_sets_the_documented_thresholds(self, tmp_path, monkeypatch):
-        calls = []
-        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(
-            mallopt=lambda *args: calls.append(args)))
-        with pytest.raises(FileNotFoundError):
-            run_pipeline(tmp_path / "missing.csv")
-        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
-
-    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's allocator only")
-    def test_keeps_freed_buffers_in_the_heap(self, tmp_path):
-        # the first set's first touch is then the only fault of the loop
-        missing = str(tmp_path / "missing.csv")
-        applied = loop_faults(
-            "from hrvwp import run_pipeline\n"
-            f"try:\n    run_pipeline({missing!r})\n"
-            "except FileNotFoundError:\n    pass\n"
-            "else:\n    raise AssertionError('a missing manifest ran')")
-        assert applied < 1.5 * SET_PAGES
-
-    @pytest.mark.parametrize("cdll", [no_libc, lambda name: types.SimpleNamespace()],
-                             ids=["no-library", "no-mallopt"])
-    def test_runs_without_mallopt(self, write_dataset, monkeypatch, cdll):
-        monkeypatch.setattr(ctypes, "CDLL", cdll)
-        report = run_pipeline(write_dataset([("only", "Control", synthetic_rr(300, seed=12))]))
-        assert [r.status for r in report.recordings] == ["ok"]
 
 
 class TestEmit:
@@ -701,17 +719,26 @@ class TestCli:
             "anova coefficient_stats: ok (3 groups x 4 features x 2 subjects)\n"
             "anova energy: ok (3 groups x 3 features x 2 subjects)\n"
             f"wrote 5 file(s) to {out}\n")
-        # the CLI runs the reference configuration: depth-6 blocks, leaves 1-4 and 5-12
         assert {p.name for p in out.iterdir()} == {
             "report.json", "coefficients.npy", "features.csv",
             "anova_coefficient_stats.csv", "anova_energy.csv"}
-        recordings = json.loads((out / "report.json").read_text(encoding="utf-8"))["recordings"]
-        assert len(recordings) == 6
-        for rec in recordings:
-            assert rec["n_analyzed"] % 64 == 0
-            assert [b["leaves"] for b in rec["bands"]] == [[1, 2, 3, 4], list(range(5, 13))]
-        vector = np.load(out / "coefficients.npy", allow_pickle=False)
-        assert vector.size == sum(b["n"] for rec in recordings for b in rec["bands"])
+
+    @pytest.mark.parametrize("argv, err", [
+        (["--out", "out"],
+         "{usage}hrvwp: error: the following arguments are required: --manifest\n"),
+        (["--manifest", "missing.csv", "--out", "out"],
+         "error: [Errno 2] No such file or directory: 'missing.csv'\n"),
+    ], ids=["missing-flag", "missing-manifest"])
+    def test_usage_error_exit_two(self, tmp_path, monkeypatch, capsys, argv, err):
+        # argparse raises SystemExit itself, main returns; TestManifest has the malformed manifests
+        monkeypatch.chdir(tmp_path)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert capsys.readouterr().err == err.format(usage=build_parser().format_usage())
+        assert not (tmp_path / "out").exists()
 
     def test_insufficient_design_exit_one(self, write_dataset, tmp_path, capsys):
         manifest = write_dataset([("one", "Control", synthetic_rr(300, seed=14))])
