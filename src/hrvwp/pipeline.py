@@ -20,9 +20,10 @@ import csv
 import ctypes
 import json
 import os
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cache
+from operator import attrgetter
 from pathlib import Path
 from types import NoneType
 
@@ -68,6 +69,8 @@ MANIFEST_FIELDS = ("path", "subject_id", "group")
 COEFF_STAT_COLUMNS = ("STDLF", "MEANLF", "STDHF", "MEANHF")
 ENERGY_COLUMNS = ("E_LF", "E_HF", "R_E")
 FEATURE_COLUMNS = ("subject_id", "group", *(f.name for f in fields(FeatureVector)))
+# a FeatureVector's values in field order, without astuple's recursive copy
+_feature_row = attrgetter(*FEATURE_COLUMNS[2:])
 CSV_FLOAT_DIGITS = 12
 # layout version of report.json, written as tool.schema
 REPORT_SCHEMA = 8
@@ -325,7 +328,7 @@ def _anova_reports(completed: list[RecordingReport]) -> tuple[AnovaReport, Anova
     if reason is not None:
         return tuple(AnovaReport(name, reason=reason) for name, _, _ in tables)
 
-    grid = np.array([[astuple(r.features) for r in by_group[g]] for g in groups])
+    grid = np.array([[_feature_row(r.features) for r in by_group[g]] for g in groups])
     grid = grid.transpose(0, 2, 1)  # (groups, features, subjects)
     reports = []
     for name, columns, part in tables:
@@ -404,7 +407,7 @@ def emit_report(report: RunReport, out_dir=".") -> set[Path]:
         with open(stage("coefficients.npy"), "wb") as fh:
             np.save(fh, report.coefficients(), allow_pickle=False)
         _write_csv(stage("features.csv"), FEATURE_COLUMNS, [
-            [r.subject_id, r.group.value, *astuple(r.features)]
+            [r.subject_id, r.group.value, *_feature_row(r.features)]
             for r in report.recordings if r.features is not None
         ])
         for a in report.anova:

@@ -59,8 +59,8 @@ class BandReport:
         values.flags.writeable = index.flags.writeable = False
         derived = dict(
             n=values.size, n_background=background.size, n_significant=significant.size,
-            energy_background=float(np.dot(background, background)),
-            energy_significant=float(np.dot(significant, significant)),
+            energy_background=float(np.einsum("i,i", background, background)),
+            energy_significant=float(np.einsum("i,i", significant, significant)),
             leaves=leaves, values=values, significant=index,
         )
         for name, value in derived.items():

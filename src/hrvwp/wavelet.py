@@ -25,6 +25,7 @@ from functools import lru_cache
 from math import comb, sqrt
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "daubechies_filters",
@@ -69,18 +70,14 @@ def daubechies_filters(order: int) -> np.ndarray:
     return lo
 
 
-def _phase_taps(lo) -> np.ndarray:
-    """Taps as [filter, j, phase]: tap 2j+phase of the low-pass (0) and high-pass (1) filter.
-
-    The high-pass is the quadrature mirror of the low-pass,
-    hi[k] = (-1)**k * lo[L-1-k].
-    """
+def _filter_pair(lo) -> np.ndarray:
+    """The (2, L) taps: row 0 low-pass, row 1 its quadrature mirror hi[k] = (-1)**k * lo[L-1-k]."""
     lo = np.asarray(lo, dtype=float)
     if lo.ndim != 1 or lo.size < 2 or lo.size % 2:
         raise ValueError(f"taps of shape {lo.shape} are not 1-d of even length >= 2")
     pair = np.stack([lo, lo[::-1]])
     pair[1, 1::2] *= -1.0
-    return pair.reshape(2, lo.size // 2, 2)
+    return pair
 
 
 def analysis_step(signal: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -92,12 +89,10 @@ def analysis_step(signal: np.ndarray, taps: np.ndarray) -> np.ndarray:
     (nodes, N) maps to (nodes, 2, N/2), whose reshape to (2*nodes, N/2) is
     the next level in natural order.
 
-    Polyphase form: with e[m] = x[2m] and o[m] = x[2m+1] read as strided
-    views of the circular extension, tap pair (2j, 2j+1) of both filters
-    multiplies (e, o) shifted by j, so each output takes taps/2 multiply-adds
-    of a 2x2 tap block. The circular extension keeps the step orthogonal for
-    any even N, even shorter than the filter (it then wraps more than once),
-    so energy is conserved exactly.
+    The circular extension keeps the step orthogonal for any even N, even
+    shorter than the filter (it then wraps more than once), so energy is
+    conserved exactly. The sums run in numpy's einsum loops, not in BLAS, so
+    the result does not depend on the BLAS kernel the CPU selects.
     """
     x = np.asarray(signal, dtype=float)
     if x.ndim < 1 or x.shape[-1] < 2:
@@ -105,15 +100,15 @@ def analysis_step(signal: np.ndarray, taps: np.ndarray) -> np.ndarray:
     n = x.shape[-1]
     if n % 2 != 0:
         raise ValueError(f"signal length must be even, got {n}")
-    half = n // 2
-    blocks = _phase_taps(taps)
-    ext = np.take(x, np.arange(n + 2 * blocks.shape[1] - 2), axis=-1, mode="wrap")
-    # phases[..., p, m] = ext[..., 2m + p]
-    phases = ext.reshape(*ext.shape[:-1], -1, 2).swapaxes(-1, -2)
-    out = blocks[:, 0] @ phases[..., :half]
-    for j in range(1, blocks.shape[1]):
-        out += blocks[:, j] @ phases[..., j:j + half]
-    return out
+    pair, rows = _filter_pair(taps), x.reshape(-1, n)
+    ext = np.take(rows, np.arange(n + pair.shape[1] - 2), axis=-1, mode="wrap")
+    # windows[r, m, k] = ext[r, 2m + k]
+    windows = sliding_window_view(ext, pair.shape[1], axis=-1)[:, ::2, :]
+    # one einsum per filter: numpy runs three loop axes unbuffered, four buffered and slower
+    out = np.empty((len(rows), 2, n // 2))
+    for f, filt in enumerate(pair):
+        np.einsum("rmk,k->rm", windows, filt, out=out[:, f])
+    return out.reshape(*x.shape[:-1], 2, n // 2)
 
 
 def _gray(freq_index):

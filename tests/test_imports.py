@@ -1,3 +1,4 @@
+import ast
 import importlib
 import re
 import runpy
@@ -36,6 +37,25 @@ def test_module_entry_point_runs(monkeypatch, capsys):
     assert done.value.code == 0
     out = capsys.readouterr().out
     assert "--manifest" in out and "--out" in out
+
+
+# numpy hands these to BLAS, whose kernel OpenBLAS picks from the CPU at run
+# time, so a result would round differently from one CPU to the next; einsum's
+# `optimize` routes through tensordot to BLAS too. The one LAPACK call left is
+# np.roots in daubechies_filters: it runs once, at import, to design TAPS, and
+# every output is the same bytes under the Haswell and Prescott kernels.
+BLAS_ATTRIBUTES = {"dot", "vdot", "inner", "matmul", "tensordot", "linalg"}
+
+
+def test_no_blas_call():
+    found = []
+    for path in sorted(Path(hrvwp.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(getattr(node, "op", None), ast.MatMult)  # a @ b and a @= b
+                    or isinstance(node, ast.Attribute) and node.attr in BLAS_ATTRIBUTES
+                    or isinstance(node, ast.keyword) and node.arg == "optimize"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_public_names_are_the_readme_list():

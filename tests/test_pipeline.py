@@ -185,6 +185,51 @@ class TestKeepFreedBuffers:
         assert [r.status for r in report.recordings] == ["ok"]
 
 
+class TestCli:
+    def test_full_run_exit_zero(self, write_dataset, tmp_path, capsys):
+        manifest = write_dataset(balanced_spec(per_group=2))
+        code = main(["--manifest", str(manifest), "--out", str(tmp_path / "cli_out")])
+        out = tmp_path / "cli_out"
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "processed 6 recording(s): 6 ok, 0 failed\n"
+            "anova coefficient_stats: ok (3 groups x 4 features x 2 subjects)\n"
+            "anova energy: ok (3 groups x 3 features x 2 subjects)\n"
+            f"wrote 5 file(s) to {out}\n")
+        assert {p.name for p in out.iterdir()} == {
+            "report.json", "coefficients.npy", "features.csv",
+            "anova_coefficient_stats.csv", "anova_energy.csv"}
+
+    @pytest.mark.parametrize("argv, err", [
+        (["--out", "out"],
+         "{usage}hrvwp: error: the following arguments are required: --manifest\n"),
+        (["--manifest", "missing.csv", "--out", "out"],
+         "error: [Errno 2] No such file or directory: 'missing.csv'\n"),
+    ], ids=["missing-flag", "missing-manifest"])
+    def test_usage_error_exit_two(self, tmp_path, monkeypatch, capsys, argv, err):
+        # argparse raises SystemExit itself, main returns; TestManifest has the malformed manifests
+        monkeypatch.chdir(tmp_path)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert capsys.readouterr().err == err.format(usage=build_parser().format_usage())
+        assert not (tmp_path / "out").exists()
+
+    def test_insufficient_design_exit_one(self, write_dataset, tmp_path, capsys):
+        manifest = write_dataset([("one", "Control", synthetic_rr(300, seed=14))])
+        manifest.write_text(manifest.read_text() + "data/absent.txt,ghost,VT\n")
+        code = main(["--manifest", str(manifest), "--out", str(tmp_path / "o1")])
+        assert code == 1
+        skipped = "skipped (insufficient design: needs >= 2 labeled groups)"
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "processed 2 recording(s): 1 ok, 1 failed"
+        assert lines[1].startswith("  failed ghost: FileNotFoundError: ")
+        assert lines[2:] == [f"anova coefficient_stats: {skipped}", f"anova energy: {skipped}",
+                             f"wrote 3 file(s) to {tmp_path / 'o1'}"]
+
+
 class TestManifest:
     @pytest.mark.parametrize("text, message", [
         ("file,id,label\nx.txt,a,Control\n", HEADER),
@@ -707,47 +752,3 @@ def test_manifest_row_order_leaves_output_bytes_alone(cli_reference, order):
         main(["--manifest", str(manifest), "--out", out])
         assert {p.name: p.read_bytes() for p in Path(out).iterdir()} == reference
 
-
-class TestCli:
-    def test_full_run_exit_zero(self, write_dataset, tmp_path, capsys):
-        manifest = write_dataset(balanced_spec(per_group=2))
-        code = main(["--manifest", str(manifest), "--out", str(tmp_path / "cli_out")])
-        out = tmp_path / "cli_out"
-        assert code == 0
-        assert capsys.readouterr().out == (
-            "processed 6 recording(s): 6 ok, 0 failed\n"
-            "anova coefficient_stats: ok (3 groups x 4 features x 2 subjects)\n"
-            "anova energy: ok (3 groups x 3 features x 2 subjects)\n"
-            f"wrote 5 file(s) to {out}\n")
-        assert {p.name for p in out.iterdir()} == {
-            "report.json", "coefficients.npy", "features.csv",
-            "anova_coefficient_stats.csv", "anova_energy.csv"}
-
-    @pytest.mark.parametrize("argv, err", [
-        (["--out", "out"],
-         "{usage}hrvwp: error: the following arguments are required: --manifest\n"),
-        (["--manifest", "missing.csv", "--out", "out"],
-         "error: [Errno 2] No such file or directory: 'missing.csv'\n"),
-    ], ids=["missing-flag", "missing-manifest"])
-    def test_usage_error_exit_two(self, tmp_path, monkeypatch, capsys, argv, err):
-        # argparse raises SystemExit itself, main returns; TestManifest has the malformed manifests
-        monkeypatch.chdir(tmp_path)
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        assert code == 2
-        assert capsys.readouterr().err == err.format(usage=build_parser().format_usage())
-        assert not (tmp_path / "out").exists()
-
-    def test_insufficient_design_exit_one(self, write_dataset, tmp_path, capsys):
-        manifest = write_dataset([("one", "Control", synthetic_rr(300, seed=14))])
-        manifest.write_text(manifest.read_text() + "data/absent.txt,ghost,VT\n")
-        code = main(["--manifest", str(manifest), "--out", str(tmp_path / "o1")])
-        assert code == 1
-        skipped = "skipped (insufficient design: needs >= 2 labeled groups)"
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "processed 2 recording(s): 1 ok, 1 failed"
-        assert lines[1].startswith("  failed ghost: FileNotFoundError: ")
-        assert lines[2:] == [f"anova coefficient_stats: {skipped}", f"anova energy: {skipped}",
-                             f"wrote 3 file(s) to {tmp_path / 'o1'}"]
