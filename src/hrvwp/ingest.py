@@ -135,22 +135,15 @@ def rr_to_tachogram(rr_ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve off[i-1] x[i-1] + diag[i] x[i] + off[i] x[i+1] = rhs[i] by cyclic reduction.
 
-    The matrix is symmetric tridiagonal (off has one entry fewer than diag).
-    Works along the last axis, so a stack of systems of one size is solved
-    at once. Each odd-indexed equation absorbs its even neighbours, which
-    leaves a symmetric tridiagonal system in the odd unknowns of half the
-    size; once that is solved, every even unknown follows from its own
+    The matrix is symmetric tridiagonal (off has one entry fewer than diag), of
+    size 2**k - 1. Works along the last axis, so a stack of systems of one size
+    is solved at once. Each odd-indexed equation absorbs its even neighbours,
+    which leaves a symmetric tridiagonal system of size 2**(k-1) - 1 in the odd
+    unknowns; once that is solved, every even unknown follows from its own
     equation. Stable without pivoting for diagonally dominant systems.
     """
     if diag.shape[-1] == 1:
         return rhs / diag
-    if diag.shape[-1] % 2 == 0:
-        # a trailing x = 0 equation gives every odd equation a right neighbour
-        zero = np.zeros(diag.shape[:-1] + (1,))
-        padded = _solve_tridiagonal(np.concatenate((diag, zero + 1.0), axis=-1),
-                                    np.concatenate((off, zero), axis=-1),
-                                    np.concatenate((rhs, zero), axis=-1))
-        return padded[..., :-1]
     left = off[..., ::2] / diag[..., :-1:2]
     right = off[..., 1::2] / diag[..., 2::2]
     odd = _solve_tridiagonal(
@@ -169,7 +162,7 @@ def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np
 
 @np.errstate(over="ignore", invalid="ignore")  # spline_samples refuses a non-finite spline
 def spline_knots(times_s: np.ndarray, values: np.ndarray, rate_hz: float) -> tuple:
-    """resample_cubic_spline's checks, then (t, v, h, slope, grid length); nothing grid-sized."""
+    """resample_cubic_spline's checks, then (t, v, h, slope, grid length, rate); nothing grid-sized."""
     t = np.asarray(times_s, dtype=float)
     v = np.asarray(values, dtype=float)
     if t.ndim != 1 or t.size != v.size:
@@ -194,7 +187,7 @@ def spline_knots(times_s: np.ndarray, values: np.ndarray, rate_hz: float) -> tup
         raise ValueError(
             f"rate {rate_hz} Hz yields {count} sample(s) over a {span:.3f} s span"
         )
-    return t, v, h, np.diff(v) / h, count
+    return t, v, h, np.diff(v) / h, count, rate_hz
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a row's overflow stays in its row
@@ -202,14 +195,16 @@ def spline_moments(splines) -> np.ndarray:
     """The second derivatives m of every spline_knots result, from one stacked solve.
 
     Row r holds m of splines[r] (m[0] = m[-1] = 0), then zeros. The systems
-    are padded at the end with x = 0 equations up to the longest, which
-    leave each system's unknowns as it alone gives them, bit for bit.
+    are padded at the end with x = 0 equations up to 2**k - 1 unknowns, the
+    fewest that hold the longest, which leave each system's unknowns as it
+    alone gives them, bit for bit.
     """
     width = max(max(t.size for t, *_ in splines) - 2, 1)
+    width = (1 << width.bit_length()) - 1  # every level of the solve is odd
     moments = np.zeros((len(splines), width + 2))  # first: the workspace after it frees as one block
     diag = np.ones((len(splines), width))
     off, rhs = np.zeros((len(splines), width - 1)), np.zeros((len(splines), width))
-    for row, (t, _, h, slope, _) in enumerate(splines):
+    for row, (t, _, h, slope, *_) in enumerate(splines):
         n = t.size - 2
         np.add(h[:-1], h[1:], out=diag[row, :n])
         diag[row, :n] *= 2.0
@@ -221,9 +216,9 @@ def spline_moments(splines) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def spline_samples(spline: tuple, moments: np.ndarray, rate_hz: float) -> np.ndarray:
+def spline_samples(spline: tuple, moments: np.ndarray) -> np.ndarray:
     """A spline_knots result on its grid, from its spline_moments row; ValueError if not finite."""
-    t, v, h, slope, count = spline
+    t, v, h, slope, count, rate_hz = spline
     grid = np.arange(count, dtype=float)
     grid /= rate_hz
     grid += t[0]
@@ -256,7 +251,7 @@ def resample_cubic_spline(times_s: np.ndarray, values: np.ndarray, rate_hz: floa
     and so is a spline whose values overflow the float range.
     """
     spline = spline_knots(times_s, values, rate_hz)
-    return spline_samples(spline, spline_moments([spline])[0], rate_hz)
+    return spline_samples(spline, spline_moments([spline])[0])
 
 
 def truncate_to_block(samples: np.ndarray, depth: int) -> np.ndarray:

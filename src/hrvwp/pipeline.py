@@ -86,7 +86,8 @@ HF_BAND_HZ = (0.15625, 0.40625)
 TAPS = daubechies_filters(WAVELET_ORDER)
 LF_LEAVES = tuple(band_nodes(LF_BAND_HZ, DEPTH, RATE_HZ))
 HF_LEAVES = tuple(band_nodes(HF_BAND_HZ, DEPTH, RATE_HZ))
-# RR intervals in a chunk's padded spline stack (recordings x the longest's)
+# RR intervals in a chunk (recordings x the longest's); its spline stack pads
+# that width to 2**k - 1 unknowns, up to about twice it
 CHUNK_INTERVALS = 2**14
 
 
@@ -249,14 +250,14 @@ def _report(row: dict, leaves: np.ndarray) -> RecordingReport:
 def _analyze(chunk: list) -> list[RecordingReport]:
     """The reports of a chunk of (subject_id, group, spline_knots result) rows, which it empties.
 
-    One stacked spline solve, then one packet transform per analyzed length. The knots
-    go first, and a lone signal is not copied: a chunk of one holds no more than its recording.
+    One stacked spline solve, then one packet transform per analyzed length, on the stack of
+    its signals, a lone one too. The knots and the solve go before any transform.
     """
     reports, by_length = [], {}
     for (subject_id, group, spline), moments in zip(
             chunk, spline_moments([spline for *_, spline in chunk])):
         try:
-            samples = spline_samples(spline, moments, RATE_HZ)
+            samples = spline_samples(spline, moments)
             signal = truncate_to_block(samples, DEPTH)
         except ValueError as exc:
             reports.append(_failed(subject_id, group, exc))
@@ -268,7 +269,7 @@ def _analyze(chunk: list) -> list[RecordingReport]:
     chunk.clear()
     del spline, moments  # the last row's knots and the stacked solve go before any transform
     for rows, signals in by_length.values():
-        stack = signals[0][None] if len(signals) == 1 else np.stack(signals)
+        stack = np.stack(signals)
         signals.clear()
         leaves = wpt_leaves(stack, DEPTH, TAPS, LF_LEAVES + HF_LEAVES)
         reports += [_report(row, leaves[k]) for k, row in enumerate(rows)]

@@ -6,8 +6,9 @@ grand, cell and margin means once, and builds every table row from them:
 sum of squares, degrees of freedom, mean square (SS/df) and the F ratio
 against the error mean square. Upper-tail F probabilities come from
 f_tail_probability, the regularized incomplete beta function evaluated by a
-continued fraction, so the accuracy (~1e-10) comfortably dominates any
-reporting tolerance.
+continued fraction. Against scipy.stats.f.sf (F in [0.05, 50], df1 <= 6 as in
+every design here) its error was 2.7e-12 at df2 = 12,000, 6.4e-11 at 120,000,
+1.3e-9 at 2,000,000 and 1.6e-8 at 20,000,000.
 """
 
 from dataclasses import dataclass

@@ -73,10 +73,12 @@ class BandReport:
 
 
 def _median(v: np.ndarray) -> float:
-    """np.median of a non-empty 1-d vector, from one partition instead of its sort-based path.
+    """np.median of a non-empty 1-d vector, from one partition without its per-call overhead.
 
     The middle element for odd n, (a + b) / 2 of the two middle ones for even
     n, as np.median computes them; NaN if v holds a NaN (partition puts it last).
+    np.median partitions too, but took 12 us a call to this one's 3 us at 76 or
+    152 values (numpy 2.4, x86-64).
     """
     k, odd = v.size // 2, v.size % 2
     part = np.partition(v, (k, -1) if odd else (k - 1, k, -1))

@@ -339,7 +339,7 @@ OVERFLOW = "spline values overflow: knots too close for the change in their valu
 def wide_spline(moment):
     """The 1 Hz samples of a zero-valued spline on knots 0, 1e4 and 2e4 s, middle moment given."""
     knots = ingest.spline_knots([0.0, 1e4, 2e4], np.zeros(3), 1.0)
-    return ingest.spline_samples(knots, np.array([0.0, moment, 0.0]), 1.0)
+    return ingest.spline_samples(knots, np.array([0.0, moment, 0.0]))
 
 
 class TestResample:
@@ -355,8 +355,8 @@ class TestResample:
         assert np.allclose(sig, 7.0, rtol=1e-9)
 
     # 2 knots need no solve; 3, 4, 5, 64, 65 and 1000 knots leave 1, 2, 3,
-    # 62, 63 and 998 unknowns, so the cyclic reduction meets odd and even
-    # sizes at its first level and both again further down
+    # 62, 63 and 998 unknowns, so the solve pads none, some or most of a
+    # 2**k - 1 system
     @pytest.mark.parametrize("knots", [2, 3, 4, 5, 64, 65, 1000])
     def test_knot_interpolation_against_tridiagonal_oracle(self, knots):
         rng = np.random.default_rng(knots)
@@ -373,24 +373,29 @@ class TestResample:
 
     def test_padded_stack_solves_each_system_alone(self):
         # bitwise: a chunk's spline systems are solved as one stack, padded
-        # at the end with x = 0 equations up to the longest
+        # at the end with x = 0 equations up to 2**k - 1 unknowns; alone,
+        # each is padded to its own 2**j - 1
         rng = np.random.default_rng(7)
         systems = []
         for n in rng.permutation([1, 2, 3, 4, 5, 8, 37, 64, 1023, 1024, 1025]):
             h = rng.uniform(0.2, 1.5, n + 1)
             systems.append((2.0 * (h[:-1] + h[1:]), h[1:-1], 6.0 * np.diff(rng.normal(size=n + 1))))
-        width = max(d.size for d, _, _ in systems)
-        diag = np.ones((len(systems), width))
-        off, rhs = np.zeros((len(systems), width - 1)), np.zeros((len(systems), width))
+
+        def padded(batch, width):
+            diag = np.ones((len(batch), width))
+            off, rhs = np.zeros((len(batch), width - 1)), np.zeros((len(batch), width))
+            for row, (d, o, r) in enumerate(batch):
+                diag[row, :d.size], off[row, :o.size], rhs[row, :r.size] = d, o, r
+            return diag, off, rhs
+
+        width = 2047  # 2**11 - 1, the fewest that hold the longest
+        stacked = ingest._solve_tridiagonal(*padded(systems, width))
         for row, (d, o, r) in enumerate(systems):
-            diag[row, :d.size], off[row, :o.size], rhs[row, :r.size] = d, o, r
-        stacked = ingest._solve_tridiagonal(diag, off, rhs)
-        for row, (d, o, r) in enumerate(systems):
-            alone = ingest._solve_tridiagonal(d, o, r)
-            assert stacked[row, :d.size].tobytes() == alone.tobytes()
+            alone = ingest._solve_tridiagonal(*padded([(d, o, r)], (1 << d.size.bit_length()) - 1))[0]
+            assert stacked[row, :d.size].tobytes() == alone[:d.size].tobytes()
             assert stacked[row, d.size:].tobytes() == bytes(8 * (width - d.size))  # +0.0
             matrix = np.diag(d) + np.diag(o, 1) + np.diag(o, -1)
-            assert np.allclose(matrix @ alone, r, rtol=1e-12, atol=1e-12)
+            assert np.allclose(matrix @ alone[:d.size], r, rtol=1e-12, atol=1e-12)
 
     def test_stacked_splines_resample_each_alone(self):
         rng = np.random.default_rng(8)
@@ -401,7 +406,7 @@ class TestResample:
         knotted = [ingest.spline_knots(t, v, 4.0) for t, v in splines]
         moments = ingest.spline_moments(knotted)
         for (t, v), knots, row in zip(splines, knotted, moments):
-            assert (ingest.spline_samples(knots, row, 4.0).tobytes()
+            assert (ingest.spline_samples(knots, row).tobytes()
                     == resample_cubic_spline(t, v, 4.0).tobytes())
 
     def test_no_extrapolation_past_last_knot(self):

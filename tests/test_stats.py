@@ -179,6 +179,15 @@ class TestFTail:
             f_dist.sf(f, df1, df2), abs=1e-12
         )
 
+    # the (df1, df2) pairs of the bench's seed-0 short-term design: 3 groups of
+    # 100, 4 coefficient statistics (error df 1188) and 3 energies (891)
+    @pytest.mark.parametrize("df1,df2", [(3, 1188), (2, 1188), (6, 1188), (2, 891), (4, 891)])
+    def test_bench_design_matches_scipy(self, df1, df2):
+        for f in np.geomspace(0.05, 50.0, 40):
+            assert f_tail_probability(f, df1, df2) == pytest.approx(
+                f_dist.sf(f, df1, df2), abs=1e-12
+            )
+
     def test_invalid_inputs(self):
         for df1, df2 in ((0, 10), (3, -2), (3, 0), (2.5, 10), (3, 10.5)):
             with pytest.raises(ValueError, match="degrees of freedom"):

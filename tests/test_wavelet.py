@@ -72,7 +72,7 @@ def full_level(x, level, taps):
 
 def packet_matrix(taps, n, depth):
     """The transform as an n x n matrix: column i holds the raveled level of basis vector i."""
-    return np.column_stack([full_level(e, depth, taps).ravel() for e in np.eye(n)])
+    return full_level(np.eye(n), depth, taps).reshape(n, n).T
 
 
 class TestFilters:
